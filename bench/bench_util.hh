@@ -8,9 +8,8 @@
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
- *                       hot-tier collector drains per-thread rings
- *                       into FILE incrementally; cold TraceSpans join
- *                       the same stream, memory stays bounded)
+ *                       collector drains per-thread span rings into
+ *                       FILE incrementally; memory stays bounded)
  *   --metrics-out FILE  write a metric-registry snapshot as CSV
  * and the execution flag:
  *   --threads N         size the process-wide thread pool (0 = auto)
@@ -38,7 +37,6 @@
 #include "obs/collector.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::bench {
 
@@ -76,14 +74,44 @@ struct ObsOptions
 };
 
 /**
+ * Start streaming spans: into the --trace-out file when one was given,
+ * else into a count-only sink. The calling thread is registered by
+ * the collector; pool workers register their rings on startup.
+ */
+inline void
+startTrace(ObsOptions &options)
+{
+    if (!options.traceOut.empty()) {
+        options.traceStream =
+            std::make_shared<std::ofstream>(options.traceOut);
+        if (!*options.traceStream)
+            MINDFUL_FATAL("cannot open trace output ", options.traceOut);
+    }
+    obs::TraceCollector::global().start(options.traceStream.get());
+}
+
+/** Stop the stream startTrace() opened and report its totals. */
+inline obs::CollectorTotals
+stopTrace(const ObsOptions &options)
+{
+    obs::CollectorTotals totals = obs::TraceCollector::global().stop();
+    if (!options.traceOut.empty()) {
+        MINDFUL_INFORM("streamed ", totals.emitted, " trace events (",
+                       totals.dropped, " dropped at full rings) to ",
+                       options.traceOut);
+    }
+    return totals;
+}
+
+/**
  * Extract --trace-out FILE / --metrics-out FILE / --threads N (also
  * the --flag=VALUE spelling) and *remove them from argv* so
- * downstream parsers (e.g. google-benchmark) never see them. Enables
- * span tracing when --trace-out is present and sizes the process-wide
- * thread pool when --threads is present (0 = hardware concurrency).
+ * downstream parsers (e.g. google-benchmark) never see them. Sizes
+ * the process-wide thread pool when --threads is present (0 =
+ * hardware concurrency). Does not start tracing; see parseObsOptions.
  */
 inline ObsOptions
-parseObsOptions(int &argc, char **argv)
+parseObsFlags(int &argc, char **argv)
 {
     // Hash the line as invoked — including the obs flags about to be
     // stripped — so the manifest pins the exact reproduction command.
@@ -130,20 +158,19 @@ parseObsOptions(int &argc, char **argv)
 
     if (options.any())
         obs::setManifestThreadCount(exec::ThreadPool::globalThreadCount());
+    return options;
+}
 
-    if (!options.traceOut.empty()) {
-        obs::TraceSession::global().setEnabled(true);
-        // Streaming mode: open the sink now and let the collector
-        // drain into it for the whole run. Pool workers register
-        // their rings on startup; the main thread registers here so
-        // inline (single-shard) hot spans are captured too.
-        options.traceStream =
-            std::make_shared<std::ofstream>(options.traceOut);
-        if (!*options.traceStream)
-            MINDFUL_FATAL("cannot open trace output ", options.traceOut);
-        obs::TraceCollector::global().registerCurrentThread();
-        obs::TraceCollector::global().start(options.traceStream.get());
-    }
+/**
+ * parseObsFlags(), then stream the whole run into --trace-out when it
+ * is present.
+ */
+inline ObsOptions
+parseObsOptions(int &argc, char **argv)
+{
+    ObsOptions options = parseObsFlags(argc, argv);
+    if (!options.traceOut.empty())
+        startTrace(options);
     return options;
 }
 
@@ -151,12 +178,8 @@ parseObsOptions(int &argc, char **argv)
 inline void
 finalizeObs(const ObsOptions &options)
 {
-    if (!options.traceOut.empty()) {
-        obs::CollectorTotals totals = obs::TraceCollector::global().stop();
-        MINDFUL_INFORM("streamed ", totals.emitted, " trace events (",
-                       totals.dropped, " dropped at full rings) to ",
-                       options.traceOut);
-    }
+    if (obs::TraceCollector::global().streaming())
+        stopTrace(options);
     if (!options.metricsOut.empty()) {
         std::ofstream os(options.metricsOut);
         if (!os)

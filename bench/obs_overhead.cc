@@ -1,12 +1,15 @@
 /**
  * @file
- * Micro-harness for the hot-path telemetry tier (obs/collector.hh,
- * obs/handles.hh): what does one record actually cost?
+ * Micro-harness for the telemetry tier (obs/collector.hh,
+ * obs/handles.hh, obs/metrics.hh): what does one record actually cost?
  *
- * Measures ns/event for the three hot record primitives —
+ * Measures ns/event for the three record primitives and the two
+ * by-name wrappers most call sites use —
  *   span_record       MINDFUL_HOT_SPAN construct + destruct + ring push
  *   counter_add       MINDFUL_HOT_COUNT through a pre-resolved handle
  *   histogram_record  MINDFUL_HOT_RECORD (log-bucket index + atomics)
+ *   metric_count      MINDFUL_METRIC_COUNT, constant name
+ *   trace_scope       MINDFUL_TRACE_SCOPE, constant name
  * in two runtime states:
  *   enabled           collector streaming (count-only sink), registry on
  *   disabled          collector stopped, registry runtime-disabled
@@ -36,6 +39,7 @@
 #include "obs/handles.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
+#include "obs/metrics.hh"
 
 namespace {
 
@@ -80,21 +84,21 @@ nsPerOp(std::uint64_t iters, Fn &&fn)
            static_cast<double>(iters);
 }
 
-/** The three record primitives, timed in the current runtime state. */
+/** The record primitives and wrappers, timed in the current state. */
 void
 measureOps(const std::string &mode, std::uint64_t iters,
            std::vector<Row> &rows)
 {
-    // Setup tier: resolve site and handles once, outside the loops.
+    // Resolve site and handles once, outside the loops.
     // ([[maybe_unused]]: the compiled-out twin erases every use.)
     auto &collector = obs::TraceCollector::global();
-    auto &hot = obs::HotMetricTable::global();
+    auto &registry = obs::MetricRegistry::global();
     [[maybe_unused]] const obs::TraceSite site =
         collector.site("bench", "obs.span");
     [[maybe_unused]] const obs::CounterHandle counter =
-        hot.counter("bench.obs.counter");
+        registry.counter("bench.obs.counter");
     [[maybe_unused]] const obs::HistogramHandle histogram =
-        hot.histogram("bench.obs.histogram");
+        registry.histogram("bench.obs.histogram");
 
     rows.push_back({"span_record", mode,
                     nsPerOp(iters, [&]([[maybe_unused]] std::uint64_t i) {
@@ -110,6 +114,14 @@ measureOps(const std::string &mode, std::uint64_t iters,
                         MINDFUL_HOT_RECORD(
                             histogram,
                             0.1 + 0.5 * static_cast<double>(i & 1023));
+                    })});
+    rows.push_back({"metric_count", mode,
+                    nsPerOp(iters, [&](std::uint64_t) {
+                        MINDFUL_METRIC_COUNT("bench.obs.by_name", 1);
+                    })});
+    rows.push_back({"trace_scope", mode,
+                    nsPerOp(iters, [&](std::uint64_t) {
+                        MINDFUL_TRACE_SCOPE("bench", "obs.scope");
                     })});
 }
 
@@ -208,7 +220,6 @@ main(int argc, char **argv)
 
     auto &collector = obs::TraceCollector::global();
     auto &registry = obs::MetricRegistry::global();
-    collector.registerCurrentThread();
 
     std::vector<Row> rows;
 

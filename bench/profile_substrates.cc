@@ -11,12 +11,13 @@
  * chrome://tracing) with nested spans from the comm, accel, dnn, and
  * core subsystems, and a CSV snapshot of every registered metric.
  *
- * The A/B phases run the identical workload twice: first with span
- * tracing runtime-disabled — the same fast path a MINDFUL_OBS_DISABLED
- * build compiles to, one relaxed atomic load per would-be span — then
- * with tracing enabled. The reported overhead percentage is the
+ * The A/B phases run the identical workload twice: first with the
+ * trace collector idle — one relaxed atomic load per would-be span,
+ * no name resolved — then with every span streamed (into --trace-out,
+ * else a count-only sink). The trace file therefore holds the
+ * instrumented phase. The reported overhead percentage is the
  * harness's own regression gate: instrumented hot loops must stay
- * within a few percent of the disabled baseline, which they do because
+ * within a few percent of the idle baseline, which they do because
  * all recording happens at call granularity, never per sample.
  */
 
@@ -33,8 +34,8 @@
 #include "core/experiments.hh"
 #include "core/soc_catalog.hh"
 #include "dnn/models.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace {
 
@@ -112,22 +113,16 @@ int
 main(int argc, char **argv)
 {
     bool csv = bench::csvOnly(argc, argv);
-    auto obs = bench::parseObsOptions(argc, argv);
-    auto &session = obs::TraceSession::global();
-    const bool want_trace = !obs.traceOut.empty();
+    auto obs = bench::parseObsFlags(argc, argv);
 
-    // --- Phase A: baseline, span tracing disabled. -------------------
-    session.setEnabled(false);
+    // --- Phase A: baseline, collector idle. ---------------------------
     timedWorkload(); // warm caches so A and B see the same machine
     double baseline = timedWorkload();
 
-    // --- Phase B: instrumented, spans recorded. ----------------------
-    session.clear();
-    session.setEnabled(true);
+    // --- Phase B: instrumented, spans streamed. ----------------------
+    bench::startTrace(obs);
     double instrumented = timedWorkload();
-    session.setEnabled(want_trace);
-    if (!want_trace)
-        session.clear();
+    const obs::CollectorTotals totals = bench::stopTrace(obs);
 
     double overhead_pct =
         baseline > 0.0 ? (instrumented - baseline) / baseline * 100.0
@@ -141,7 +136,7 @@ main(int argc, char **argv)
     ab.setHeader({"phase", "wall time (ms)", "trace events"});
     ab.addRow({"disabled", Table::formatNumber(baseline * 1e3, 2), "0"});
     ab.addRow({"enabled", Table::formatNumber(instrumented * 1e3, 2),
-               std::to_string(session.eventCount())});
+               std::to_string(totals.emitted + totals.dropped)});
     bench::emit(ab, csv);
 
     Table verdict("Overhead");

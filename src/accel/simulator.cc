@@ -5,8 +5,8 @@
 #include "base/logging.hh"
 #include "base/special_math.hh"
 #include "dnn/dense.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::accel {
 
@@ -65,8 +65,7 @@ AcceleratorSimulator::run(const dnn::Network &network,
                           const dnn::Tensor &input) const
 {
     MINDFUL_TRACE_SPAN(run_span, "accel", "simulator.run");
-    run_span.arg("network", network.name())
-        .arg("mac_units", _config.macUnits);
+    run_span.arg("mac_units", _config.macUnits);
 
     SimulationResult result;
     result.layerCycles.assign(network.layerCount(), 0);
@@ -80,8 +79,7 @@ AcceleratorSimulator::run(const dnn::Network &network,
         {
             MINDFUL_TRACE_SPAN(layer_span, "accel",
                                "layer." + layer.name());
-            layer_span.arg("index", static_cast<std::uint64_t>(i))
-                .arg("macs", census.totalMacs());
+            layer_span.arg("index", i).arg("macs", census.totalMacs());
 
             if (const auto *dense =
                     dynamic_cast<const dnn::DenseLayer *>(&layer)) {

@@ -116,8 +116,8 @@
  * through resolvable calls, cross-TU) must stay non-blocking: no
  * Mutex/ConditionVariable, no file or stream construction, no
  * sleep/this_thread calls, no unbounded `while (true)` without a
- * break/return, and no cold-tier TraceSpan / by-name MetricRegistry
- * lookups (the pre-resolved MINDFUL_HOT_* handle tier stays legal).
+ * break/return, and no by-name trace span or metric lookups (the
+ * pre-resolved MINDFUL_HOT_* handles stay legal).
  * Escapes use `analyze: rt-ok` comments with a parenthesized reason,
  * policed like every other suppression.
  *

@@ -11,9 +11,7 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::comm {
 
@@ -140,12 +138,12 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
     // exact and order-independent — bit-identical on any thread
     // count (docs/parallelism.md).
     const std::uint64_t call = _calls++;
-    // Hot-tier shard instrumentation: site and handles resolved once,
+    // Shard instrumentation: site and handles resolved once,
     // recorded lock-free inside the shard body (docs/observability.md).
     static const obs::TraceSite shard_site =
         obs::TraceCollector::global().site("comm", "qam.ber_shard");
     static const obs::CounterHandle shard_symbols =
-        obs::HotMetricTable::global().counter("comm.qam.shard_symbols");
+        obs::MetricRegistry::global().counter("comm.qam.shard_symbols");
     std::vector<std::uint64_t> shard_errors(kBerShards, 0);
     exec::parallelFor(
         kBerShards,
@@ -221,11 +219,11 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
     // count, per-shard forked streams, exact integer reduction in
     // shard order — bit-identical on any thread count.
     const std::uint64_t call = _calls++;
-    // Same hot-tier pattern as the QAM path.
+    // Same shard instrumentation as the QAM path.
     static const obs::TraceSite shard_site =
         obs::TraceCollector::global().site("comm", "ook.ber_shard");
     static const obs::CounterHandle shard_bits =
-        obs::HotMetricTable::global().counter("comm.ook.shard_bits");
+        obs::MetricRegistry::global().counter("comm.ook.shard_bits");
     std::vector<std::uint64_t> shard_errors(kBerShards, 0);
     exec::parallelFor(
         kBerShards,

@@ -127,8 +127,10 @@ OokModulation::transmitPower(DataRate rate) const
 QamModulation::QamModulation(unsigned bits_per_symbol)
     : _bitsPerSymbol(bits_per_symbol)
 {
-    MINDFUL_ASSERT(bits_per_symbol >= 1 && bits_per_symbol <= 16,
-                   "bits per symbol must lie in [1, 16]");
+    MINDFUL_ASSERT(bits_per_symbol >= 1 &&
+                       bits_per_symbol <= kMaxQamBitsPerSymbol,
+                   "bits per symbol must lie in [1, ",
+                   kMaxQamBitsPerSymbol, "]");
 }
 
 double

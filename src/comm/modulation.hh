@@ -79,6 +79,9 @@ class OokModulation
     DataRate _maxDataRate;
 };
 
+/** Densest QAM mode modelled: 2^16-point constellations. */
+constexpr unsigned kMaxQamBitsPerSymbol = 16;
+
 /** One M-QAM operating mode (fixed bits per symbol). */
 class QamModulation
 {

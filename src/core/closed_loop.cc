@@ -2,8 +2,8 @@
 
 #include "base/logging.hh"
 #include "dnn/tensor.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::core {
 
@@ -112,8 +112,7 @@ ClosedLoopStudy::evaluate(std::uint64_t channels) const
     MINDFUL_METRIC_RECORD("core.closed_loop.total_power_mw",
                           point.totalPower.inMilliwatts());
     loop_span.arg("loop_latency_us", point.loopLatency.inMicroseconds())
-        .arg("meets_deadline",
-             std::string(point.meetsDeadline ? "true" : "false"));
+        .arg("meets_deadline", point.meetsDeadline);
     return point;
 }
 

@@ -7,8 +7,8 @@
 #include "core/soc_catalog.hh"
 #include "dnn/models.hh"
 #include "exec/parallel.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::core::experiments {
 

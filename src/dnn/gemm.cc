@@ -7,9 +7,7 @@
 #include "dnn/gemm_kernels.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::dnn::gemm {
 namespace detail {
@@ -192,15 +190,15 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
     if (shards <= 1) {
         run(0, m);
     } else {
-        // Hot-tier instrumentation, resolved once outside the shard
-        // body: a TraceSite (interned name) and a pre-registered
-        // counter handle. Recording inside the body is lock- and
+        // Shard instrumentation, resolved once outside the shard body:
+        // a TraceSite (interned name) and a pre-registered counter
+        // handle. Recording inside the body is lock- and
         // allocation-free — mindful-analyze certifies HotSpan and
         // CounterHandle::bump, so this needs no suppression.
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("dnn", "gemm.shard");
         static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter("dnn.gemm.shard_rows");
+            obs::MetricRegistry::global().counter("dnn.gemm.shard_rows");
         exec::parallelFor(
             shards,
             [&](std::size_t shard) {
@@ -213,11 +211,8 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
             "dnn.gemm.shard");
     }
 
-    auto &registry = obs::MetricRegistry::global();
-    if (registry.enabled()) {
-        registry.counter("dnn.gemm.calls").add(1);
-        registry.counter("dnn.gemm.macs").add(macs);
-    }
+    MINDFUL_METRIC_COUNT("dnn.gemm.calls", 1);
+    MINDFUL_METRIC_COUNT("dnn.gemm.macs", macs);
 }
 
 std::size_t

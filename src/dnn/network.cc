@@ -3,8 +3,8 @@
 #include <sstream>
 
 #include "base/logging.hh"
+#include "obs/collector.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::dnn {
 
@@ -68,8 +68,7 @@ Network::forwardPrefix(const Tensor &input, std::size_t layers) const
                    " != expected ", toString(_shapes.front()));
 
     MINDFUL_TRACE_SPAN(span, "dnn", "network.forward");
-    span.arg("network", _name)
-        .arg("layers", static_cast<std::uint64_t>(layers));
+    span.arg("layers", layers);
     MINDFUL_METRIC_COUNT("dnn.forward.calls", 1);
     MINDFUL_METRIC_COUNT("dnn.forward.layers", layers);
 

@@ -5,9 +5,7 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::dnn::sparse {
 
@@ -163,7 +161,7 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("dnn", "spmm.shard");
         static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter("dnn.spmm.shard_rows");
+            obs::MetricRegistry::global().counter("dnn.spmm.shard_rows");
         exec::parallelFor(
             shards,
             [&](std::size_t shard) {
@@ -177,11 +175,8 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
             "dnn.spmm.shard");
     }
 
-    auto &registry = obs::MetricRegistry::global();
-    if (registry.enabled()) {
-        registry.counter("dnn.spmm.calls").add(1);
-        registry.counter("dnn.spmm.macs").add(macs);
-    }
+    MINDFUL_METRIC_COUNT("dnn.spmm.calls", 1);
+    MINDFUL_METRIC_COUNT("dnn.spmm.macs", macs);
 }
 
 double

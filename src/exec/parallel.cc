@@ -4,7 +4,7 @@
 
 #include "base/compiler.hh"
 #include "base/logging.hh"
-#include "obs/trace.hh"
+#include "obs/collector.hh"
 
 namespace mindful::exec {
 

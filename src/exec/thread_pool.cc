@@ -8,10 +8,8 @@
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::exec {
 
@@ -31,9 +29,7 @@ struct GlobalPool
     {
 #ifndef MINDFUL_OBS_DISABLED
         obs::MetricRegistry::global();
-        obs::TraceSession::global();
         obs::TraceCollector::global();
-        obs::HotMetricTable::global();
 #endif
     }
 

@@ -1,6 +1,8 @@
 #include "obs/collector.hh"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <ostream>
 
 #include "base/logging.hh"
@@ -18,6 +20,75 @@ std::atomic<std::uint64_t> g_unregisteredDrops{0};
 thread_local TraceRing *t_traceRing = nullptr;
 
 } // namespace detail
+
+namespace {
+
+std::chrono::steady_clock::time_point
+traceEpoch()
+{
+    static const auto epoch = std::chrono::steady_clock::now();
+    return epoch;
+}
+
+// Touch at static-init so the epoch is process start.
+const auto initTraceEpoch = traceEpoch();
+
+/** ts/dur in microseconds with nanosecond decimals. */
+void
+writeTraceMicros(std::ostream &os, std::uint64_t nanos)
+{
+    os << nanos / 1000 << '.' << static_cast<char>('0' + nanos / 100 % 10)
+       << static_cast<char>('0' + nanos / 10 % 10)
+       << static_cast<char>('0' + nanos % 10);
+}
+
+/** One argument slot as a JSON number (null when not finite). */
+void
+writeArgValue(std::ostream &os, const PodEvent &event, std::size_t slot)
+{
+    const std::uint64_t bits = event.argBits[slot];
+    switch (event.argTypes[slot]) {
+      case PodEvent::kSigned:
+        os << static_cast<std::int64_t>(bits);
+        return;
+      case PodEvent::kDouble: {
+        // Shortest round-trip form, independent of the stream's locale
+        // and precision.
+        const double value = std::bit_cast<double>(bits);
+        if (!std::isfinite(value)) {
+            os << "null";
+            return;
+        }
+        char buf[32];
+        const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+        os.write(buf, result.ptr - buf);
+        return;
+      }
+      default:
+        os << bits;
+    }
+}
+
+} // namespace
+
+std::uint64_t
+traceNowNanos()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - traceEpoch())
+            .count());
+}
+
+std::uint32_t
+currentThreadId()
+{
+    MINDFUL_ATOMIC_ROLE(stat_counter)
+    static std::atomic<std::uint32_t> next{0};
+    thread_local const std::uint32_t id =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return id;
+}
 
 TraceCollector &
 TraceCollector::global()
@@ -40,15 +111,18 @@ TraceCollector::~TraceCollector()
 }
 
 TraceSite
-TraceCollector::site(const std::string &category, const std::string &name)
+TraceCollector::site(std::string_view category, std::string_view name)
 {
+    std::string key;
+    key.reserve(category.size() + 1 + name.size());
+    key.append(category).push_back('\0');
+    key.append(name);
     LockGuard lock(_mutex);
-    for (std::size_t i = 0; i < _sites.size(); ++i) {
-        if (_sites[i].first == category && _sites[i].second == name)
-            return TraceSite{static_cast<std::uint32_t>(i)};
-    }
-    _sites.emplace_back(category, name);
-    return TraceSite{static_cast<std::uint32_t>(_sites.size() - 1)};
+    auto [it, inserted] = _siteIds.try_emplace(
+        std::move(key), static_cast<std::uint32_t>(_sites.size()));
+    if (inserted)
+        _sites.emplace_back(category, name);
+    return TraceSite{it->second};
 }
 
 void
@@ -57,8 +131,8 @@ TraceCollector::registerCurrentThread()
     if (detail::t_traceRing != nullptr)
         return;
     LockGuard lock(_mutex);
-    _rings.push_back(std::make_unique<TraceRing>(
-        _ringCapacity, TraceSession::currentThreadId()));
+    _rings.push_back(
+        std::make_unique<TraceRing>(_ringCapacity, currentThreadId()));
     detail::t_traceRing = _rings.back().get();
 }
 
@@ -82,6 +156,7 @@ TraceCollector::start(std::ostream *os)
 {
     MINDFUL_ASSERT(!streaming() && !_drain.joinable(),
                    "trace collector is already streaming");
+    registerCurrentThread();
     {
         LockGuard lock(_mutex);
         _os = os;
@@ -134,13 +209,6 @@ TraceCollector::setDrainPaused(bool paused)
     _paused.store(paused, std::memory_order_release);
 }
 
-void
-TraceCollector::submitCold(TraceEvent event)
-{
-    LockGuard lock(_mutex);
-    _cold.push_back(std::move(event));
-}
-
 std::uint64_t
 TraceCollector::droppedSinceStart() const
 {
@@ -167,22 +235,16 @@ TraceCollector::drainOnce()
         PodEvent event;
         MINDFUL_RT_LOOP("collector.drain")
         while (ring->tryPop(event)) {
-            emitHotLocked(event, ring->threadId());
+            emitLocked(event, ring->threadId());
             ++written;
         }
     }
-    for (const TraceEvent &event : _cold) {
-        emitColdLocked(event);
-        ++written;
-    }
-    _cold.clear();
     _emitted.fetch_add(written, std::memory_order_relaxed);
     return written;
 }
 
 void
-TraceCollector::emitHotLocked(const PodEvent &event,
-                              std::uint32_t thread_id)
+TraceCollector::emitLocked(const PodEvent &event, std::uint32_t thread_id)
 {
     if (_os == nullptr)
         return; // count-only sink
@@ -195,32 +257,23 @@ TraceCollector::emitHotLocked(const PodEvent &event,
     writeJsonEscaped(os, site.second);
     os << ", \"cat\": ";
     writeJsonEscaped(os, site.first);
-    if (event.kind == PodEvent::kInstant) {
-        os << ", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
-        writeTraceMicros(os, event.startNanos);
-    } else {
-        os << ", \"ph\": \"X\", \"ts\": ";
-        writeTraceMicros(os, event.startNanos);
-        os << ", \"dur\": ";
-        writeTraceMicros(os, event.durationNanos);
-    }
+    os << ", \"ph\": \"X\", \"ts\": ";
+    writeTraceMicros(os, event.startNanos);
+    os << ", \"dur\": ";
+    writeTraceMicros(os, event.durationNanos);
     os << ", \"pid\": 1, \"tid\": " << thread_id;
-    if (event.hasArg != 0)
-        os << ", \"args\": {\"v\": " << event.arg << "}";
+    if (event.argCount > 0) {
+        os << ", \"args\": {";
+        for (std::size_t i = 0; i < event.argCount; ++i) {
+            if (i > 0)
+                os << ", ";
+            writeJsonEscaped(os, event.argKeys[i]);
+            os << ": ";
+            writeArgValue(os, event, i);
+        }
+        os << "}";
+    }
     os << "}";
-}
-
-void
-TraceCollector::emitColdLocked(const TraceEvent &event)
-{
-    if (_os == nullptr)
-        return;
-    std::ostream &os = *_os;
-    if (!_firstEvent)
-        os << ",";
-    _firstEvent = false;
-    os << "\n  ";
-    writeTraceEventJson(os, event);
 }
 
 std::uint64_t

@@ -1,20 +1,18 @@
 /**
  * @file
- * Streaming trace collector: the hot tier of the tracer.
+ * Streaming trace collector: the one span tier.
  *
- * The cold tier (obs/trace.hh) buffers string-carrying TraceEvents
- * under a mutex and writes one JSON document at the end — right for
- * call-granularity spans, banned inside parallelFor shard bodies by
- * mindful-analyze. The hot tier splits recording from formatting:
+ * Recording is split from formatting:
  *
  *  - each participating thread registers ONE TraceRing up front
- *    (registerCurrentThread; the exec thread pool does this for its
- *    workers). Span names are interned to TraceSite ids at setup
- *    time via site();
+ *    (registerCurrentThread; start() does this for its caller and the
+ *    exec thread pool for its workers). Span names are interned to
+ *    TraceSite ids via site();
  *  - a HotSpan records by stamping two clock reads and pushing one
- *    32-byte PodEvent into its thread's ring — no lock, no
- *    allocation, no string. A full ring drops the event and counts
- *    it, so `recorded == emitted + dropped` holds exactly;
+ *    PodEvent (name id plus a fixed set of numeric argument slots)
+ *    into its thread's ring — no lock, no allocation, no string. A
+ *    full ring drops the event and counts it, so
+ *    `recorded == emitted + dropped` holds exactly;
  *  - a background drain thread pops every ring and streams Chrome
  *    trace_event JSON incrementally into the sink passed to start(),
  *    so memory stays bounded for hour-long soaks. stop() joins the
@@ -22,13 +20,17 @@
  *    manifest (obs/manifest.hh) plus emitted/dropped totals to the
  *    file footer, and returns those totals.
  *
- * While the collector is streaming, cold-tier spans recorded into
- * TraceSession::global() are forwarded into the same stream (via
- * submitCold), so one timeline holds both tiers.
+ * MINDFUL_TRACE_SPAN / MINDFUL_TRACE_SCOPE are the by-name spelling of
+ * the same span: while the collector is not streaming they cost one
+ * relaxed load and never evaluate the name; while it streams they
+ * resolve the name to a TraceSite (once per site for a string
+ * literal, on every call for a name built at run time) and record a
+ * HotSpan. Resolving takes a lock, so shard bodies and realtime loops
+ * use a pre-resolved TraceSite with MINDFUL_HOT_SPAN instead.
  *
  * Contracts: the sink stream must outlive stop(); totals are exact
  * once producers have quiesced (joined, or parallelFor returned)
- * before stop(); HotSpans on threads that never registered record
+ * before stop(); spans on threads that never registered record
  * nothing but are counted as drops.
  */
 
@@ -36,39 +38,48 @@
 #define MINDFUL_OBS_COLLECTOR_HH
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "base/compiler.hh"
 #include "obs/event.hh"
 #include "obs/ring.hh"
-#include "obs/trace.hh"
 
 namespace mindful::obs {
 
 namespace detail {
 
-/** True while the global collector streams; every HotSpan gates on
- * one relaxed load of this before touching anything else. */
+/** True while the global collector streams; every span gates on one
+ * relaxed load of this before touching anything else. */
 MINDFUL_ATOMIC_ROLE(once_flag)
 extern std::atomic<bool> g_collectorStreaming;
 
-/** HotSpans constructed while streaming on a thread with no ring. */
+/** Spans constructed while streaming on a thread with no ring. */
 MINDFUL_ATOMIC_ROLE(stat_counter)
 extern std::atomic<std::uint64_t> g_unregisteredDrops;
 
 /** The calling thread's ring; null until registerCurrentThread(). */
 extern thread_local TraceRing *t_traceRing;
 
+inline bool
+collectorStreaming()
+{
+    return g_collectorStreaming.load(std::memory_order_relaxed);
+}
+
 } // namespace detail
 
-/** Interned (category, name) pair. Resolve once, at setup time. */
+/** Interned (category, name) pair. */
 struct TraceSite
 {
     std::uint32_t id = 0;
@@ -81,13 +92,13 @@ struct CollectorTotals
     std::uint64_t dropped = 0;
 };
 
-/** Default per-thread ring capacity (slots; 32 B each). */
+/** Default per-thread ring capacity (slots). */
 constexpr std::size_t kDefaultRingSlots = 8192;
 
 class TraceCollector
 {
   public:
-    /** The process-wide collector the hot tier records into. */
+    /** The process-wide collector every span records into. */
     static TraceCollector &global();
 
     TraceCollector() = default;
@@ -97,9 +108,9 @@ class TraceCollector
 
     /**
      * Intern a (category, name) pair. Idempotent; takes a lock —
-     * call at setup time, never inside the measured region.
+     * never call it inside a shard body or realtime loop.
      */
-    TraceSite site(const std::string &category, const std::string &name);
+    TraceSite site(std::string_view category, std::string_view name);
 
     /**
      * Give the calling thread a ring (idempotent). Allocation happens
@@ -130,17 +141,18 @@ class TraceCollector
 
     /**
      * Begin streaming into @p os (nullptr = count-only sink, for
-     * overhead benchmarks). Writes the trace_event header, resets the
-     * session's emitted/dropped baselines, and launches the drain
-     * thread. Must not already be streaming.
+     * overhead benchmarks). Registers the calling thread, writes the
+     * trace_event header, resets the session's emitted/dropped
+     * baselines, and launches the drain thread. Must not already be
+     * streaming.
      */
     void start(std::ostream *os);
 
     /**
      * Stop streaming: joins the drain thread, performs a final sweep
-     * of every ring and the cold queue, writes the JSON footer (run
-     * manifest + totals) and returns this session's totals. Safe to
-     * call when not streaming (returns zeros).
+     * of every ring, writes the JSON footer (run manifest + totals)
+     * and returns this session's totals. Safe to call when not
+     * streaming (returns zeros).
      */
     CollectorTotals stop();
 
@@ -150,9 +162,6 @@ class TraceCollector
      * final sweep always runs.
      */
     void setDrainPaused(bool paused);
-
-    /** Forward one cold-tier event into the stream (TraceSession). */
-    void submitCold(TraceEvent event);
 
     /** Events streamed so far this session (approximate while live). */
     std::uint64_t
@@ -167,17 +176,18 @@ class TraceCollector
   private:
     void drainLoop();
     std::uint64_t drainOnce();
-    void emitHotLocked(const PodEvent &event, std::uint32_t thread_id)
+    void emitLocked(const PodEvent &event, std::uint32_t thread_id)
         MINDFUL_REQUIRES(_mutex);
-    void emitColdLocked(const TraceEvent &event) MINDFUL_REQUIRES(_mutex);
     std::uint64_t lockedDroppedSum() const MINDFUL_REQUIRES(_mutex);
 
     mutable Mutex _mutex;
     std::vector<std::pair<std::string, std::string>>
         _sites MINDFUL_GUARDED_BY(_mutex);
+    /** "category\0name" -> index into _sites. */
+    std::map<std::string, std::uint32_t, std::less<>>
+        _siteIds MINDFUL_GUARDED_BY(_mutex);
     std::vector<std::unique_ptr<TraceRing>>
         _rings MINDFUL_GUARDED_BY(_mutex);
-    std::vector<TraceEvent> _cold MINDFUL_GUARDED_BY(_mutex);
     std::ostream *_os MINDFUL_GUARDED_BY(_mutex) = nullptr;
     bool _firstEvent MINDFUL_GUARDED_BY(_mutex) = true;
     std::size_t _ringCapacity MINDFUL_GUARDED_BY(_mutex) =
@@ -196,42 +206,38 @@ class TraceCollector
 };
 
 /**
- * Hot-path RAII span. Construction is two relaxed loads (streaming
- * gate, thread ring) plus one clock read; destruction is a clock read
- * and a lock-free ring push. Inactive — and near-free — when the
- * collector is not streaming or the thread has no ring.
+ * RAII span. Construction is two relaxed loads (streaming gate,
+ * thread ring) plus one clock read; destruction is a clock read and a
+ * lock-free ring push. Inactive — and near-free — when the collector
+ * is not streaming, the thread has no ring, or it was
+ * default-constructed.
  */
 class HotSpan
 {
   public:
+    HotSpan() = default;
+
     explicit HotSpan(TraceSite site)
     {
-        if (!detail::g_collectorStreaming.load(
-                std::memory_order_relaxed)) {
+        if (!detail::collectorStreaming())
             return;
-        }
         _ring = detail::t_traceRing;
         if (_ring == nullptr) {
             detail::g_unregisteredDrops.fetch_add(
                 1, std::memory_order_relaxed);
             return;
         }
-        _siteId = site.id;
-        _startNanos = traceNowNanos();
+        _event.siteId = site.id;
+        _event.argCount = 0;
+        _event.startNanos = traceNowNanos();
     }
 
     ~HotSpan()
     {
         if (_ring == nullptr)
             return;
-        PodEvent event;
-        event.startNanos = _startNanos;
-        event.durationNanos = traceNowNanos() - _startNanos;
-        event.arg = _arg;
-        event.siteId = _siteId;
-        event.kind = PodEvent::kSpan;
-        event.hasArg = _hasArg;
-        _ring->tryPush(event);
+        _event.durationNanos = traceNowNanos() - _event.startNanos;
+        _ring->tryPush(_event);
     }
 
     HotSpan(const HotSpan &) = delete;
@@ -240,39 +246,112 @@ class HotSpan
     /** Whether this span will push an event on destruction. */
     bool active() const { return _ring != nullptr; }
 
-    /** Attach the one integer payload ("args": {"v": ...}). */
+    /**
+     * Attach a numeric argument ("args": {key: value}). @p key must
+     * have static storage (a string literal): the event keeps the
+     * pointer. Integers and bools keep their exact value, floating
+     * point values are stored as double. Arguments beyond
+     * kSpanArgSlots are ignored.
+     */
+    template <typename T>
+    HotSpan &
+    arg(const char *key, T value)
+    {
+        static_assert(std::is_arithmetic_v<T>,
+                      "span arguments are numbers");
+        if (_ring == nullptr || _event.argCount == kSpanArgSlots)
+            return *this;
+        const std::uint8_t slot = _event.argCount++;
+        _event.argKeys[slot] = key;
+        if constexpr (std::is_floating_point_v<T>) {
+            _event.argTypes[slot] = PodEvent::kDouble;
+            _event.argBits[slot] =
+                std::bit_cast<std::uint64_t>(static_cast<double>(value));
+        } else if constexpr (std::is_signed_v<T>) {
+            _event.argTypes[slot] = PodEvent::kSigned;
+            _event.argBits[slot] = static_cast<std::uint64_t>(
+                static_cast<std::int64_t>(value));
+        } else {
+            _event.argTypes[slot] = PodEvent::kUnsigned;
+            _event.argBits[slot] = static_cast<std::uint64_t>(value);
+        }
+        return *this;
+    }
+
+    /** Attach the conventional single payload ("args": {"v": ...}). */
     HotSpan &
     setArg(std::uint64_t value)
     {
-        _arg = value;
-        _hasArg = 1;
-        return *this;
+        return arg("v", value);
     }
 
   private:
     TraceRing *_ring = nullptr;
-    std::uint64_t _startNanos = 0;
-    std::uint64_t _arg = 0;
-    std::uint32_t _siteId = 0;
-    std::uint16_t _hasArg = 0;
+    PodEvent _event;
+};
+
+/** No-op stand-in the span macros degrade to under MINDFUL_OBS_DISABLED. */
+class NullSpan
+{
+  public:
+    bool active() const { return false; }
+
+    template <typename T>
+    NullSpan &
+    arg(const char *, T)
+    {
+        static_assert(std::is_arithmetic_v<T>,
+                      "span arguments are numbers");
+        return *this;
+    }
+
+    template <typename V>
+    NullSpan &
+    setArg(const V &)
+    {
+        return *this;
+    }
 };
 
 } // namespace mindful::obs
 
-/**
- * Open a named hot-tier span over a pre-resolved TraceSite:
- *   MINDFUL_HOT_SPAN(shard_span, site);
- *   shard_span.setArg(rows);
- * Compiles to a NullSpan under MINDFUL_OBS_DISABLED.
- */
 #ifndef MINDFUL_OBS_DISABLED
 
+/**
+ * Open a span over a pre-resolved TraceSite (shard bodies, realtime
+ * loops):
+ *   MINDFUL_HOT_SPAN(shard_span, site);
+ *   shard_span.setArg(rows);
+ */
 #define MINDFUL_HOT_SPAN(var, site) ::mindful::obs::HotSpan var((site))
+
+/**
+ * Open a named span variable by name:
+ *   MINDFUL_TRACE_SPAN(span, "comm", "qam.measure_ber");
+ *   span.arg("symbols", n);
+ */
+#define MINDFUL_TRACE_SPAN(var, category, name) \
+    ::mindful::obs::HotSpan var = \
+        ::mindful::obs::detail::collectorStreaming() \
+            ? ::mindful::obs::HotSpan(MINDFUL_OBS_RESOLVE( \
+                  name, ::mindful::obs::TraceCollector::global().site( \
+                            (category), (name)))) \
+            : ::mindful::obs::HotSpan()
+
+/** Open an anonymous by-name span covering the rest of the scope. */
+#define MINDFUL_TRACE_SCOPE(category, name) \
+    MINDFUL_TRACE_SPAN(MINDFUL_OBS_CONCAT(_mindful_span_, __LINE__), \
+                       category, name)
 
 #else
 
 #define MINDFUL_HOT_SPAN(var, site) \
     [[maybe_unused]] ::mindful::obs::NullSpan var
+#define MINDFUL_TRACE_SPAN(var, category, name) \
+    [[maybe_unused]] ::mindful::obs::NullSpan var
+#define MINDFUL_TRACE_SCOPE(category, name) \
+    do { \
+    } while (0)
 
 #endif // MINDFUL_OBS_DISABLED
 

@@ -7,73 +7,86 @@
 
 namespace mindful::obs {
 
-namespace {
+namespace detail {
 
-/** Sum of a counter's stripes (relaxed; exact once producers rest). */
+MINDFUL_ATOMIC_ROLE(once_flag)
+std::atomic<bool> g_metricsEnabled{true};
+
+} // namespace detail
+
 std::uint64_t
-stripesTotal(const CounterCells &cells)
+CounterCells::total() const
 {
-    std::uint64_t total = 0;
-    for (const HotCell &stripe : cells.stripes)
-        total += stripe.value.load(std::memory_order_relaxed);
-    return total;
+    std::uint64_t sum = 0;
+    for (const HotCell &stripe : stripes)
+        sum += stripe.value.load(std::memory_order_relaxed);
+    return sum;
 }
 
-double
-cellsBinLowerEdge(const HistogramCells &h, std::size_t i)
+HistogramCells::HistogramCells(HistogramOptions options)
+    : lo(options.lo), hi(options.hi), logLo(std::log(options.lo)),
+      bins(options.bins)
 {
-    double frac = static_cast<double>(i) / static_cast<double>(h.bins);
-    return h.lo * std::pow(h.hi / h.lo, frac);
+    MINDFUL_ASSERT(options.lo > 0.0 && options.hi > options.lo &&
+                       options.bins > 0,
+                   "histogram needs 0 < lo < hi and at least one bin");
+    invLogRatio = static_cast<double>(options.bins) /
+                  (std::log(options.hi) - std::log(options.lo));
+    counts = std::make_unique<std::atomic<std::uint64_t>[]>(options.bins);
+    reset();
 }
 
-double
-cellsBinUpperEdge(const HistogramCells &h, std::size_t i)
+void
+HistogramCells::reset()
 {
-    double frac =
-        static_cast<double>(i + 1) / static_cast<double>(h.bins);
-    return h.lo * std::pow(h.hi / h.lo, frac);
+    for (std::size_t i = 0; i < bins; ++i)
+        counts[i].store(0, std::memory_order_relaxed);
+    total.store(0, std::memory_order_relaxed);
+    underflow.store(0, std::memory_order_relaxed);
+    overflow.store(0, std::memory_order_relaxed);
+    sum.store(0.0, std::memory_order_relaxed);
+    minSeen.store(std::numeric_limits<double>::infinity(),
+                  std::memory_order_relaxed);
+    maxSeen.store(-std::numeric_limits<double>::infinity(),
+                  std::memory_order_relaxed);
 }
 
 /**
  * Nearest-rank percentile over the atomic buckets — the same
- * arithmetic as LogHistogram::percentile (base/stats.cc), so a hot
- * histogram and a HistogramMetric fed identical samples report
- * identical p50/p95/p99.
+ * arithmetic as LogHistogram::percentile (base/stats.cc), so a
+ * histogram cell and a LogHistogram fed identical samples report
+ * identical percentiles.
  */
 double
-cellsPercentile(const HistogramCells &h, double p)
+HistogramCells::percentile(double p) const
 {
-    const std::uint64_t total = h.total.load(std::memory_order_relaxed);
-    if (total == 0)
+    const std::uint64_t n = total.load(std::memory_order_relaxed);
+    if (n == 0)
         return 0.0;
-    const double minSeen = h.minSeen.load(std::memory_order_relaxed);
-    const double maxSeen = h.maxSeen.load(std::memory_order_relaxed);
+    const double min_seen = minSeen.load(std::memory_order_relaxed);
+    const double max_seen = maxSeen.load(std::memory_order_relaxed);
 
     auto rank = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(total)));
+        std::ceil(p / 100.0 * static_cast<double>(n)));
     rank = std::max<std::uint64_t>(rank, 1);
 
-    std::uint64_t cumulative =
-        h.underflow.load(std::memory_order_relaxed);
+    std::uint64_t cumulative = underflow.load(std::memory_order_relaxed);
     if (rank <= cumulative)
-        return minSeen;
-    for (std::size_t i = 0; i < h.bins; ++i) {
-        cumulative += h.counts[i].load(std::memory_order_relaxed);
+        return min_seen;
+    for (std::size_t i = 0; i < bins; ++i) {
+        cumulative += counts[i].load(std::memory_order_relaxed);
         if (rank <= cumulative) {
-            double mid = std::sqrt(cellsBinLowerEdge(h, i) *
-                                   cellsBinUpperEdge(h, i));
-            return std::clamp(mid, minSeen, maxSeen);
+            const double ratio = hi / lo;
+            const double lower = lo * std::pow(
+                ratio, static_cast<double>(i) / static_cast<double>(bins));
+            const double upper =
+                lo * std::pow(ratio, static_cast<double>(i + 1) /
+                                         static_cast<double>(bins));
+            return std::clamp(std::sqrt(lower * upper), min_seen,
+                              max_seen);
         }
     }
-    return maxSeen;
-}
-
-} // namespace
-
-std::uint64_t
-CounterHandle::total() const
-{
-    return _cells ? stripesTotal(*_cells) : 0;
+    return max_seen;
 }
 
 std::uint64_t
@@ -88,128 +101,10 @@ HistogramHandle::sum() const
     return _cells ? _cells->sum.load(std::memory_order_relaxed) : 0.0;
 }
 
-HotMetricTable &
-HotMetricTable::global()
+double
+HistogramHandle::percentile(double p) const
 {
-    static HotMetricTable table;
-    return table;
-}
-
-CounterHandle
-HotMetricTable::counter(const std::string &name)
-{
-    LockGuard lock(_mutex);
-    MINDFUL_ASSERT(_histograms.count(name) == 0,
-                   "hot metric '", name, "' already registered with "
-                   "a different kind");
-    auto &cells = _counters[name];
-    if (!cells)
-        cells = std::make_unique<CounterCells>();
-    return CounterHandle(cells.get());
-}
-
-HistogramHandle
-HotMetricTable::histogram(const std::string &name, HistogramOptions options)
-{
-    LockGuard lock(_mutex);
-    MINDFUL_ASSERT(_counters.count(name) == 0,
-                   "hot metric '", name, "' already registered with "
-                   "a different kind");
-    auto &cells = _histograms[name];
-    if (!cells) {
-        MINDFUL_ASSERT(options.lo > 0.0 && options.hi > options.lo &&
-                           options.bins > 0,
-                       "hot histogram '", name, "' needs 0 < lo < hi "
-                       "and at least one bin");
-        cells = std::make_unique<HistogramCells>();
-        cells->lo = options.lo;
-        cells->hi = options.hi;
-        cells->logLo = std::log(options.lo);
-        cells->invLogRatio =
-            static_cast<double>(options.bins) /
-            (std::log(options.hi) - std::log(options.lo));
-        cells->bins = options.bins;
-        cells->counts =
-            std::make_unique<std::atomic<std::uint64_t>[]>(options.bins);
-        for (std::size_t i = 0; i < options.bins; ++i)
-            cells->counts[i].store(0, std::memory_order_relaxed);
-    }
-    return HistogramHandle(cells.get());
-}
-
-std::size_t
-HotMetricTable::size() const
-{
-    LockGuard lock(_mutex);
-    return _counters.size() + _histograms.size();
-}
-
-std::vector<MetricSample>
-HotMetricTable::snapshot() const
-{
-    // Cells are never deleted, so reading their atomics outside the
-    // lock would also be safe; holding it keeps registration ordered
-    // with the snapshot. Values are exact once producers have
-    // quiesced (e.g. after parallelFor returns).
-    LockGuard lock(_mutex);
-    std::vector<MetricSample> samples;
-    samples.reserve(_counters.size() + _histograms.size());
-    for (const auto &[name, cells] : _counters) {
-        MetricSample sample;
-        sample.name = name;
-        sample.type = "counter";
-        const std::uint64_t total = stripesTotal(*cells);
-        sample.value = static_cast<double>(total);
-        sample.count = static_cast<std::size_t>(total);
-        samples.push_back(std::move(sample));
-    }
-    for (const auto &[name, cells] : _histograms) {
-        MetricSample sample;
-        sample.name = name;
-        sample.type = "histogram";
-        const std::uint64_t total =
-            cells->total.load(std::memory_order_relaxed);
-        sample.count = static_cast<std::size_t>(total);
-        if (total > 0) {
-            sample.value = cells->sum.load(std::memory_order_relaxed) /
-                           static_cast<double>(total);
-            sample.min = cells->minSeen.load(std::memory_order_relaxed);
-            sample.max = cells->maxSeen.load(std::memory_order_relaxed);
-        }
-        sample.p50 = cellsPercentile(*cells, 50.0);
-        sample.p95 = cellsPercentile(*cells, 95.0);
-        sample.p99 = cellsPercentile(*cells, 99.0);
-        samples.push_back(std::move(sample));
-    }
-    std::sort(samples.begin(), samples.end(),
-              [](const MetricSample &a, const MetricSample &b) {
-                  return a.name < b.name;
-              });
-    return samples;
-}
-
-void
-HotMetricTable::reset()
-{
-    LockGuard lock(_mutex);
-    for (auto &[name, cells] : _counters) {
-        (void)name;
-        for (HotCell &stripe : cells->stripes)
-            stripe.value.store(0, std::memory_order_relaxed);
-    }
-    for (auto &[name, cells] : _histograms) {
-        (void)name;
-        for (std::size_t i = 0; i < cells->bins; ++i)
-            cells->counts[i].store(0, std::memory_order_relaxed);
-        cells->total.store(0, std::memory_order_relaxed);
-        cells->underflow.store(0, std::memory_order_relaxed);
-        cells->overflow.store(0, std::memory_order_relaxed);
-        cells->sum.store(0.0, std::memory_order_relaxed);
-        cells->minSeen.store(std::numeric_limits<double>::infinity(),
-                             std::memory_order_relaxed);
-        cells->maxSeen.store(-std::numeric_limits<double>::infinity(),
-                             std::memory_order_relaxed);
-    }
+    return _cells ? _cells->percentile(p) : 0.0;
 }
 
 } // namespace mindful::obs

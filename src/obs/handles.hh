@@ -1,31 +1,27 @@
 /**
  * @file
- * Handle-based metric cells: the lock-free record tier of the metric
- * system.
+ * Metric cells and the handles that record into them: the record
+ * side of the metric system.
  *
- * The MetricRegistry (obs/metrics.hh) is the setup/export tier: name
- * lookup under a mutex, histograms behind a short critical section.
- * mindful-analyze's hot-path check rightly bans that record path from
- * parallelFor shard bodies. This header is the hot tier: a handle is
- * resolved ONCE at setup time (HotMetricTable::counter/histogram,
- * which does lock) and records through a raw pointer forever after —
+ * Every metric lives in a cell owned by a MetricRegistry
+ * (obs/metrics.hh). A handle is resolved by name once — resolution
+ * locks — and records through a raw pointer forever after:
  *
  *   CounterHandle::bump      one relaxed fetch_add into the calling
  *                            thread's stripe (no lookup, no lock);
  *   HistogramHandle::observe log-bucket index arithmetic plus relaxed
- *                            atomic adds (CAS loops for min/max/sum).
+ *                            atomic adds (CAS loops for min/max/sum);
+ *   Gauge::set               a relaxed store plus a release flag.
  *
- * Both record bodies live inline in this header, inside the analyzer's
+ * The record bodies live inline in this header, inside the analyzer's
  * scan root, so the purity checker *verifies* them rather than taking
  * them on faith — instrumented shard roots need no `hot-ok` hatch.
  *
- * The global MetricRegistry folds HotMetricTable::global() into its
- * snapshots, so CSV/JSON export is unchanged for consumers. Counter
- * totals are exact and order-independent (integer adds commute);
- * histogram bucket counts, count, min and max likewise. Only a
- * histogram's mean is accumulated in floating point and may differ in
- * the last ulp across thread interleavings — keep determinism-contract
- * metrics on counters (docs/observability.md).
+ * Counter totals are exact and order-independent (integer adds
+ * commute); histogram bucket counts, count, min and max likewise. Only
+ * a histogram's mean is accumulated in floating point and may differ
+ * in the last ulp across thread interleavings — keep
+ * determinism-contract metrics on counters (docs/observability.md).
  */
 
 #ifndef MINDFUL_OBS_HANDLES_HH
@@ -36,16 +32,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "base/compiler.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "obs/event.hh"
 
 namespace mindful::obs {
+
+namespace detail {
+
+/** The process-wide recording gate (MetricRegistry::setEnabled). */
+MINDFUL_ATOMIC_ROLE(once_flag)
+extern std::atomic<bool> g_metricsEnabled;
+
+inline bool
+metricsEnabled()
+{
+    return g_metricsEnabled.load(std::memory_order_relaxed);
+}
+
+} // namespace detail
 
 /** Stripe count for counters; power of two, ~one per active core. */
 constexpr std::size_t kMetricStripes = 8;
@@ -54,7 +60,7 @@ constexpr std::size_t kMetricStripes = 8;
 inline std::size_t
 hotStripeIndex()
 {
-    return TraceSession::currentThreadId() & (kMetricStripes - 1);
+    return currentThreadId() & (kMetricStripes - 1);
 }
 
 /** One cache line per stripe: concurrent bumps never false-share. */
@@ -64,19 +70,43 @@ struct alignas(64) HotCell
     std::atomic<std::uint64_t> value{0};
 };
 
-/** Storage behind a CounterHandle; owned by the HotMetricTable. */
+/** Storage behind a CounterHandle; owned by a MetricRegistry. */
 struct CounterCells
 {
     HotCell stripes[kMetricStripes];
+
+    /** Sum of the stripes (exact once producers rest). */
+    std::uint64_t total() const;
+};
+
+/** Bucket layout for a histogram metric. */
+struct HistogramOptions
+{
+    /** Lower edge of the first log-spaced bucket (must be > 0). */
+    double lo = 1e-3;
+
+    /** Upper edge of the last bucket. */
+    double hi = 1e9;
+
+    /** Bucket count across [lo, hi). */
+    std::size_t bins = 120;
 };
 
 /**
  * Storage behind a HistogramHandle: an atomic mirror of LogHistogram's
- * bucket layout (base/stats.hh) so exported percentiles match the
- * locked HistogramMetric bit for bit on the same samples.
+ * bucket layout (base/stats.hh), so percentiles match a LogHistogram
+ * fed the same samples bit for bit.
  */
 struct HistogramCells
 {
+    explicit HistogramCells(HistogramOptions options);
+
+    /** Nearest-rank percentile, p in [0, 100]; see LogHistogram. */
+    double percentile(double p) const;
+
+    /** Zero every bucket and statistic. */
+    void reset();
+
     double lo = 0.0;
     double hi = 0.0;
     double logLo = 0.0;
@@ -132,9 +162,52 @@ atomicMaxDouble(MINDFUL_ATOMIC_ROLE(stat_counter)
 }
 
 /**
+ * Last-written instantaneous value (utilization, overhead, ...). The
+ * cell itself is the handle: MetricRegistry::gauge() returns a
+ * reference that stays valid for the registry's lifetime.
+ */
+class Gauge
+{
+  public:
+    void
+    set(double v)
+    {
+        _value.store(v, std::memory_order_relaxed);
+        // Release pairs with isSet()'s acquire: a reader that observes
+        // the flag also observes the value stored above.
+        _set.store(true, std::memory_order_release);
+    }
+
+    double
+    value() const
+    {
+        return _value.load(std::memory_order_relaxed);
+    }
+
+    /** Whether set() has been called since construction or reset(). */
+    bool
+    isSet() const
+    {
+        return _set.load(std::memory_order_acquire);
+    }
+
+    void
+    reset()
+    {
+        _set.store(false, std::memory_order_relaxed);
+        _value.store(0.0, std::memory_order_relaxed);
+    }
+
+  private:
+    MINDFUL_ATOMIC_ROLE(stat_counter)
+    std::atomic<double> _value{0.0};
+    MINDFUL_ATOMIC_ROLE(once_flag)
+    std::atomic<bool> _set{false};
+};
+
+/**
  * Pre-resolved counter. Copyable; default-constructed handles record
- * nothing. Honors the global registry's runtime gate, like the
- * MINDFUL_METRIC_* macros.
+ * nothing. Honors the registry's runtime gate.
  */
 class CounterHandle
 {
@@ -147,17 +220,17 @@ class CounterHandle
     void
     bump(std::uint64_t n = 1) const
     {
-        if (_cells == nullptr || !MetricRegistry::global().enabled())
+        if (_cells == nullptr || !detail::metricsEnabled())
             return;
         _cells->stripes[hotStripeIndex()].value.fetch_add(
             n, std::memory_order_relaxed);
     }
 
     /** Exact total across stripes (export/test side, not hot). */
-    std::uint64_t total() const;
+    std::uint64_t total() const { return _cells ? _cells->total() : 0; }
 
   private:
-    friend class HotMetricTable;
+    friend class MetricRegistry;
     explicit CounterHandle(CounterCells *cells) : _cells(cells) {}
 
     CounterCells *_cells = nullptr;
@@ -175,7 +248,7 @@ class HistogramHandle
     void
     observe(double value) const
     {
-        if (_cells == nullptr || !MetricRegistry::global().enabled())
+        if (_cells == nullptr || !detail::metricsEnabled())
             return;
         HistogramCells &h = *_cells;
         h.total.fetch_add(1, std::memory_order_relaxed);
@@ -202,61 +275,19 @@ class HistogramHandle
 
     std::uint64_t count() const;
     double sum() const;
+    double percentile(double p) const;
 
   private:
-    friend class HotMetricTable;
+    friend class MetricRegistry;
     explicit HistogramHandle(HistogramCells *cells) : _cells(cells) {}
 
     HistogramCells *_cells = nullptr;
 };
 
-/**
- * Process-wide table of hot metric cells. Registration (by name,
- * idempotent, kind-checked) and snapshots lock; recording through
- * the returned handles never does. Cells live for the process — a
- * handle can never dangle.
- */
-class HotMetricTable
-{
-  public:
-    static HotMetricTable &global();
-
-    HotMetricTable() = default;
-    HotMetricTable(const HotMetricTable &) = delete;
-    HotMetricTable &operator=(const HotMetricTable &) = delete;
-
-    /** Resolve (registering on first use) a counter handle. */
-    CounterHandle counter(const std::string &name);
-
-    /** Resolve (registering on first use) a histogram handle. */
-    HistogramHandle histogram(const std::string &name,
-                              HistogramOptions options = {});
-
-    /** Number of registered hot metrics (all kinds). */
-    std::size_t size() const;
-
-    /**
-     * Rows in MetricSample form, name-sorted — the global registry
-     * appends these to its own snapshot so exports see one merged,
-     * format-identical table.
-     */
-    std::vector<MetricSample> snapshot() const;
-
-    /** Zero every cell; handles stay valid (MetricRegistry::clear). */
-    void reset();
-
-  private:
-    mutable Mutex _mutex;
-    std::map<std::string, std::unique_ptr<CounterCells>>
-        _counters MINDFUL_GUARDED_BY(_mutex);
-    std::map<std::string, std::unique_ptr<HistogramCells>>
-        _histograms MINDFUL_GUARDED_BY(_mutex);
-};
-
 } // namespace mindful::obs
 
 /**
- * Hot-path record macros over pre-resolved handles. They vanish under
+ * Record macros over pre-resolved handles. They vanish under
  * MINDFUL_OBS_DISABLED (arguments unevaluated). Code that prefers the
  * analyzer to certify its record sites calls .bump()/.observe()
  * directly instead — see docs/observability.md.

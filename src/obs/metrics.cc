@@ -1,108 +1,15 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "base/logging.hh"
-#include "obs/handles.hh"
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 
 namespace mindful::obs {
-
-HistogramMetric::HistogramMetric(HistogramOptions options)
-    : _histogram(options.lo, options.hi, options.bins)
-{
-}
-
-void
-HistogramMetric::record(double value)
-{
-    LockGuard lock(_mutex);
-    _histogram.add(value);
-    _stats.add(value);
-}
-
-void
-HistogramMetric::merge(const HistogramMetric &other)
-{
-    if (this == &other) {
-        // Self-merge doubles the distribution (the counterpart of a
-        // counter adding its own value). Merge from copies so the
-        // fold never reads the container it is writing.
-        LockGuard lock(_mutex);
-        LogHistogram histogram_copy = _histogram;
-        RunningStats stats_copy = _stats;
-        _histogram.merge(histogram_copy);
-        _stats.merge(stats_copy);
-        return;
-    }
-    // Lock ordering: by address, to keep A.merge(B) and B.merge(A)
-    // running concurrently from deadlocking. Spelled as two branches
-    // so the thread-safety analysis can see both capabilities held.
-    if (this < &other) {
-        LockGuard lock_a(_mutex);
-        LockGuard lock_b(other._mutex);
-        mergeLocked(other);
-    } else {
-        LockGuard lock_b(other._mutex);
-        LockGuard lock_a(_mutex);
-        mergeLocked(other);
-    }
-}
-
-void
-HistogramMetric::mergeLocked(const HistogramMetric &other)
-{
-    _histogram.merge(other._histogram);
-    _stats.merge(other._stats);
-}
-
-std::size_t
-HistogramMetric::count() const
-{
-    LockGuard lock(_mutex);
-    return _stats.count();
-}
-
-double
-HistogramMetric::mean() const
-{
-    LockGuard lock(_mutex);
-    return _stats.mean();
-}
-
-double
-HistogramMetric::min() const
-{
-    LockGuard lock(_mutex);
-    return _stats.count() ? _stats.min() : 0.0;
-}
-
-double
-HistogramMetric::max() const
-{
-    LockGuard lock(_mutex);
-    return _stats.count() ? _stats.max() : 0.0;
-}
-
-double
-HistogramMetric::sum() const
-{
-    LockGuard lock(_mutex);
-    return _stats.sum();
-}
-
-double
-HistogramMetric::percentile(double p) const
-{
-    LockGuard lock(_mutex);
-    return _histogram.percentile(p);
-}
 
 MetricRegistry &
 MetricRegistry::global()
@@ -111,168 +18,136 @@ MetricRegistry::global()
     return registry;
 }
 
-Counter &
-MetricRegistry::counter(const std::string &name)
+bool
+MetricRegistry::Entry::live() const
+{
+    // A cleared row reappears once it records again.
+    return resolved || (counter && counter->total() > 0) ||
+           (gauge && gauge->isSet()) ||
+           (histogram &&
+            histogram->total.load(std::memory_order_relaxed) > 0);
+}
+
+MetricRegistry::Entry &
+MetricRegistry::resolveLocked(std::string_view name, const char *kind)
+{
+    auto it = _entries.find(name);
+    if (it == _entries.end())
+        it = _entries.emplace(std::string(name), Entry{}).first;
+    Entry &entry = it->second;
+    const char *existing = entry.counter     ? "counter"
+                           : entry.gauge     ? "gauge"
+                           : entry.histogram ? "histogram"
+                                             : kind;
+    MINDFUL_ASSERT(std::string_view(existing) == kind, "metric '", name,
+                   "' already registered with a different kind");
+    entry.resolved = true;
+    return entry;
+}
+
+CounterHandle
+MetricRegistry::counter(std::string_view name)
 {
     LockGuard lock(_mutex);
-    Entry &entry = _entries[name];
-    MINDFUL_ASSERT(!entry.gauge && !entry.histogram,
-                   "metric '", name, "' already registered with "
-                   "a different kind");
+    Entry &entry = resolveLocked(name, "counter");
     if (!entry.counter)
-        entry.counter = std::make_unique<Counter>();
-    return *entry.counter;
+        entry.counter = std::make_unique<CounterCells>();
+    return CounterHandle(entry.counter.get());
 }
 
 Gauge &
-MetricRegistry::gauge(const std::string &name)
+MetricRegistry::gauge(std::string_view name)
 {
     LockGuard lock(_mutex);
-    Entry &entry = _entries[name];
-    MINDFUL_ASSERT(!entry.counter && !entry.histogram,
-                   "metric '", name, "' already registered with "
-                   "a different kind");
+    Entry &entry = resolveLocked(name, "gauge");
     if (!entry.gauge)
         entry.gauge = std::make_unique<Gauge>();
     return *entry.gauge;
 }
 
-HistogramMetric &
-MetricRegistry::histogram(const std::string &name, HistogramOptions options)
+HistogramHandle
+MetricRegistry::histogram(std::string_view name, HistogramOptions options)
 {
     LockGuard lock(_mutex);
-    Entry &entry = _entries[name];
-    MINDFUL_ASSERT(!entry.counter && !entry.gauge,
-                   "metric '", name, "' already registered with "
-                   "a different kind");
+    Entry &entry = resolveLocked(name, "histogram");
     if (!entry.histogram)
-        entry.histogram = std::make_unique<HistogramMetric>(options);
-    return *entry.histogram;
+        entry.histogram = std::make_unique<HistogramCells>(options);
+    return HistogramHandle(entry.histogram.get());
 }
 
 bool
-MetricRegistry::contains(const std::string &name) const
+MetricRegistry::contains(std::string_view name) const
 {
     LockGuard lock(_mutex);
-    return _entries.count(name) > 0;
+    auto it = _entries.find(name);
+    return it != _entries.end() && it->second.live();
 }
 
 std::size_t
 MetricRegistry::size() const
 {
     LockGuard lock(_mutex);
-    return _entries.size();
-}
-
-void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    // Snapshot the other side's entry pointers under its lock, then
-    // fold them in via the public accessors (which take our lock per
-    // metric). The pointed-to metrics are never deleted while the
-    // other registry is alive, so the pointers stay valid.
-    struct Ref
-    {
-        std::string name;
-        const Counter *counter = nullptr;
-        const Gauge *gauge = nullptr;
-        const HistogramMetric *histogram = nullptr;
-    };
-    std::vector<Ref> refs;
-    {
-        LockGuard lock(other._mutex);
-        refs.reserve(other._entries.size());
-        for (const auto &[name, entry] : other._entries) {
-            refs.push_back({name, entry.counter.get(), entry.gauge.get(),
-                            entry.histogram.get()});
-        }
-    }
-    for (const auto &ref : refs) {
-        if (ref.counter)
-            counter(ref.name).add(ref.counter->value());
-        if (ref.gauge && ref.gauge->isSet())
-            gauge(ref.name).set(ref.gauge->value());
-        if (ref.histogram)
-            histogram(ref.name).merge(*ref.histogram);
-    }
+    std::size_t live = 0;
+    for (const auto &[name, entry] : _entries)
+        live += entry.live() ? 1 : 0;
+    return live;
 }
 
 void
 MetricRegistry::clear()
 {
-    {
-        LockGuard lock(_mutex);
-        _entries.clear();
+    LockGuard lock(_mutex);
+    for (auto &[name, entry] : _entries) {
+        entry.resolved = false;
+        if (entry.counter) {
+            for (HotCell &stripe : entry.counter->stripes)
+                stripe.value.store(0, std::memory_order_relaxed);
+        }
+        if (entry.gauge)
+            entry.gauge->reset();
+        if (entry.histogram)
+            entry.histogram->reset();
     }
-    // The global registry fronts the hot cells too; clearing it
-    // zeroes them (handles stay valid — cells are never deleted).
-    if (this == &global())
-        HotMetricTable::global().reset();
 }
 
 std::vector<MetricSample>
 MetricRegistry::snapshot() const
 {
-    // Collect entry pointers under the lock, then read each metric
-    // through its own synchronization (std::map iteration order is
-    // already name-sorted).
-    struct Ref
-    {
-        std::string name;
-        const Counter *counter = nullptr;
-        const Gauge *gauge = nullptr;
-        const HistogramMetric *histogram = nullptr;
-    };
-    std::vector<Ref> refs;
-    {
-        LockGuard lock(_mutex);
-        refs.reserve(_entries.size());
-        for (const auto &[name, entry] : _entries) {
-            refs.push_back({name, entry.counter.get(), entry.gauge.get(),
-                            entry.histogram.get()});
-        }
-    }
-
+    // Values are exact once producers have quiesced (e.g. after
+    // parallelFor returns); std::map iteration is already name-sorted.
+    LockGuard lock(_mutex);
     std::vector<MetricSample> samples;
-    samples.reserve(refs.size());
-    for (const auto &ref : refs) {
+    for (const auto &[name, entry] : _entries) {
+        if (!entry.live())
+            continue;
         MetricSample sample;
-        sample.name = ref.name;
-        if (ref.counter) {
+        sample.name = name;
+        if (entry.counter) {
             sample.type = "counter";
-            sample.value = static_cast<double>(ref.counter->value());
-            sample.count = static_cast<std::size_t>(ref.counter->value());
-        } else if (ref.gauge) {
+            const std::uint64_t total = entry.counter->total();
+            sample.value = static_cast<double>(total);
+            sample.count = static_cast<std::size_t>(total);
+        } else if (entry.gauge) {
             sample.type = "gauge";
-            sample.value = ref.gauge->value();
-            sample.count = ref.gauge->isSet() ? 1 : 0;
-        } else if (ref.histogram) {
+            sample.value = entry.gauge->value();
+            sample.count = entry.gauge->isSet() ? 1 : 0;
+        } else if (entry.histogram) {
+            const HistogramCells &h = *entry.histogram;
             sample.type = "histogram";
-            sample.value = ref.histogram->mean();
-            sample.count = ref.histogram->count();
-            sample.min = ref.histogram->min();
-            sample.max = ref.histogram->max();
-            sample.p50 = ref.histogram->percentile(50.0);
-            sample.p95 = ref.histogram->percentile(95.0);
-            sample.p99 = ref.histogram->percentile(99.0);
+            const std::uint64_t total =
+                h.total.load(std::memory_order_relaxed);
+            sample.count = static_cast<std::size_t>(total);
+            if (total > 0) {
+                sample.value = h.sum.load(std::memory_order_relaxed) /
+                               static_cast<double>(total);
+                sample.min = h.minSeen.load(std::memory_order_relaxed);
+                sample.max = h.maxSeen.load(std::memory_order_relaxed);
+            }
+            sample.p50 = h.percentile(50.0);
+            sample.p95 = h.percentile(95.0);
+            sample.p99 = h.percentile(99.0);
         }
         samples.push_back(std::move(sample));
-    }
-
-    // The global registry is the one reporting path: fold the
-    // lock-free hot cells (obs/handles.hh) into its snapshot so CSV /
-    // JSON exports see one merged, name-sorted table.
-    if (this == &global()) {
-        std::vector<MetricSample> hot = HotMetricTable::global().snapshot();
-        if (!hot.empty()) {
-            samples.insert(samples.end(),
-                           std::make_move_iterator(hot.begin()),
-                           std::make_move_iterator(hot.end()));
-            std::sort(samples.begin(), samples.end(),
-                      [](const MetricSample &a, const MetricSample &b) {
-                          return a.name < b.name;
-                      });
-        }
     }
     return samples;
 }

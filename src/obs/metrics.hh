@@ -1,27 +1,28 @@
 /**
  * @file
- * Process-wide metric registry: named counters, gauges, and
- * distribution (histogram) metrics.
+ * Metric registry: named counters, gauges, and distribution
+ * (histogram) metrics, and their CSV/JSON export.
  *
  * The registry is the single reporting path for everything the
  * executable substrates measure — Monte-Carlo sample counts, simulated
- * cycles and energy, closed-loop latency decompositions. Hot paths
- * hold a `Counter &` / `HistogramMetric &` obtained once (name lookup
- * is a locked map access, recording is an atomic add or a short
- * critical section) and typically accumulate in a local variable
- * inside the loop, publishing once per call.
+ * cycles and energy, closed-loop latency decompositions. It is also
+ * the one cell store: counter(), gauge() and histogram() resolve a
+ * name (creating the cell on first use, under a lock) to a handle
+ * from obs/handles.hh, and every record goes through that handle.
+ * Cells are never freed, so handles never dangle; clear() zeroes them.
  *
- * Parallel reductions mirror `RunningStats::merge`: give each worker
- * its own `MetricRegistry`, then `merge()` them into the global one.
+ * The MINDFUL_METRIC_* macros are the by-name spelling of the same
+ * record: a string-literal name resolves once per site and is reused,
+ * a name built at run time resolves on every call, and neither is
+ * evaluated while the registry is runtime-disabled.
  *
  * Metric names are dot-separated paths, lowercase with underscores,
  * `<subsystem>.<component>.<quantity>[_<unit>]` — e.g.
  * `comm.qam.bit_errors`, `accel.layer.energy_pj`,
  * `core.closed_loop.loop_latency_us`. See docs/observability.md.
  *
- * Define `MINDFUL_OBS_DISABLED` to compile the convenience macros at
- * the bottom of this header to no-ops; the classes themselves remain
- * available (they are cheap and deterministic).
+ * Define `MINDFUL_OBS_DISABLED` to compile the macros at the bottom of
+ * this header to no-ops; the classes themselves remain available.
  */
 
 #ifndef MINDFUL_OBS_METRICS_HH
@@ -33,114 +34,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/compiler.hh"
-#include "base/stats.hh"
 #include "base/table.hh"
+#include "obs/handles.hh"
 
 namespace mindful::obs {
-
-/** Monotonically increasing event count. Lock-free to record. */
-class Counter
-{
-  public:
-    void
-    add(std::uint64_t n = 1)
-    {
-        _value.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
-
-  private:
-    MINDFUL_ATOMIC_ROLE(stat_counter)
-    std::atomic<std::uint64_t> _value{0};
-};
-
-/** Last-written instantaneous value (utilization, overhead, ...). */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        _value.store(v, std::memory_order_relaxed);
-        // Release pairs with isSet()'s acquire: a reader that observes
-        // the flag also observes the value stored above.
-        _set.store(true, std::memory_order_release);
-    }
-
-    double
-    value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
-
-    /** Whether set() has ever been called (merge keeps set values). */
-    bool
-    isSet() const
-    {
-        return _set.load(std::memory_order_acquire);
-    }
-
-  private:
-    MINDFUL_ATOMIC_ROLE(stat_counter)
-    std::atomic<double> _value{0.0};
-    MINDFUL_ATOMIC_ROLE(once_flag)
-    std::atomic<bool> _set{false};
-};
-
-/** Bucket layout for a HistogramMetric. */
-struct HistogramOptions
-{
-    /** Lower edge of the first log-spaced bucket (must be > 0). */
-    double lo = 1e-3;
-
-    /** Upper edge of the last bucket. */
-    double hi = 1e9;
-
-    /** Bucket count across [lo, hi). */
-    std::size_t bins = 120;
-};
-
-/**
- * Distribution metric: a log-spaced histogram (for percentiles) plus
- * a RunningStats (for exact mean/min/max/count). Recording takes a
- * short mutex; hot loops should record per-call aggregates, not
- * per-sample values.
- */
-class HistogramMetric
-{
-  public:
-    explicit HistogramMetric(HistogramOptions options = {});
-
-    void record(double value);
-
-    void merge(const HistogramMetric &other);
-
-    std::size_t count() const;
-    double mean() const;
-    double min() const;
-    double max() const;
-    double sum() const;
-
-    /** Percentile estimate, p in [0, 100]; see LogHistogram. */
-    double percentile(double p) const;
-
-  private:
-    /** Fold @p other in; both sides' locks must already be held. */
-    void mergeLocked(const HistogramMetric &other)
-        MINDFUL_REQUIRES(_mutex, other._mutex);
-
-    mutable Mutex _mutex;
-    LogHistogram _histogram MINDFUL_GUARDED_BY(_mutex);
-    RunningStats _stats MINDFUL_GUARDED_BY(_mutex);
-};
 
 /** One row of MetricRegistry::snapshotTable(), for programmatic use. */
 struct MetricSample
@@ -157,9 +58,8 @@ struct MetricSample
 };
 
 /**
- * Named collection of metrics. Lookup creates on first use; returned
- * references stay valid for the registry's lifetime. A metric name
- * may only ever be used with one metric kind.
+ * Named collection of metric cells. A metric name may only ever be
+ * used with one metric kind.
  */
 class MetricRegistry
 {
@@ -172,46 +72,40 @@ class MetricRegistry
     static MetricRegistry &global();
 
     /**
-     * Runtime recording gate, on by default. The MINDFUL_METRIC_*
-     * macros record nothing while disabled, and instrumented code
-     * must also skip any *preparation* of a recording — metric-name
-     * formatting, per-call aggregation buffers — behind enabled(),
-     * so a disabled registry costs one relaxed atomic load per site.
+     * Process-wide recording gate, on by default. While disabled every
+     * handle records nothing and the MINDFUL_METRIC_* macros neither
+     * resolve nor evaluate their names; instrumented code must also
+     * skip any *preparation* of a recording (per-call aggregation,
+     * runtime name formatting) behind enabled(), so a disabled
+     * registry costs one relaxed atomic load per site.
      */
-    void
+    static void
     setEnabled(bool enabled)
     {
-        _enabled.store(enabled, std::memory_order_relaxed);
+        detail::g_metricsEnabled.store(enabled, std::memory_order_relaxed);
     }
 
-    bool
-    enabled() const
-    {
-        return _enabled.load(std::memory_order_relaxed);
-    }
+    static bool enabled() { return detail::metricsEnabled(); }
 
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    HistogramMetric &histogram(const std::string &name,
-                               HistogramOptions options = {});
+    CounterHandle counter(std::string_view name);
+    Gauge &gauge(std::string_view name);
+    HistogramHandle histogram(std::string_view name,
+                              HistogramOptions options = {});
 
-    /** Whether a metric of any kind exists under @p name. */
-    bool contains(const std::string &name) const;
+    /** Whether @p name is a live row (see clear()). */
+    bool contains(std::string_view name) const;
 
-    /** Number of registered metrics (all kinds). */
+    /** Number of live rows, all kinds. */
     std::size_t size() const;
 
     /**
-     * Fold another registry into this one: counters add, histograms
-     * merge bucket-wise, gauges adopt the other side's value when it
-     * has been set. Metric kinds must agree per name.
+     * Zero every cell and drop every row. Handles stay valid; a row
+     * comes back when its name is resolved again or its cell holds a
+     * nonzero count (or a set gauge) again.
      */
-    void merge(const MetricRegistry &other);
-
-    /** Drop every metric (intended for tests and A/B harnesses). */
     void clear();
 
-    /** Name-sorted snapshot of every metric. */
+    /** Name-sorted snapshot of every live row. */
     std::vector<MetricSample> snapshot() const;
 
     /**
@@ -226,47 +120,50 @@ class MetricRegistry
   private:
     struct Entry
     {
-        std::unique_ptr<Counter> counter;
+        std::unique_ptr<CounterCells> counter;
         std::unique_ptr<Gauge> gauge;
-        std::unique_ptr<HistogramMetric> histogram;
+        std::unique_ptr<HistogramCells> histogram;
+        bool resolved = true; //!< resolved since the last clear()
+
+        bool live() const;
     };
 
-    MINDFUL_ATOMIC_ROLE(once_flag)
-    std::atomic<bool> _enabled{true};
+    /** Find or create @p name's entry, checking its kind. */
+    Entry &resolveLocked(std::string_view name, const char *kind)
+        MINDFUL_REQUIRES(_mutex);
+
     mutable Mutex _mutex;
-    std::map<std::string, Entry> _entries MINDFUL_GUARDED_BY(_mutex);
+    std::map<std::string, Entry, std::less<>>
+        _entries MINDFUL_GUARDED_BY(_mutex);
 };
 
 } // namespace mindful::obs
 
-/**
- * Convenience macros for one-shot recording sites. These compile away
- * under MINDFUL_OBS_DISABLED; code holding metric references directly
- * should instead guard with `#ifndef MINDFUL_OBS_DISABLED` or accept
- * the (cheap) unconditional cost.
- */
 #ifndef MINDFUL_OBS_DISABLED
 
 #define MINDFUL_METRIC_COUNT(name, n) \
     do { \
-        auto &_mindful_registry = \
-            ::mindful::obs::MetricRegistry::global(); \
-        if (_mindful_registry.enabled()) \
-            _mindful_registry.counter(name).add(n); \
+        if (::mindful::obs::MetricRegistry::enabled()) \
+            MINDFUL_OBS_RESOLVE( \
+                name, \
+                ::mindful::obs::MetricRegistry::global().counter((name))) \
+                .bump((n)); \
     } while (0)
 #define MINDFUL_METRIC_GAUGE(name, v) \
     do { \
-        auto &_mindful_registry = \
-            ::mindful::obs::MetricRegistry::global(); \
-        if (_mindful_registry.enabled()) \
-            _mindful_registry.gauge(name).set(v); \
+        if (::mindful::obs::MetricRegistry::enabled()) \
+            MINDFUL_OBS_RESOLVE( \
+                name, \
+                ::mindful::obs::MetricRegistry::global().gauge((name))) \
+                .set((v)); \
     } while (0)
 #define MINDFUL_METRIC_RECORD(name, v) \
     do { \
-        auto &_mindful_registry = \
-            ::mindful::obs::MetricRegistry::global(); \
-        if (_mindful_registry.enabled()) \
-            _mindful_registry.histogram(name).record(v); \
+        if (::mindful::obs::MetricRegistry::enabled()) \
+            MINDFUL_OBS_RESOLVE( \
+                name, ::mindful::obs::MetricRegistry::global().histogram( \
+                          (name))) \
+                .observe((v)); \
     } while (0)
 
 #else

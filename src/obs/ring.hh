@@ -16,6 +16,8 @@
  * storage is allocated in the constructor, at thread-registration
  * time — tryPush is allocation- and lock-free, which is what lets
  * mindful-analyze certify call sites inside parallelFor shard roots.
+ * The slots are left uninitialized, so a ring that never records
+ * keeps its pages out of the resident set.
  */
 
 #ifndef MINDFUL_OBS_RING_HH
@@ -24,7 +26,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "base/compiler.hh"
 #include "obs/event.hh"
@@ -42,7 +44,7 @@ class TraceRing
         while (pow2 < capacity)
             pow2 <<= 1;
         _mask = pow2 - 1;
-        _slots.assign(pow2, PodEvent{});
+        _slots = std::make_unique_for_overwrite<PodEvent[]>(pow2);
     }
 
     TraceRing(const TraceRing &) = delete;
@@ -85,7 +87,7 @@ class TraceRing
 
     std::size_t capacity() const { return _mask + 1; }
 
-    /** Dense TraceSession thread id of the owning (producer) thread. */
+    /** currentThreadId() of the owning (producer) thread. */
     std::uint32_t threadId() const { return _threadId; }
 
   private:
@@ -99,7 +101,7 @@ class TraceRing
     alignas(64) std::atomic<std::uint64_t> _dropped{0};
     std::size_t _mask = 0;
     std::uint32_t _threadId = 0;
-    std::vector<PodEvent> _slots;
+    std::unique_ptr<PodEvent[]> _slots;
 };
 
 } // namespace mindful::obs

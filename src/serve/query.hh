@@ -90,7 +90,9 @@ struct DesignQuery
 enum class QueryStatus : std::uint8_t {
     Ok,
     UnknownSoc,     //!< socId not in the catalog
-    InvalidRequest, //!< out-of-range channels / efficiency / envelope
+    InvalidRequest, //!< out-of-range channels (QAM uplink past
+                    //!< comm::kMaxQamBitsPerSymbol included),
+                    //!< efficiency or envelope
 };
 
 /** One SoC verdict. Flat record; powers in mW, areas in mm^2. */

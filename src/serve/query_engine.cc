@@ -1,6 +1,7 @@
 #include "serve/query_engine.hh"
 
 #include "accel/mac_unit.hh"
+#include "comm/modulation.hh"
 #include "core/comm_centric.hh"
 #include "core/comp_centric.hh"
 #include "core/event_centric.hh"
@@ -8,6 +9,7 @@
 #include "core/scaling.hh"
 #include "core/soc_catalog.hh"
 #include "core/workloads.hh"
+#include "obs/metrics.hh"
 #include "thermal/safety.hh"
 
 namespace mindful::serve {
@@ -40,6 +42,19 @@ buildImplant(const core::SocDesign &design, const DesignQuery &query)
     limits.maxPowerDensity = PowerDensity::milliwattsPerSquareCentimetre(
         query.thermalEnvelopeMwPerCm2);
     return core::ImplantModel(design, limits);
+}
+
+/**
+ * Whether @p channels' uplink fits a constellation the QAM model can
+ * build (at most comm::kMaxQamBitsPerSymbol bits per symbol).
+ */
+bool
+qamUplinkFits(const core::ImplantModel &implant, std::uint64_t channels)
+{
+    const core::QamStudy study(implant);
+    return study.transceiver().requiredBitsPerSymbol(
+               implant.sensingThroughput(channels)) <=
+           comm::kMaxQamBitsPerSymbol;
 }
 
 /** Shared verdict assembly once the power/area story is known. */
@@ -213,11 +228,11 @@ evaluateCompCentric(const core::ImplantModel &implant,
 
 QueryEngine::QueryEngine(std::size_t cache_capacity)
     : _cache(cache_capacity),
-      _queries(obs::HotMetricTable::global().counter("serve.queries")),
-      _hits(obs::HotMetricTable::global().counter("serve.cache.hits")),
+      _queries(obs::MetricRegistry::global().counter("serve.queries")),
+      _hits(obs::MetricRegistry::global().counter("serve.cache.hits")),
       _misses(
-          obs::HotMetricTable::global().counter("serve.cache.misses")),
-      _drops(obs::HotMetricTable::global().counter("serve.cache.drops"))
+          obs::MetricRegistry::global().counter("serve.cache.misses")),
+      _drops(obs::MetricRegistry::global().counter("serve.cache.drops"))
 {
 }
 
@@ -266,6 +281,11 @@ QueryEngine::evaluateUncached(const DesignQuery &canonical) const
     }
 
     const core::ImplantModel implant = buildImplant(*design, canonical);
+    if (canonical.workload == WorkloadClass::QamStreaming &&
+        !qamUplinkFits(implant, canonical.channels)) {
+        invalid.status = QueryStatus::InvalidRequest;
+        return invalid;
+    }
     switch (canonical.workload) {
     case WorkloadClass::RawStreaming:
         return evaluateRawStreaming(implant, canonical);

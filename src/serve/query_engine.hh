@@ -3,8 +3,8 @@
  * The mindful_serve query engine: batched, memo-cached evaluation of
  * design-space requests against the MINDFUL analytic models.
  *
- * One engine owns one MemoCache and a set of pre-resolved hot-tier
- * counters (serve.queries / serve.cache.hits / serve.cache.misses /
+ * One engine owns one MemoCache and a set of pre-resolved counters
+ * (serve.queries / serve.cache.hits / serve.cache.misses /
  * serve.cache.drops). evaluate() answers one DesignQuery — from the
  * cache when an equivalent request was answered before, else through
  * the core/accel/thermal analytic path for its workload class.

@@ -8,9 +8,7 @@
 #include "base/logging.hh"
 #include "exec/parallel.hh"
 #include "obs/collector.hh"
-#include "obs/handles.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::thermal {
 
@@ -178,11 +176,11 @@ recordSolveMetrics(const char *prefix, std::size_t sweeps,
     if (!registry.enabled())
         return;
     const std::string base(prefix);
-    registry.counter(base + ".solves").add(1);
-    registry.counter(base + ".sweeps").add(sweeps);
+    registry.counter(base + ".solves").bump(1);
+    registry.counter(base + ".sweeps").bump(sweeps);
     registry.gauge(base + ".residual").set(residual);
     registry.histogram(base + ".sweeps_per_solve")
-        .record(static_cast<double>(sweeps));
+        .observe(static_cast<double>(sweeps));
 }
 
 /**
@@ -268,13 +266,13 @@ class RedBlackSweep
                 updateRow<Measure>(i, parity, acc);
             return acc;
         }
-        // Hot-tier shard instrumentation (resolved once; see
+        // Shard instrumentation (resolved once; see
         // docs/observability.md). site() is idempotent, so the two
         // Measure instantiations share one interned id.
         static const obs::TraceSite shard_site =
             obs::TraceCollector::global().site("thermal", "sor.shard");
         static const obs::CounterHandle shard_rows =
-            obs::HotMetricTable::global().counter(
+            obs::MetricRegistry::global().counter(
                 "thermal.sor.shard_rows");
         return exec::parallelReduce(
             _shards, std::array<double, 2>{0.0, 0.0},

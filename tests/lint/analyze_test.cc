@@ -1193,7 +1193,7 @@ TEST(AnalyzeRealtime, ColdTierTracingInStreamingLoop)
     ASSERT_EQ(countCheck(findings, "realtime-loop"), 1u);
     EXPECT_TRUE(hasFinding(
         findings, "realtime-loop",
-        "starts a cold-tier trace span via MINDFUL_TRACE_SPAN"));
+        "starts a by-name trace span via MINDFUL_TRACE_SPAN"));
     EXPECT_TRUE(
         hasFinding(findings, "realtime-loop", "MINDFUL_HOT_"));
 }

@@ -3,7 +3,8 @@
  * TraceCollector tests: multi-producer ring draining with exact
  * emitted + dropped accounting, deliberate overflow via tiny rings
  * and a paused drain, hostile site names surviving JSON escaping,
- * cold-span forwarding while streaming, the run-manifest footer, and
+ * by-name spans from the thread that started the stream, runtime
+ * metric names, numeric argument slots, the run-manifest footer, and
  * incremental (bounded-memory) drain behavior.
  *
  * Rings live for their thread's lifetime and setRingCapacity only
@@ -14,7 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +27,7 @@
 
 #include "json_checker.hh"
 #include "obs/collector.hh"
-#include "obs/trace.hh"
+#include "obs/metrics.hh"
 
 namespace mindful::obs {
 namespace {
@@ -36,8 +41,6 @@ class CollectorFixture : public ::testing::Test
     {
         TraceCollector::global().stop();
         TraceCollector::global().setRingCapacity(kDefaultRingSlots);
-        TraceSession::global().setEnabled(false);
-        TraceSession::global().clear();
     }
 };
 
@@ -128,24 +131,92 @@ TEST_F(CollectorTest, HostileSiteNamesSurviveEscaping)
     EXPECT_NE(os.str().find("\\u0001"), std::string::npos);
 }
 
-TEST_F(CollectorTest, ColdSpansJoinTheStreamWithoutGrowingTheSession)
+TEST_F(CollectorTest, MainThreadTraceScopeIsEmitted)
 {
+    // A fresh thread that starts the stream is registered by start(),
+    // so its by-name spans reach the stream instead of being dropped.
     auto &collector = TraceCollector::global();
-    TraceSession::global().clear();
-    TraceSession::global().setEnabled(true);
     std::ostringstream os;
-    collector.start(&os);
-    {
-        TraceSpan span("test", "cold_forwarded");
-        span.arg("k", std::uint64_t{7});
-    }
-    collector.stop();
-    // Forwarded to the stream, not accumulated in the session vector:
-    // that is what keeps long streaming runs bounded in memory.
-    EXPECT_EQ(TraceSession::global().eventCount(), 0u);
-    EXPECT_NE(os.str().find("\"cold_forwarded\""), std::string::npos);
+    CollectorTotals totals;
+    std::thread owner([&] {
+        ASSERT_FALSE(TraceCollector::currentThreadRegistered());
+        collector.start(&os);
+        {
+            MINDFUL_TRACE_SCOPE("test", "main_scope");
+        }
+        totals = collector.stop();
+    });
+    owner.join();
+    EXPECT_EQ(totals.emitted, 1u);
+    EXPECT_EQ(totals.dropped, 0u);
+    EXPECT_NE(os.str().find("\"main_scope\""), std::string::npos);
     JsonChecker checker(os.str());
     EXPECT_TRUE(checker.valid()) << os.str();
+}
+
+TEST_F(CollectorTest, RuntimeMetricNamesGiveOneRowEach)
+{
+    auto &registry = MetricRegistry::global();
+    for (const char *suffix : {"a", "b", "a"}) {
+        // One macro site, names built at run time: each call resolves.
+        MINDFUL_METRIC_COUNT(std::string("test.runtime_name.") + suffix,
+                             1);
+    }
+    EXPECT_EQ(registry.counter("test.runtime_name.a").total(), 2u);
+    EXPECT_EQ(registry.counter("test.runtime_name.b").total(), 1u);
+    std::size_t rows = 0;
+    for (const MetricSample &sample : registry.snapshot())
+        rows += sample.name.rfind("test.runtime_name.", 0) == 0 ? 1 : 0;
+    EXPECT_EQ(rows, 2u);
+}
+
+/** The number text of member @p key, as json_checker.hh parsed it. */
+std::string
+numberMember(const JsonChecker &checker, const std::string &key)
+{
+    for (const auto &[name, number] : checker.numberMembers())
+        if (name == key)
+            return number;
+    return "";
+}
+
+TEST_F(CollectorTest, ArgSlotsRoundTripAsJsonNumbers)
+{
+    auto &collector = TraceCollector::global();
+    std::ostringstream os;
+    collector.start(&os);
+    constexpr std::uint64_t kBig = (std::uint64_t{1} << 63) + 1;
+    constexpr std::int64_t kNegative = -(std::int64_t{1} << 40);
+    const double third = 1.0 / 3.0;
+    const double tiny = 6.02e-23;
+    {
+        MINDFUL_TRACE_SPAN(span, "test", "arg_slots");
+        span.arg("big", kBig)
+            .arg("negative", kNegative)
+            .arg("third", third)
+            .arg("tiny", tiny);
+    }
+    {
+        MINDFUL_TRACE_SPAN(span, "test", "arg_nonfinite");
+        span.arg("nan", std::numeric_limits<double>::quiet_NaN());
+    }
+    collector.stop();
+    const std::string text = os.str();
+    JsonChecker checker(text);
+    ASSERT_TRUE(checker.valid()) << text;
+    // The slots parse back as JSON numbers with their exact values.
+    EXPECT_EQ(numberMember(checker, "big"), std::to_string(kBig));
+    EXPECT_EQ(numberMember(checker, "negative"), std::to_string(kNegative));
+    const std::string third_text = numberMember(checker, "third");
+    ASSERT_FALSE(third_text.empty()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  std::strtod(third_text.c_str(), nullptr)),
+              std::bit_cast<std::uint64_t>(third));
+    EXPECT_EQ(std::strtod(numberMember(checker, "tiny").c_str(), nullptr),
+              tiny);
+    // JSON has no NaN: a non-finite slot is written as null.
+    EXPECT_EQ(numberMember(checker, "nan"), "");
+    EXPECT_NE(text.find("\"nan\": null"), std::string::npos);
 }
 
 TEST_F(CollectorTest, FooterCarriesRunManifestAndTotals)

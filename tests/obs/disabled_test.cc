@@ -5,8 +5,8 @@
  * verifies both that instrumented code still compiles in that
  * configuration and that every MINDFUL_TRACE_* / MINDFUL_METRIC_* /
  * MINDFUL_HOT_* macro degrades to a genuine no-op: nothing reaches
- * the global trace session, metric registry, hot metric table, or
- * trace collector even when all of them are explicitly enabled.
+ * the metric registry or the trace collector even when both are
+ * explicitly enabled.
  */
 
 #ifndef MINDFUL_OBS_DISABLED
@@ -21,26 +21,26 @@
 #include "obs/collector.hh"
 #include "obs/handles.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mindful::obs {
 namespace {
 
 TEST(ObsDisabledTest, TraceMacrosRecordNothing)
 {
-    TraceSession::global().clear();
-    TraceSession::global().setEnabled(true);
+    auto &collector = TraceCollector::global();
+    collector.start(nullptr);
     {
         MINDFUL_TRACE_SCOPE("test", "scope");
-        MINDFUL_TRACE_SPAN(span, "test", "span");
+        MINDFUL_TRACE_SPAN(span, "test", std::string("span"));
         // The null span keeps the instrumented call sites compiling.
-        span.arg("label", std::string("x"))
-            .arg("ratio", 0.5)
-            .arg("count", std::uint64_t{7});
+        span.arg("ratio", 0.5)
+            .arg("count", std::uint64_t{7})
+            .arg("flag", true);
         EXPECT_FALSE(span.active());
     }
-    EXPECT_EQ(TraceSession::global().eventCount(), 0u);
-    TraceSession::global().setEnabled(false);
+    CollectorTotals totals = collector.stop();
+    EXPECT_EQ(totals.emitted, 0u);
+    EXPECT_EQ(totals.dropped, 0u);
 }
 
 TEST(ObsDisabledTest, MetricMacrosRegisterNothing)
@@ -58,7 +58,6 @@ TEST(ObsDisabledTest, HotSpanMacroRecordsNothingWhileStreaming)
     auto &collector = TraceCollector::global();
     [[maybe_unused]] const TraceSite site =
         collector.site("disabled", "hot_span");
-    collector.registerCurrentThread();
     collector.start(nullptr);
     {
         // Expands to a NullSpan: compiles, records nothing.
@@ -75,9 +74,9 @@ TEST(ObsDisabledTest, HotMetricMacrosRecordNothing)
 {
     MetricRegistry::global().setEnabled(true);
     CounterHandle counter =
-        HotMetricTable::global().counter("disabled.hot_count");
+        MetricRegistry::global().counter("disabled.hot_count");
     HistogramHandle histogram =
-        HotMetricTable::global().histogram("disabled.hot_hist");
+        MetricRegistry::global().histogram("disabled.hot_hist");
     MINDFUL_HOT_COUNT(counter, 5);
     MINDFUL_HOT_RECORD(histogram, 2.5);
     EXPECT_EQ(counter.total(), 0u);
@@ -94,8 +93,8 @@ TEST(ObsDisabledTest, DirectApiStillWorks)
     // Only the macros are compiled out; explicit use of the classes
     // (e.g. the bench harness writing its A/B gauges) keeps working.
     MetricRegistry registry;
-    registry.counter("explicit.count").add(2);
-    EXPECT_EQ(registry.counter("explicit.count").value(), 2u);
+    registry.counter("explicit.count").bump(2);
+    EXPECT_EQ(registry.counter("explicit.count").total(), 2u);
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * Hot metric cell tests: cross-thread counter exactness, histogram
- * parity with the locked HistogramMetric (count/min/max/percentiles
- * exact; mean approximate — the hot cell accumulates a plain sum
- * while RunningStats uses Welford), the runtime registry gate,
+ * Metric cell tests: cross-thread counter exactness, histogram parity
+ * with base/stats.hh's LogHistogram + RunningStats (count/min/max/
+ * percentiles exact; mean approximate — the cell accumulates a plain
+ * sum while RunningStats uses Welford), the runtime registry gate,
  * kind-mismatch registration, reset via the global registry's clear,
- * the merged snapshot surface, and CSV export stability.
+ * the snapshot surface, and CSV export stability.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/stats.hh"
 #include "obs/handles.hh"
 #include "obs/metrics.hh"
 
@@ -35,7 +36,7 @@ sampleNamed(const std::string &name)
     return {};
 }
 
-/** Clear both tiers around each test; leave the registry enabled. */
+/** Clear the registry around each test; leave it enabled. */
 class HandlesFixture : public ::testing::Test
 {
   protected:
@@ -59,7 +60,7 @@ using HandlesTest = HandlesFixture;
 TEST_F(HandlesTest, CounterSumsExactlyAcrossThreads)
 {
     CounterHandle counter =
-        HotMetricTable::global().counter("test.handles.cross_thread");
+        MetricRegistry::global().counter("test.handles.cross_thread");
     constexpr unsigned kThreads = 8;
     constexpr std::uint64_t kBumps = 10'000;
     std::vector<std::thread> threads;
@@ -76,19 +77,21 @@ TEST_F(HandlesTest, CounterSumsExactlyAcrossThreads)
 
 TEST_F(HandlesTest, ResolvingTwiceReturnsTheSameCells)
 {
-    CounterHandle a = HotMetricTable::global().counter("test.handles.same");
-    CounterHandle b = HotMetricTable::global().counter("test.handles.same");
+    CounterHandle a = MetricRegistry::global().counter("test.handles.same");
+    CounterHandle b = MetricRegistry::global().counter("test.handles.same");
     a.bump(3);
     b.bump(4);
     EXPECT_EQ(a.total(), 7u);
     EXPECT_EQ(b.total(), 7u);
 }
 
-TEST_F(HandlesTest, HistogramMatchesLockedMetricOnIdenticalSamples)
+TEST_F(HandlesTest, HistogramMatchesLogHistogramOnIdenticalSamples)
 {
+    const HistogramOptions options;
     HistogramHandle hot =
-        HotMetricTable::global().histogram("test.handles.parity");
-    HistogramMetric reference;
+        MetricRegistry::global().histogram("test.handles.parity", options);
+    LogHistogram reference(options.lo, options.hi, options.bins);
+    RunningStats stats;
     // Spread across decades, plus values below lo (1e-3) and above
     // hi (1e9) to exercise the under/overflow buckets, plus an exact
     // bucket-edge value (1.0) for the inclusive/exclusive edge rule.
@@ -100,12 +103,13 @@ TEST_F(HandlesTest, HistogramMatchesLockedMetricOnIdenticalSamples)
     samples.push_back(2e9);
     for (double v : samples) {
         hot.observe(v);
-        reference.record(v);
+        reference.add(v);
+        stats.add(v);
     }
-    EXPECT_EQ(hot.count(), reference.count());
+    EXPECT_EQ(hot.count(), reference.total());
     MetricSample sample = sampleNamed("test.handles.parity");
     EXPECT_EQ(sample.type, "histogram");
-    EXPECT_EQ(sample.count, reference.count());
+    EXPECT_EQ(sample.count, reference.total());
     // Exported min/max/percentiles come from the same bucket math as
     // LogHistogram: bit-identical, not merely close.
     EXPECT_EQ(sample.min, reference.min());
@@ -113,17 +117,18 @@ TEST_F(HandlesTest, HistogramMatchesLockedMetricOnIdenticalSamples)
     EXPECT_EQ(sample.p50, reference.percentile(50.0));
     EXPECT_EQ(sample.p95, reference.percentile(95.0));
     EXPECT_EQ(sample.p99, reference.percentile(99.0));
+    for (double p : {1.0, 10.0, 90.0, 99.9})
+        EXPECT_EQ(hot.percentile(p), reference.percentile(p));
     // Mean: plain sum vs Welford — equal to rounding, not bitwise.
-    EXPECT_NEAR(sample.value, reference.mean(),
-                1e-9 * std::abs(reference.mean()));
+    EXPECT_NEAR(sample.value, stats.mean(), 1e-9 * std::abs(stats.mean()));
 }
 
 TEST_F(HandlesTest, RegistryGateStopsHotRecords)
 {
     CounterHandle counter =
-        HotMetricTable::global().counter("test.handles.gated");
+        MetricRegistry::global().counter("test.handles.gated");
     HistogramHandle histogram =
-        HotMetricTable::global().histogram("test.handles.gated_hist");
+        MetricRegistry::global().histogram("test.handles.gated_hist");
     MetricRegistry::global().setEnabled(false);
     counter.bump(5);
     histogram.observe(1.5);
@@ -151,15 +156,16 @@ TEST_F(HandlesTest, KindMismatchDies)
     // Other tests in this binary spawn threads; fork-after-thread
     // needs the threadsafe death-test machinery.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    HotMetricTable table;
-    table.counter("test.handles.kind");
-    EXPECT_DEATH(table.histogram("test.handles.kind"), "different kind");
+    MetricRegistry registry;
+    registry.counter("test.handles.kind");
+    EXPECT_DEATH(registry.histogram("test.handles.kind"),
+                 "different kind");
 }
 
 TEST_F(HandlesTest, GlobalClearZeroesHotCells)
 {
     CounterHandle counter =
-        HotMetricTable::global().counter("test.handles.cleared");
+        MetricRegistry::global().counter("test.handles.cleared");
     counter.bump(9);
     EXPECT_EQ(counter.total(), 9u);
     MetricRegistry::global().clear();
@@ -173,10 +179,10 @@ TEST_F(HandlesTest, SnapshotMergesHotCellsIntoGlobalRegistry)
 {
     MINDFUL_METRIC_COUNT("test.handles.cold_counter", 3);
     CounterHandle hot =
-        HotMetricTable::global().counter("test.handles.hot_counter");
+        MetricRegistry::global().counter("test.handles.hot_counter");
     hot.bump(4);
     auto samples = MetricRegistry::global().snapshot();
-    // One merged, name-sorted table: both tiers, same row format.
+    // One name-sorted table: by-name and handle records, same rows.
     EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end(),
                                [](const auto &a, const auto &b) {
                                    return a.name < b.name;
@@ -192,7 +198,7 @@ TEST_F(HandlesTest, SnapshotMergesHotCellsIntoGlobalRegistry)
 TEST_F(HandlesTest, CsvExportIsStableAcrossRepeatedSnapshots)
 {
     CounterHandle counter =
-        HotMetricTable::global().counter("test.handles.csv");
+        MetricRegistry::global().counter("test.handles.csv");
     counter.bump(42);
     MINDFUL_METRIC_GAUGE("test.handles.csv_gauge", 0.5);
     std::ostringstream first;

@@ -2,9 +2,10 @@
  * @file
  * Minimal recursive-descent JSON validity checker shared by the obs
  * tests. Accepts exactly the RFC 8259 grammar (objects, arrays,
- * strings with escapes, numbers, true/false/null); the tests only
+ * strings with escapes, numbers, true/false/null); the tests mostly
  * need "does this parse", not a DOM — a trace file that passes here
- * loads in Perfetto / chrome://tracing.
+ * loads in Perfetto / chrome://tracing. Object members whose value is
+ * a number are also collected, so tests can read numbers back.
  */
 
 #ifndef MINDFUL_TESTS_OBS_JSON_CHECKER_HH
@@ -13,6 +14,8 @@
 #include <cctype>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace mindful::obs {
 
@@ -25,11 +28,19 @@ class JsonChecker
     valid()
     {
         _pos = 0;
+        _numberMembers.clear();
         skipWs();
         if (!value())
             return false;
         skipWs();
         return _pos == _text.size();
+    }
+
+    /** (key, number text) of every numeric object member, in order. */
+    const std::vector<std::pair<std::string, std::string>> &
+    numberMembers() const
+    {
+        return _numberMembers;
     }
 
   private:
@@ -60,15 +71,24 @@ class JsonChecker
         }
         while (true) {
             skipWs();
+            const std::size_t key_begin = _pos + 1;
             if (!string())
                 return false;
+            std::string key = _text.substr(key_begin, _pos - 1 - key_begin);
             skipWs();
             if (peek() != ':')
                 return false;
             ++_pos;
             skipWs();
+            const std::size_t value_begin = _pos;
             if (!value())
                 return false;
+            const char first = _text[value_begin];
+            if (first == '-' ||
+                std::isdigit(static_cast<unsigned char>(first)))
+                _numberMembers.emplace_back(
+                    std::move(key),
+                    _text.substr(value_begin, _pos - value_begin));
             skipWs();
             if (peek() == ',') {
                 ++_pos;
@@ -196,6 +216,7 @@ class JsonChecker
 
     std::string _text;
     std::size_t _pos = 0;
+    std::vector<std::pair<std::string, std::string>> _numberMembers;
 };
 
 } // namespace mindful::obs

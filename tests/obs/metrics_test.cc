@@ -1,7 +1,8 @@
 /**
  * @file
- * Metric registry tests: kinds, merge semantics, percentile accuracy
- * against sorted-vector ground truth, and snapshot/export paths.
+ * Metric registry tests: kinds, concurrent recording, percentile
+ * accuracy against sorted-vector ground truth, the runtime gate, and
+ * snapshot/export paths.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,30 +20,43 @@
 namespace mindful::obs {
 namespace {
 
+/** @p registry's snapshot row for @p name; asserts it exists. */
+MetricSample
+sampleNamed(const MetricRegistry &registry, const std::string &name)
+{
+    for (const MetricSample &sample : registry.snapshot())
+        if (sample.name == name)
+            return sample;
+    ADD_FAILURE() << "no sample named " << name;
+    return {};
+}
+
 TEST(CounterTest, StartsAtZeroAndAccumulates)
 {
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.add();
-    c.add(41);
-    EXPECT_EQ(c.value(), 42u);
+    MetricRegistry registry;
+    CounterHandle c = registry.counter("c");
+    EXPECT_EQ(c.total(), 0u);
+    c.bump();
+    c.bump(41);
+    EXPECT_EQ(c.total(), 42u);
 }
 
 TEST(CounterTest, ConcurrentAddsAreLossless)
 {
-    Counter c;
+    MetricRegistry registry;
+    CounterHandle c = registry.counter("c");
     constexpr int kThreads = 8;
     constexpr int kAdds = 10000;
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&c] {
+        threads.emplace_back([c] {
             for (int i = 0; i < kAdds; ++i)
-                c.add();
+                c.bump();
         });
     }
     for (auto &thread : threads)
         thread.join();
-    EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kAdds));
+    EXPECT_EQ(c.total(), static_cast<std::uint64_t>(kThreads * kAdds));
 }
 
 TEST(MetricRegistryTest, EnabledGateDefaultsOn)
@@ -72,7 +87,7 @@ TEST(MetricRegistryTest, MacrosRecordNothingWhileDisabled)
     registry.setEnabled(true);
     MINDFUL_METRIC_COUNT("test.gate.counter", 5);
     EXPECT_TRUE(registry.contains("test.gate.counter"));
-    EXPECT_EQ(registry.counter("test.gate.counter").value(), 5u);
+    EXPECT_EQ(registry.counter("test.gate.counter").total(), 5u);
     registry.clear();
 }
 
@@ -86,19 +101,22 @@ TEST(GaugeTest, TracksLastWriteAndSetFlag)
     EXPECT_DOUBLE_EQ(g.value(), -1.25);
 }
 
-TEST(HistogramMetricTest, CountMeanExtremaExact)
+TEST(HistogramHandleTest, CountMeanExtremaExact)
 {
-    HistogramMetric h;
+    MetricRegistry registry;
+    HistogramHandle h = registry.histogram("h");
     for (double v : {1.0, 10.0, 100.0})
-        h.record(v);
+        h.observe(v);
     EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.mean(), 37.0);
-    EXPECT_DOUBLE_EQ(h.min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
+    const MetricSample sample = sampleNamed(registry, "h");
+    EXPECT_EQ(sample.count, 3u);
+    EXPECT_DOUBLE_EQ(sample.value, 37.0);
+    EXPECT_DOUBLE_EQ(sample.min, 1.0);
+    EXPECT_DOUBLE_EQ(sample.max, 100.0);
     EXPECT_DOUBLE_EQ(h.sum(), 111.0);
 }
 
-TEST(HistogramMetricTest, PercentileTracksSortedVectorGroundTruth)
+TEST(HistogramHandleTest, PercentileTracksSortedVectorGroundTruth)
 {
     // Log-uniform samples spanning the bucket range; the histogram's
     // nearest-rank estimate must match the exact sorted-vector answer
@@ -111,12 +129,13 @@ TEST(HistogramMetricTest, PercentileTracksSortedVectorGroundTruth)
     const double ratio = std::pow(10.0, 0.1);
 
     Rng rng(123);
-    HistogramMetric h(options);
+    MetricRegistry registry;
+    HistogramHandle h = registry.histogram("h", options);
     std::vector<double> values;
     for (int i = 0; i < 20000; ++i) {
         double v = std::pow(10.0, rng.uniform(-2.0, 6.0));
         values.push_back(v);
-        h.record(v);
+        h.observe(v);
     }
     std::sort(values.begin(), values.end());
 
@@ -132,30 +151,13 @@ TEST(HistogramMetricTest, PercentileTracksSortedVectorGroundTruth)
     }
 }
 
-TEST(HistogramMetricTest, MergeMatchesSequentialRecording)
-{
-    Rng rng(7);
-    HistogramMetric all, left, right;
-    for (int i = 0; i < 5000; ++i) {
-        double v = std::abs(rng.gaussian(50.0, 20.0)) + 1e-3;
-        all.record(v);
-        (i % 2 ? left : right).record(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-    EXPECT_DOUBLE_EQ(left.percentile(50.0), all.percentile(50.0));
-    EXPECT_DOUBLE_EQ(left.percentile(99.0), all.percentile(99.0));
-}
-
 TEST(MetricRegistryTest, LookupCreatesOnceAndIsStable)
 {
     MetricRegistry registry;
-    Counter &a = registry.counter("x.count");
-    Counter &b = registry.counter("x.count");
-    EXPECT_EQ(&a, &b);
+    CounterHandle a = registry.counter("x.count");
+    CounterHandle b = registry.counter("x.count");
+    a.bump(2);
+    EXPECT_EQ(b.total(), 2u); // one cell behind both handles
     EXPECT_EQ(registry.size(), 1u);
     EXPECT_TRUE(registry.contains("x.count"));
     EXPECT_FALSE(registry.contains("x.other"));
@@ -168,74 +170,41 @@ TEST(MetricRegistryDeathTest, KindMismatchPanics)
     EXPECT_DEATH(registry.gauge("dual.use"), "different kind");
 }
 
-TEST(MetricRegistryTest, MergeAddsCountersMergesHistogramsAdoptsGauges)
-{
-    MetricRegistry a, b;
-    a.counter("shared.count").add(10);
-    b.counter("shared.count").add(32);
-    b.counter("only_b.count").add(7);
-
-    a.gauge("g.set_in_b");
-    b.gauge("g.set_in_b").set(2.5);
-    a.gauge("g.set_in_a").set(1.5);
-    b.gauge("g.set_in_a"); // exists but never set: must not clobber
-
-    a.histogram("h").record(1.0);
-    b.histogram("h").record(100.0);
-
-    a.merge(b);
-    EXPECT_EQ(a.counter("shared.count").value(), 42u);
-    EXPECT_EQ(a.counter("only_b.count").value(), 7u);
-    EXPECT_DOUBLE_EQ(a.gauge("g.set_in_b").value(), 2.5);
-    EXPECT_DOUBLE_EQ(a.gauge("g.set_in_a").value(), 1.5);
-    EXPECT_EQ(a.histogram("h").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.histogram("h").min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.histogram("h").max(), 100.0);
-}
-
 TEST(MetricRegistryTest, ParallelWorkerReduction)
 {
-    // The documented pattern: one local registry per worker, merged
-    // into a shared one afterwards.
+    // Workers share one registry: each resolves the same names and
+    // records through its own handles; the cells reduce exactly.
     constexpr int kWorkers = 4;
     constexpr int kEvents = 2500;
-    std::vector<std::unique_ptr<MetricRegistry>> locals;
-    for (int w = 0; w < kWorkers; ++w)
-        locals.push_back(std::make_unique<MetricRegistry>());
-
+    MetricRegistry total;
     std::vector<std::thread> threads;
     for (int w = 0; w < kWorkers; ++w) {
-        threads.emplace_back([&locals, w] {
-            Counter &events = locals[w]->counter("worker.events");
-            HistogramMetric &lat =
-                locals[w]->histogram("worker.latency_us");
+        threads.emplace_back([&total, w] {
+            CounterHandle events = total.counter("worker.events");
+            HistogramHandle lat = total.histogram("worker.latency_us");
             for (int i = 0; i < kEvents; ++i) {
-                events.add();
-                lat.record(1.0 + w);
+                events.bump();
+                lat.observe(1.0 + w);
             }
         });
     }
     for (auto &thread : threads)
         thread.join();
 
-    MetricRegistry total;
-    for (const auto &local : locals)
-        total.merge(*local);
-    EXPECT_EQ(total.counter("worker.events").value(),
+    EXPECT_EQ(total.counter("worker.events").total(),
               static_cast<std::uint64_t>(kWorkers * kEvents));
-    EXPECT_EQ(total.histogram("worker.latency_us").count(),
-              static_cast<std::size_t>(kWorkers * kEvents));
-    EXPECT_DOUBLE_EQ(total.histogram("worker.latency_us").min(), 1.0);
-    EXPECT_DOUBLE_EQ(total.histogram("worker.latency_us").max(),
-                     static_cast<double>(kWorkers));
+    const MetricSample latency = sampleNamed(total, "worker.latency_us");
+    EXPECT_EQ(latency.count, static_cast<std::size_t>(kWorkers * kEvents));
+    EXPECT_DOUBLE_EQ(latency.min, 1.0);
+    EXPECT_DOUBLE_EQ(latency.max, static_cast<double>(kWorkers));
 }
 
 TEST(MetricRegistryTest, SnapshotIsNameSortedAndTyped)
 {
     MetricRegistry registry;
-    registry.counter("b.count").add(5);
+    registry.counter("b.count").bump(5);
     registry.gauge("a.gauge").set(1.0);
-    registry.histogram("c.hist").record(2.0);
+    registry.histogram("c.hist").observe(2.0);
 
     auto samples = registry.snapshot();
     ASSERT_EQ(samples.size(), 3u);
@@ -252,8 +221,8 @@ TEST(MetricRegistryTest, SnapshotIsNameSortedAndTyped)
 TEST(MetricRegistryTest, TableExportHasHeaderAndOneRowPerMetric)
 {
     MetricRegistry registry;
-    registry.counter("x").add(1);
-    registry.counter("y").add(2);
+    registry.counter("x").bump(1);
+    registry.counter("y").bump(2);
     Table table = registry.snapshotTable();
     EXPECT_EQ(table.columns(), 9u);
     EXPECT_EQ(table.rows(), 2u);
@@ -262,7 +231,7 @@ TEST(MetricRegistryTest, TableExportHasHeaderAndOneRowPerMetric)
 TEST(MetricRegistryTest, ClearEmptiesTheRegistry)
 {
     MetricRegistry registry;
-    registry.counter("x").add(1);
+    registry.counter("x").bump(1);
     registry.clear();
     EXPECT_EQ(registry.size(), 0u);
     EXPECT_FALSE(registry.contains("x"));

@@ -19,8 +19,8 @@ namespace {
 PodEvent
 numbered(std::uint64_t seq)
 {
-    PodEvent event;
-    event.arg = seq;
+    PodEvent event{};
+    event.argBits[0] = seq;
     return event;
 }
 
@@ -39,7 +39,7 @@ TEST(TraceRingTest, OverflowDropsInsteadOfOverwriting)
     PodEvent out;
     for (std::uint64_t i = 0; i < 8; ++i) {
         ASSERT_TRUE(ring.tryPop(out));
-        EXPECT_EQ(out.arg, i);
+        EXPECT_EQ(out.argBits[0], i);
     }
     EXPECT_FALSE(ring.tryPop(out));
 }
@@ -59,8 +59,8 @@ TEST(TraceRingTest, WraparoundConservesEveryEvent)
     auto drain = [&] {
         while (ring.tryPop(out)) {
             if (!first)
-                EXPECT_GT(out.arg, prev);
-            prev = out.arg;
+                EXPECT_GT(out.argBits[0], prev);
+            prev = out.argBits[0];
             first = false;
             ++popped;
         }
@@ -94,8 +94,8 @@ TEST(TraceRingTest, ConcurrentHandoffConservation)
         for (;;) {
             if (ring.tryPop(out)) {
                 if (!first)
-                    EXPECT_GT(out.arg, prev);
-                prev = out.arg;
+                    EXPECT_GT(out.argBits[0], prev);
+                prev = out.argBits[0];
                 first = false;
                 ++popped;
                 continue;
@@ -105,8 +105,8 @@ TEST(TraceRingTest, ConcurrentHandoffConservation)
                 if (!ring.tryPop(out))
                     break;
                 if (!first)
-                    EXPECT_GT(out.arg, prev);
-                prev = out.arg;
+                    EXPECT_GT(out.argBits[0], prev);
+                prev = out.argBits[0];
                 first = false;
                 ++popped;
             }

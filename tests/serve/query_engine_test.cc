@@ -146,6 +146,28 @@ TEST(QueryEngineTest, OversizedChannelCountIsInvalid)
     EXPECT_FALSE(result.feasible);
 }
 
+TEST(QueryEngineTest, QamPastSixteenBitsPerSymbolIsInvalid)
+{
+    // 32768 channels need more than 16 bits/symbol on SoC 1's
+    // antenna: rejected in-band instead of ending the process.
+    QueryEngine engine;
+    const QueryResult result = engine.evaluate(
+        makeQuery(WorkloadClass::QamStreaming, 1, 32768));
+    EXPECT_EQ(result.status, QueryStatus::InvalidRequest);
+    EXPECT_FALSE(result.feasible);
+    EXPECT_EQ(result.channels, 32768u);
+}
+
+TEST(QueryEngineTest, QamAtSixteenThousandChannelsStillEvaluates)
+{
+    QueryEngine engine;
+    const QueryResult result = engine.evaluate(
+        makeQuery(WorkloadClass::QamStreaming, 1, 16384));
+    ASSERT_EQ(result.status, QueryStatus::Ok);
+    EXPECT_GT(result.qamMinEfficiency, 0.0);
+    EXPECT_GT(result.uplinkMbps, 0.0);
+}
+
 // --- Evaluation sanity -------------------------------------------------
 
 TEST(QueryEngineTest, RawStreamingMatchesPowerDecomposition)

@@ -847,18 +847,12 @@ class Parser
                 {"blocking-call", line, "calls " + t + "()"});
         }
 
-        // realtime blockers: cold-tier observability. The trace macros
-        // and TraceSpan do locked by-name registry work; only the
-        // pre-resolved MINDFUL_HOT_* handle tier is streaming-legal.
+        // realtime blockers: by-name observability. The trace macros
+        // resolve their name under a lock; only the pre-resolved
+        // MINDFUL_HOT_* handles are streaming-legal.
         if (t == "MINDFUL_TRACE_SPAN" || t == "MINDFUL_TRACE_SCOPE") {
             fn.rtBlockers.push_back(
-                {"cold-tier", line,
-                 "starts a cold-tier trace span via " + t});
-        }
-        if (t == "TraceSpan" && isIdentTok(tok(i + 1))) {
-            fn.rtBlockers.push_back(
-                {"cold-tier", line,
-                 "constructs a cold-tier TraceSpan"});
+                {"by-name", line, "starts a by-name trace span via " + t});
         }
 
         // view-invalidation bookkeeping: std::move of a named source
@@ -2263,7 +2257,7 @@ semanticFindings(const std::vector<FileFacts> &files)
     // realtime-loop: one BFS per MINDFUL_RT_LOOP streaming root.
     // Locks, logging and by-name metric lookups are already tracked
     // as impurities; sleeps, waits, file I/O, unbounded loops and
-    // cold-tier tracing arrive as rtBlockers.
+    // by-name tracing arrive as rtBlockers.
     for (std::size_t f = 0; f < files.size(); ++f) {
         for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
             const FunctionFacts &root_fn = files[f].functions[k];
@@ -2291,9 +2285,9 @@ semanticFindings(const std::vector<FileFacts> &files)
                     if (!seen.insert(key).second)
                         return;
                     const std::string tail =
-                        kind == "cold-tier"
-                            ? "; cold-tier observability does locked "
-                              "by-name lookups — pre-resolve a "
+                        kind == "by-name"
+                            ? "; by-name observability resolves its "
+                              "name under a lock — pre-resolve a "
                               "MINDFUL_HOT_* handle at setup time "
                               "(docs/static_analysis.md)"
                             : "; nothing blocking may run on a "
@@ -2316,7 +2310,7 @@ semanticFindings(const std::vector<FileFacts> &files)
                         report("blocking-call", impurity.line,
                                impurity.detail);
                     else if (impurity.kind == "metric-lookup")
-                        report("cold-tier", impurity.line,
+                        report("by-name", impurity.line,
                                impurity.detail);
                 }
             }

@@ -36,8 +36,8 @@
  *    (base/compiler.hh) are streaming stage roots; nothing reachable
  *    from one may block — Mutex/ConditionVariable, file/stream
  *    construction, sleep/this_thread calls, unbounded `while (true)`
- *    without a break/return, or cold-tier TraceSpan / by-name metric
- *    lookups (the MINDFUL_HOT_* handle tier stays legal).
+ *    without a break/return, or by-name trace spans / metric lookups
+ *    (the pre-resolved MINDFUL_HOT_* handles stay legal).
  *  - view-invalidation: spans/string_views/rowData/raw data pointers
  *    borrowed from growable containers must not outlive a
  *    push_back/resize/reserve/move of their source — checked within
@@ -166,7 +166,7 @@ struct FunctionFacts
     /**
      * Blocking acts committed directly by this function, reported when
      * reachable from an RT root (realtime-loop). Reuses Impurity with
-     * kinds "blocking-call", "unbounded-loop" and "cold-tier".
+     * kinds "blocking-call", "unbounded-loop" and "by-name".
      */
     std::vector<Impurity> rtBlockers;
 

@@ -94,8 +94,8 @@ ruleDescription(const std::string &check)
         {"realtime-loop",
          "Nothing reachable from a MINDFUL_RT_LOOP streaming stage "
          "loop may block: no locks, condition waits, sleeps, file or "
-         "stream I/O, unbounded spins, or cold-tier "
-         "TraceSpan/MetricRegistry lookups."},
+         "stream I/O, unbounded spins, or by-name trace span / "
+         "metric lookups."},
         {"view-invalidation",
          "A span/string_view/rowData/raw-pointer view of a growable "
          "container must not outlive a push_back/resize/reserve/move "
