@@ -17,11 +17,11 @@ MINDFUL_ATOMIC_ROLE(once_flag)
 std::atomic<bool> g_collectorStreaming{false};
 MINDFUL_ATOMIC_ROLE(stat_counter)
 std::atomic<std::uint64_t> g_unregisteredDrops{0};
-thread_local TraceRing *t_traceRing = nullptr;
-
 } // namespace detail
 
 namespace {
+
+thread_local TraceRing *t_traceRing = nullptr;
 
 std::chrono::steady_clock::time_point
 traceEpoch()
@@ -70,6 +70,12 @@ writeArgValue(std::ostream &os, const PodEvent &event, std::size_t slot)
 }
 
 } // namespace
+
+TraceRing *
+detail::currentRing()
+{
+    return t_traceRing;
+}
 
 std::uint64_t
 traceNowNanos()
@@ -128,12 +134,12 @@ TraceCollector::site(std::string_view category, std::string_view name)
 void
 TraceCollector::registerCurrentThread()
 {
-    if (detail::t_traceRing != nullptr)
+    if (t_traceRing != nullptr)
         return;
     LockGuard lock(_mutex);
     _rings.push_back(
         std::make_unique<TraceRing>(_ringCapacity, currentThreadId()));
-    detail::t_traceRing = _rings.back().get();
+    t_traceRing = _rings.back().get();
 }
 
 void

@@ -68,8 +68,13 @@ extern std::atomic<bool> g_collectorStreaming;
 MINDFUL_ATOMIC_ROLE(stat_counter)
 extern std::atomic<std::uint64_t> g_unregisteredDrops;
 
-/** The calling thread's ring; null until registerCurrentThread(). */
-extern thread_local TraceRing *t_traceRing;
+/**
+ * The calling thread's ring; null until registerCurrentThread().
+ * Out of line on purpose: inlined reads of an extern thread_local let
+ * the linker relax the TLS address add into a flag-less lea, which
+ * UBSan's null check (that tests the add's flags) then misreads.
+ */
+TraceRing *currentRing();
 
 inline bool
 collectorStreaming()
@@ -123,7 +128,7 @@ class TraceCollector
     static bool
     currentThreadRegistered()
     {
-        return detail::t_traceRing != nullptr;
+        return detail::currentRing() != nullptr;
     }
 
     /** Ring capacity for FUTURE registrations (rounded to 2^n). */
@@ -221,7 +226,7 @@ class HotSpan
     {
         if (!detail::collectorStreaming())
             return;
-        _ring = detail::t_traceRing;
+        _ring = detail::currentRing();
         if (_ring == nullptr) {
             detail::g_unregisteredDrops.fetch_add(
                 1, std::memory_order_relaxed);
