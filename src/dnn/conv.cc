@@ -9,6 +9,28 @@
 #include "dnn/gemm.hh"
 
 namespace mindful::dnn {
+namespace {
+
+/**
+ * Per-thread scratch for the conv forward paths (im2col patch matrix,
+ * compacted dropout planes): grown to the largest request this thread
+ * has made and never shrunk, so a steady-state forward allocates and
+ * zero-fills nothing. Per thread because a const layer may run on
+ * several threads at once; one thread never has two conv forwards in
+ * flight (biasGemm's shards only read the buffer while the caller
+ * waits), so one buffer per thread suffices. Callers size it before
+ * handing it to biasGemm — never inside a shard body.
+ */
+float *
+convScratch(std::size_t floats)
+{
+    thread_local std::vector<float> buffer;
+    if (buffer.size() < floats)
+        buffer.resize(floats);
+    return buffer.data();
+}
+
+} // namespace
 
 Conv2dLayer::Conv2dLayer(std::size_t in_channels, std::size_t out_channels,
                          std::size_t kernel_h, std::size_t kernel_w,
@@ -108,12 +130,13 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
         return;
     }
 
-    std::vector<float> patches(k * n);
-    gemm::im2col(input, _kernelH, _kernelW, _stride,
+    float *patches = convScratch(k * n);
+    gemm::im2col(input.data(), _inChannels, input.dim(1), input.dim(2),
+                 _kernelH, _kernelW, _stride,
                  static_cast<std::size_t>(padBefore(_kernelH)),
                  static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                 out_w, patches.data());
-    gemm::biasGemm(_outChannels, n, k, _weights.data(), patches.data(),
+                 out_w, patches);
+    gemm::biasGemm(_outChannels, n, k, _weights.data(), patches,
                    _biases.data(), out, epilogue);
 }
 
@@ -144,28 +167,27 @@ Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
     // Compact the surviving channel planes; im2col (and the packed
     // weights) then never touch the dropped ones. Skipped terms are
     // exact zero products — see src/dnn/sparse.hh on why dropping
-    // them is still bit-exact for finite data.
+    // them is still bit-exact for finite data. The compacted planes
+    // and the patch matrix share the thread's scratch buffer.
     const std::size_t in_h = input.dim(1);
     const std::size_t in_w = input.dim(2);
     const std::size_t plane = in_h * in_w;
-    Tensor compact(Shape{ka, in_h, in_w});
+    const std::size_t k = gemm::im2colRows(ka, _kernelH, _kernelW);
+    const bool pointwise = _kernelH == 1 && _kernelW == 1 && _stride == 1;
+    float *compact = convScratch(ka * plane + (pointwise ? 0 : k * n));
     for (std::size_t j = 0; j < ka; ++j)
         std::copy(input.data() + _activeChannels[j] * plane,
                   input.data() + (_activeChannels[j] + 1) * plane,
-                  compact.data() + j * plane);
+                  compact + j * plane);
 
-    const std::size_t k = gemm::im2colRows(ka, _kernelH, _kernelW);
-    const float *b_matrix = nullptr;
-    std::vector<float> patches;
-    if (_kernelH == 1 && _kernelW == 1 && _stride == 1) {
-        b_matrix = compact.data();
-    } else {
-        patches.resize(k * n);
-        gemm::im2col(compact, _kernelH, _kernelW, _stride,
-                     static_cast<std::size_t>(padBefore(_kernelH)),
-                     static_cast<std::size_t>(padBefore(_kernelW)),
-                     out_h, out_w, patches.data());
-        b_matrix = patches.data();
+    const float *b_matrix = compact;
+    if (!pointwise) {
+        float *patches = compact + ka * plane;
+        gemm::im2col(compact, ka, in_h, in_w, _kernelH, _kernelW,
+                     _stride, static_cast<std::size_t>(padBefore(_kernelH)),
+                     static_cast<std::size_t>(padBefore(_kernelW)), out_h,
+                     out_w, patches);
+        b_matrix = patches;
     }
 
     if (_dropPath == DropoutPath::Csr) {

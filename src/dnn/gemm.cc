@@ -65,6 +65,14 @@ gemvPanels(std::size_t k, const float *a, const float *x,
  * contiguous segment of each B row, so B streams through cache line
  * by line while each output element still accumulates in ascending k
  * order into a single scalar — the bit-exactness guarantee.
+ *
+ * The scalar tier stays one row per tile. Its sixteen scalar
+ * accumulators already fill the x86-64 register file, and each MAC is
+ * two scalar instructions however B is reused, so a kRowBlock x 16
+ * scalar tile only adds spills: measured at 2.1 GOP/s against this
+ * loop's 5.7 on the fig-10 block-1 conv (one thread). Register
+ * blocking pays only where one instruction covers a lane-width of
+ * elements (gemm_avx2.cc).
  */
 template <bool Relu>
 void
@@ -183,10 +191,19 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
 
     // Shard over output rows only: no shard touches another shard's C
     // rows and there is no cross-shard reduction, so the decomposition
-    // (and the thread count) cannot affect the result.
+    // (and the thread count) cannot affect the result. The GEMV path
+    // shards single rows past kParallelMacThreshold; the column-tiled
+    // path shards whole register blocks, at least kMinShardMacs each.
+    const std::size_t unit = n == 1 ? 1 : kRowBlock;
+    const std::size_t units = (m + unit - 1) / unit;
     std::size_t shards = 1;
-    if (macs >= kParallelMacThreshold)
-        shards = std::min<std::size_t>(exec::kDefaultShards, m);
+    if (n == 1) {
+        if (macs >= kParallelMacThreshold)
+            shards = std::min<std::size_t>(exec::kDefaultShards, m);
+    } else {
+        shards = static_cast<std::size_t>(std::min<std::uint64_t>(
+            {exec::kDefaultShards, units, macs / kMinShardMacs}));
+    }
     if (shards <= 1) {
         run(0, m);
     } else {
@@ -203,10 +220,13 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
             shards,
             [&](std::size_t shard) {
                 obs::HotSpan shard_span(shard_site);
-                auto range = exec::shardRange(m, shards, shard);
-                shard_span.setArg(range.end - range.begin);
-                run(range.begin, range.end);
-                shard_rows.bump(range.end - range.begin);
+                const auto range = exec::shardRange(units, shards, shard);
+                const std::size_t row_begin = range.begin * unit;
+                const std::size_t row_end =
+                    std::min<std::size_t>(range.end * unit, m);
+                shard_span.setArg(row_end - row_begin);
+                run(row_begin, row_end);
+                shard_rows.bump(row_end - row_begin);
             },
             "dnn.gemm.shard");
     }
@@ -222,76 +242,163 @@ im2colRows(std::size_t in_channels, std::size_t kernel_h,
     return in_channels * kernel_h * kernel_w;
 }
 
-void
-im2col(const Tensor &input, std::size_t kernel_h, std::size_t kernel_w,
-       std::size_t stride, std::size_t pad_h, std::size_t pad_w,
-       std::size_t out_h, std::size_t out_w, float *patches)
+namespace {
+
+/** Half-open range of output positions whose input index is valid. */
+struct ValidSpan
 {
-    MINDFUL_ASSERT(input.rank() == 3, "im2col expects a rank-3 input");
+    std::size_t lo;
+    std::size_t hi;
+};
+
+/**
+ * Output positions o in [0, out) whose input index o*stride + shift
+ * lies in [0, in); empty spans have lo == hi.
+ */
+ValidSpan
+validSpan(std::ptrdiff_t shift, std::size_t stride, std::size_t in,
+          std::size_t out)
+{
+    std::size_t lo = 0;
+    if (shift < 0)
+        lo = (static_cast<std::size_t>(-shift) + stride - 1) / stride;
+    std::size_t hi = 0;
+    const std::ptrdiff_t lim = static_cast<std::ptrdiff_t>(in) - shift;
+    if (lim > 0)
+        hi = std::min<std::size_t>(
+            out, static_cast<std::size_t>(lim - 1) / stride + 1);
+    return {std::min(lo, hi), hi};
+}
+
+/**
+ * General tap packing, one patch-matrix row segment per output row:
+ * zero head, contiguous (or strided) copy of the valid span, zero
+ * tail; rows reading outside the input are all zero.
+ */
+void
+packTapRows(const float *plane, std::size_t in_w, std::size_t stride,
+            std::ptrdiff_t shift_y, std::ptrdiff_t shift_x, ValidSpan ys,
+            ValidSpan xs, std::size_t out_h, std::size_t out_w,
+            float *prow)
+{
+    for (std::size_t oy = 0; oy < out_h; ++oy) {
+        float *dst = prow + oy * out_w;
+        if (oy < ys.lo || oy >= ys.hi || xs.lo >= xs.hi) {
+            std::fill(dst, dst + out_w, 0.0f);
+            continue;
+        }
+        const float *src =
+            plane + (static_cast<std::ptrdiff_t>(oy * stride) + shift_y) *
+                        static_cast<std::ptrdiff_t>(in_w);
+        std::fill(dst, dst + xs.lo, 0.0f);
+        if (stride == 1) {
+            std::copy(src + static_cast<std::ptrdiff_t>(xs.lo) + shift_x,
+                      src + static_cast<std::ptrdiff_t>(xs.hi) + shift_x,
+                      dst + xs.lo);
+        } else {
+            for (std::size_t ox = xs.lo; ox < xs.hi; ++ox)
+                dst[ox] =
+                    src[static_cast<std::ptrdiff_t>(ox * stride) + shift_x];
+        }
+        std::fill(dst + xs.hi, dst + out_w, 0.0f);
+    }
+}
+
+/**
+ * Stride-1 tap with out_w == in_w: patch element j reads plane
+ * element j + shift_y*in_w + shift_x, so the whole valid range is one
+ * contiguous copy. The copy runs straight across row ends; the wrapped
+ * boundary columns between consecutive valid rows are zeroed after.
+ */
+void
+packTapShifted(const float *plane, std::size_t in_w, std::ptrdiff_t shift_y,
+               std::ptrdiff_t shift_x, ValidSpan ys, ValidSpan xs,
+               std::size_t out_h, std::size_t out_w, float *prow)
+{
+    const std::size_t n = out_h * out_w;
+    if (ys.lo >= ys.hi || xs.lo >= xs.hi) {
+        std::fill(prow, prow + n, 0.0f);
+        return;
+    }
+    const std::ptrdiff_t offset =
+        shift_y * static_cast<std::ptrdiff_t>(in_w) + shift_x;
+    const std::size_t first = ys.lo * out_w + xs.lo;
+    const std::size_t last = (ys.hi - 1) * out_w + xs.hi;
+    std::fill(prow, prow + first, 0.0f);
+    std::copy(plane + static_cast<std::ptrdiff_t>(first) + offset,
+              plane + static_cast<std::ptrdiff_t>(last) + offset,
+              prow + first);
+    std::fill(prow + last, prow + n, 0.0f);
+    if (xs.hi - xs.lo < out_w)
+        for (std::size_t oy = ys.lo; oy + 1 < ys.hi; ++oy)
+            std::fill(prow + oy * out_w + xs.hi,
+                      prow + (oy + 1) * out_w + xs.lo, 0.0f);
+}
+
+void
+packPatches(const float *input, std::size_t channels, std::size_t in_h,
+            std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
+            std::size_t stride, std::size_t pad_h, std::size_t pad_w,
+            std::size_t out_h, std::size_t out_w, float *patches,
+            bool single_copy_taps)
+{
+    MINDFUL_ASSERT(input != nullptr, "im2col input buffer is null");
     MINDFUL_ASSERT(stride > 0, "im2col stride must be positive");
     MINDFUL_ASSERT(patches != nullptr, "im2col patch buffer is null");
 
-    const std::size_t channels = input.dim(0);
-    const std::size_t in_h = input.dim(1);
-    const std::size_t in_w = input.dim(2);
+    const bool shifted = single_copy_taps && stride == 1 && out_w == in_w;
     const std::size_t n = out_h * out_w;
-    const auto in_h_pd = static_cast<std::ptrdiff_t>(in_h);
-
     float *prow = patches;
     for (std::size_t ic = 0; ic < channels; ++ic) {
+        const float *plane = input + ic * in_h * in_w;
         for (std::size_t ky = 0; ky < kernel_h; ++ky) {
+            const std::ptrdiff_t shift_y =
+                static_cast<std::ptrdiff_t>(ky) -
+                static_cast<std::ptrdiff_t>(pad_h);
+            const ValidSpan ys = validSpan(shift_y, stride, in_h, out_h);
             for (std::size_t kx = 0; kx < kernel_w; ++kx, prow += n) {
-                // This tap reads ix = ox*stride + shift; hoist the
-                // valid ox span so the per-row work is zero-head,
-                // contiguous (or strided) copy, zero-tail.
-                const std::ptrdiff_t shift =
+                const std::ptrdiff_t shift_x =
                     static_cast<std::ptrdiff_t>(kx) -
                     static_cast<std::ptrdiff_t>(pad_w);
-                std::size_t ox_lo = 0;
-                if (shift < 0)
-                    ox_lo = (static_cast<std::size_t>(-shift) + stride -
-                             1) /
-                            stride;
-                std::size_t ox_hi = 0;
-                const std::ptrdiff_t lim =
-                    static_cast<std::ptrdiff_t>(in_w) - shift;
-                if (lim > 0)
-                    ox_hi = std::min<std::size_t>(
-                        out_w,
-                        static_cast<std::size_t>(lim - 1) / stride + 1);
-                ox_lo = std::min(ox_lo, ox_hi);
-
-                for (std::size_t oy = 0; oy < out_h; ++oy) {
-                    float *dst = prow + oy * out_w;
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                        static_cast<std::ptrdiff_t>(pad_h);
-                    if (iy < 0 || iy >= in_h_pd || ox_lo >= ox_hi) {
-                        std::fill(dst, dst + out_w, 0.0f);
-                        continue;
-                    }
-                    const float *src = input.rowData(
-                        ic, static_cast<std::size_t>(iy));
-                    std::fill(dst, dst + ox_lo, 0.0f);
-                    if (stride == 1) {
-                        std::copy(src + static_cast<std::ptrdiff_t>(
-                                            ox_lo) +
-                                      shift,
-                                  src + static_cast<std::ptrdiff_t>(
-                                            ox_hi) +
-                                      shift,
-                                  dst + ox_lo);
-                    } else {
-                        for (std::size_t ox = ox_lo; ox < ox_hi; ++ox)
-                            dst[ox] = src[static_cast<std::ptrdiff_t>(
-                                              ox * stride) +
-                                          shift];
-                    }
-                    std::fill(dst + ox_hi, dst + out_w, 0.0f);
-                }
+                const ValidSpan xs =
+                    validSpan(shift_x, stride, in_w, out_w);
+                if (shifted)
+                    packTapShifted(plane, in_w, shift_y, shift_x, ys, xs,
+                                   out_h, out_w, prow);
+                else
+                    packTapRows(plane, in_w, stride, shift_y, shift_x, ys,
+                                xs, out_h, out_w, prow);
             }
         }
     }
 }
+
+} // namespace
+
+void
+im2col(const float *input, std::size_t channels, std::size_t in_h,
+       std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
+       std::size_t stride, std::size_t pad_h, std::size_t pad_w,
+       std::size_t out_h, std::size_t out_w, float *patches)
+{
+    packPatches(input, channels, in_h, in_w, kernel_h, kernel_w, stride,
+                pad_h, pad_w, out_h, out_w, patches,
+                /*single_copy_taps=*/true);
+}
+
+namespace detail {
+
+void
+im2colPerRow(const float *input, std::size_t channels, std::size_t in_h,
+             std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
+             std::size_t stride, std::size_t pad_h, std::size_t pad_w,
+             std::size_t out_h, std::size_t out_w, float *patches)
+{
+    packPatches(input, channels, in_h, in_w, kernel_h, kernel_w, stride,
+                pad_h, pad_w, out_h, out_w, patches,
+                /*single_copy_taps=*/false);
+}
+
+} // namespace detail
 
 } // namespace mindful::dnn::gemm

@@ -17,9 +17,24 @@
  * into one scalar, exactly like the retained naive loops, and work is
  * sharded over output rows only — no cross-shard reduction exists. The
  * result is therefore bit-identical to the naive reference and across
- * any `--threads` value. Cache blocking happens in the n direction
- * (register tiles of kColBlock columns walk B rows contiguously),
- * which reorders nothing.
+ * any `--threads` value.
+ *
+ * Register blocking (n > 1) reorders nothing either: the AVX2 kernel
+ * computes kRowBlock x kColBlock tiles — kRowBlock rows of A against
+ * one kColBlock-column segment of B in 2 * kRowBlock vector
+ * accumulators — so each B load feeds kRowBlock rows, and the k loop
+ * stays innermost. Column tiles are the outer loop, so one
+ * k x kColBlock strip of B stays cache-resident while every row block
+ * of the shard consumes it. Rows past the last full block, and
+ * columns past the last full tile, take the one-row code, which is
+ * also all the scalar and NEON tiers run. Every element is still one
+ * ascending-k chain, whichever code computes it.
+ *
+ * Sharding (n > 1) hands out whole kRowBlock-row blocks, and only
+ * when each shard gets at least kMinShardMacs of work: every shard
+ * re-streams the whole B matrix and pays a pool hand-off, and on the
+ * DN-CNN conv shapes a split costs 1.5-2x the CPU for at most 30% of
+ * the wall time (docs/performance.md, "Shard floor").
  *
  * The row-range body is runtime-dispatched over SIMD tiers
  * (base/cpu.hh: scalar always, AVX2/NEON when compiled in and the
@@ -35,9 +50,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "dnn/tensor.hh"
 
 namespace mindful::dnn::gemm {
 
@@ -48,24 +60,45 @@ enum class Epilogue : std::uint8_t {
 };
 
 /**
- * Register-tile width of the blocked kernel: one row of C is produced
- * kColBlock columns at a time, with the k loop innermost over a
- * contiguous B row segment. 16 floats = one 64-byte cache line.
+ * Register-tile width of the blocked kernel: C is produced kColBlock
+ * columns at a time, with the k loop innermost over a contiguous B
+ * row segment. 16 floats = one 64-byte cache line.
  */
 inline constexpr std::size_t kColBlock = 16;
 
 /**
- * Minimum m * n * k product before biasGemm ships row shards to the
- * process-wide pool; smaller problems run inline (pool dispatch would
- * cost more than the arithmetic). Results are identical either way.
+ * Register-tile height of the AVX2 kernel (n > 1): kRowBlock rows of
+ * C share every B load of a kColBlock-wide tile. Four rows keep eight
+ * independent accumulator chains in flight, enough to cover the add
+ * latency; the n > 1 path shards in whole blocks on every tier.
+ */
+inline constexpr std::size_t kRowBlock = 4;
+
+/**
+ * Minimum m * n * k product before the GEMV (n == 1) path ships row
+ * shards to the process-wide pool; smaller problems run inline (pool
+ * dispatch would cost more than the arithmetic). Results are
+ * identical either way.
  */
 inline constexpr std::uint64_t kParallelMacThreshold = 1u << 16;
 
 /**
+ * Minimum MACs per shard of the column-tiled (n > 1) path:
+ * shards = min(exec::kDefaultShards, ceil(m / kRowBlock),
+ * macs / kMinShardMacs). Every shard streams the whole B matrix, so
+ * a shard must carry enough rows to pay for that; the value comes
+ * from a 1/2/4-shard sweep over the DN-CNN conv shapes
+ * (docs/performance.md, "Shard floor").
+ */
+inline constexpr std::uint64_t kMinShardMacs = 1u << 22;
+
+/**
  * C = epilogue(A * B + bias), all matrices row-major and contiguous:
  * A is m x k, B is k x n, C is m x n, bias has m entries (may be
- * nullptr for none). Shards rows over exec::parallelFor when the MAC
- * count clears kParallelMacThreshold; records dnn.gemm.* metrics.
+ * nullptr for none). Shards rows over exec::parallelFor — GEMV rows
+ * once the MAC count clears kParallelMacThreshold, column-tiled rows
+ * in kRowBlock blocks of at least kMinShardMacs each; records
+ * dnn.gemm.* metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
               const float *a, const float *b, const float *bias, float *c,
@@ -79,22 +112,27 @@ std::size_t im2colRows(std::size_t in_channels, std::size_t kernel_h,
                        std::size_t kernel_w);
 
 /**
- * Pack a (channels, height, width) input into the im2col patch matrix
- * @p patches of shape [in_ch * kh * kw] x [out_h * out_w] (row-major,
- * caller-allocated): row (ic*kh + ky)*kw + kx, column oy*out_w + ox
- * holds input[ic][oy*stride + ky - pad_h][ox*stride + kx - pad_w],
- * or 0 where that index falls outside the input (zero padding). Row
- * order matches Conv2dLayer's [oc][ic][kh][kw] weight layout, so the
- * weight buffer is usable as the GEMM A matrix unchanged.
+ * Pack a contiguous (channels, in_h, in_w) input into the im2col
+ * patch matrix @p patches of shape [channels * kh * kw] x
+ * [out_h * out_w] (row-major, caller-allocated): row
+ * (ic*kh + ky)*kw + kx, column oy*out_w + ox holds
+ * input[ic][oy*stride + ky - pad_h][ox*stride + kx - pad_w], or 0
+ * where that index falls outside the input (zero padding). Row order
+ * matches Conv2dLayer's [oc][ic][kh][kw] weight layout, so the weight
+ * buffer is usable as the GEMM A matrix unchanged.
  *
- * Boundary handling is hoisted out of the inner loop: each patch row
- * is a zero head, a contiguous/strided copy of the valid span, and a
- * zero tail.
+ * Boundary handling is hoisted out of the inner loop. A stride-1 tap
+ * whose output width equals the input width (every "same"-padded
+ * stride-1 conv) is the input plane shifted by a constant offset, so
+ * its patch row is one contiguous copy followed by zeroing the
+ * out-of-range rows and the few wrapped boundary columns. Every other
+ * tap packs row by row: a zero head, a contiguous/strided copy of the
+ * valid span, and a zero tail.
  */
-void im2col(const Tensor &input, std::size_t kernel_h,
-            std::size_t kernel_w, std::size_t stride,
-            std::size_t pad_h, std::size_t pad_w, std::size_t out_h,
-            std::size_t out_w, float *patches);
+void im2col(const float *input, std::size_t channels, std::size_t in_h,
+            std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
+            std::size_t stride, std::size_t pad_h, std::size_t pad_w,
+            std::size_t out_h, std::size_t out_w, float *patches);
 
 } // namespace mindful::dnn::gemm
 

@@ -17,6 +17,8 @@
 
 #include <algorithm>
 
+#include "dnn/gemm.hh"
+
 namespace mindful::dnn::gemm::detail {
 namespace {
 
@@ -102,6 +104,104 @@ gemvAvx2(std::size_t k, const float *a, const float *x,
     }
 }
 
+/**
+ * One row of C from column @p col on: 16-wide tiles as two 8-lane
+ * accumulators, then an 8-wide tile and scalar chains for the tail.
+ * maxps(0, acc) keeps acc for -0.0 and NaN inputs — the same element
+ * std::max(acc, 0.0f) returns — so the ReLU epilogue is bit-identical
+ * to the scalar store.
+ */
+void
+rowAvx2(std::size_t n, std::size_t k, const float *a, const float *b,
+        const float *bias, float *c, std::size_t row, std::size_t col,
+        bool relu)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    const float *arow = a + row * k;
+    float *crow = c + row * n;
+    const float bias_v = bias != nullptr ? bias[row] : 0.0f;
+    const __m256 biasv = _mm256_set1_ps(bias_v);
+
+    for (; col + 16 <= n; col += 16) {
+        __m256 acc0 = biasv;
+        __m256 acc1 = biasv;
+        const float *bcol = b + col;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const __m256 av = _mm256_broadcast_ss(arow + kk);
+            const float *brow = bcol + kk * n;
+            acc0 = _mm256_add_ps(
+                acc0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
+            acc1 = _mm256_add_ps(
+                acc1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
+        }
+        if (relu) {
+            acc0 = _mm256_max_ps(zero, acc0);
+            acc1 = _mm256_max_ps(zero, acc1);
+        }
+        _mm256_storeu_ps(crow + col, acc0);
+        _mm256_storeu_ps(crow + col + 8, acc1);
+    }
+    for (; col + 8 <= n; col += 8) {
+        __m256 acc = biasv;
+        const float *bcol = b + col;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const __m256 av = _mm256_broadcast_ss(arow + kk);
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(av, _mm256_loadu_ps(bcol + kk * n)));
+        }
+        if (relu)
+            acc = _mm256_max_ps(zero, acc);
+        _mm256_storeu_ps(crow + col, acc);
+    }
+    for (; col < n; ++col) {
+        float acc = bias_v;
+        for (std::size_t kk = 0; kk < k; ++kk)
+            acc += arow[kk] * b[kk * n + col];
+        crow[col] = relu ? std::max(acc, 0.0f) : acc;
+    }
+}
+
+/**
+ * One kRowBlock x 16 tile of C at (@p row, @p col): 2 * kRowBlock
+ * accumulators, so the two B loads of each k step feed kRowBlock
+ * rows and enough independent add chains are in flight to hide the
+ * add latency. Each lane is still one element's ascending-k chain.
+ */
+void
+tileAvx2(std::size_t n, std::size_t k, const float *a, const float *b,
+         const float *bias, float *c, std::size_t row, std::size_t col,
+         bool relu)
+{
+    __m256 acc0[kRowBlock];
+    __m256 acc1[kRowBlock];
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+        acc0[r] = _mm256_set1_ps(bias != nullptr ? bias[row + r] : 0.0f);
+        acc1[r] = acc0[r];
+    }
+    const float *ablock = a + row * k;
+    const float *bcol = b + col;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const float *brow = bcol + kk * n;
+        const __m256 b0 = _mm256_loadu_ps(brow);
+        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        for (std::size_t r = 0; r < kRowBlock; ++r) {
+            const __m256 av = _mm256_broadcast_ss(ablock + r * k + kk);
+            acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
+            acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
+        }
+    }
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+        if (relu) {
+            acc0[r] = _mm256_max_ps(zero, acc0[r]);
+            acc1[r] = _mm256_max_ps(zero, acc1[r]);
+        }
+        float *out = c + (row + r) * n + col;
+        _mm256_storeu_ps(out, acc0[r]);
+        _mm256_storeu_ps(out + 8, acc1[r]);
+    }
+}
+
 } // namespace
 
 void
@@ -114,56 +214,18 @@ gemmRowRangeAvx2(std::size_t n, std::size_t k, const float *a,
         return;
     }
 
-    // maxps(0, acc) keeps acc for -0.0 and NaN inputs — the same
-    // element std::max(acc, 0.0f) returns — so the ReLU epilogue is
-    // bit-identical to the scalar store.
-    const __m256 zero = _mm256_setzero_ps();
-    for (std::size_t row = row_begin; row < row_end; ++row) {
-        const float *arow = a + row * k;
-        float *crow = c + row * n;
-        const float bias_v = bias != nullptr ? bias[row] : 0.0f;
-        const __m256 biasv = _mm256_set1_ps(bias_v);
-
-        std::size_t col = 0;
-        for (; col + 16 <= n; col += 16) {
-            __m256 acc0 = biasv;
-            __m256 acc1 = biasv;
-            const float *bcol = b + col;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const __m256 av = _mm256_broadcast_ss(arow + kk);
-                const float *brow = bcol + kk * n;
-                acc0 = _mm256_add_ps(
-                    acc0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-                acc1 = _mm256_add_ps(
-                    acc1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
-            }
-            if (relu) {
-                acc0 = _mm256_max_ps(zero, acc0);
-                acc1 = _mm256_max_ps(zero, acc1);
-            }
-            _mm256_storeu_ps(crow + col, acc0);
-            _mm256_storeu_ps(crow + col + 8, acc1);
-        }
-        for (; col + 8 <= n; col += 8) {
-            __m256 acc = biasv;
-            const float *bcol = b + col;
-            for (std::size_t kk = 0; kk < k; ++kk) {
-                const __m256 av = _mm256_broadcast_ss(arow + kk);
-                acc = _mm256_add_ps(
-                    acc,
-                    _mm256_mul_ps(av, _mm256_loadu_ps(bcol + kk * n)));
-            }
-            if (relu)
-                acc = _mm256_max_ps(zero, acc);
-            _mm256_storeu_ps(crow + col, acc);
-        }
-        for (; col < n; ++col) {
-            float acc = bias_v;
-            for (std::size_t kk = 0; kk < k; ++kk)
-                acc += arow[kk] * b[kk * n + col];
-            crow[col] = relu ? std::max(acc, 0.0f) : acc;
-        }
-    }
+    // Column tiles outermost: one k x 16 strip of B stays
+    // cache-resident while every full row block consumes it.
+    const std::size_t block_end =
+        row_begin + (row_end - row_begin) / kRowBlock * kRowBlock;
+    const std::size_t tiled_cols = n / 16 * 16;
+    for (std::size_t col = 0; col < tiled_cols; col += 16)
+        for (std::size_t row = row_begin; row < block_end;
+             row += kRowBlock)
+            tileAvx2(n, k, a, b, bias, c, row, col, relu);
+    for (std::size_t row = row_begin; row < row_end; ++row)
+        rowAvx2(n, k, a, b, bias, c, row,
+                row < block_end ? tiled_cols : 0, relu);
 }
 
 } // namespace mindful::dnn::gemm::detail

@@ -31,7 +31,9 @@ namespace mindful::dnn::gemm::detail {
 /**
  * Produce C rows [row_begin, row_end) of
  * C[m x n] = epilogue(A[m x k] * B[k x n] + bias). Kernels branch
- * internally on n == 1 (GEMV layout) vs the column-tiled GEMM.
+ * internally on n == 1 (GEMV layout) vs the column-tiled GEMM, whose
+ * row ranges biasGemm aligns to kRowBlock (gemm.hh) so the AVX2
+ * kernel's register tiles fill every shard but the last.
  */
 using RowRangeFn = void (*)(std::size_t n, std::size_t k,
                             const float *a, const float *b,
@@ -60,6 +62,18 @@ void gemmRowRangeNeon(std::size_t n, std::size_t k, const float *a,
                       std::size_t row_begin, std::size_t row_end,
                       bool relu);
 #endif
+
+/**
+ * gemm::im2col with every tap packed row by row, never as one shifted
+ * copy — the general path, callable so tests can byte-compare the
+ * single-copy taps against it.
+ */
+void im2colPerRow(const float *input, std::size_t channels,
+                  std::size_t in_h, std::size_t in_w,
+                  std::size_t kernel_h, std::size_t kernel_w,
+                  std::size_t stride, std::size_t pad_h,
+                  std::size_t pad_w, std::size_t out_h, std::size_t out_w,
+                  float *patches);
 
 } // namespace mindful::dnn::gemm::detail
 

@@ -42,22 +42,28 @@ Pool2dLayer::forward(const Tensor &input) const
     const double window =
         static_cast<double>(_kernelH) * static_cast<double>(_kernelW);
 
+    // Rows are read through unchecked row pointers (outputShape
+    // validated the shape); the window is still visited row-major, so
+    // the max order and the double-precision sum match the
+    // element-wise loop.
+    float *dst = out.data();
     for (std::size_t c = 0; c < out_shape[0]; ++c) {
         for (std::size_t oy = 0; oy < out_shape[1]; ++oy) {
-            for (std::size_t ox = 0; ox < out_shape[2]; ++ox) {
+            for (std::size_t ox = 0; ox < out_shape[2]; ++ox, ++dst) {
                 float best = -std::numeric_limits<float>::infinity();
                 double sum = 0.0;
                 for (std::size_t ky = 0; ky < _kernelH; ++ky) {
+                    const float *row =
+                        input.rowData(c, oy * _kernelH + ky) +
+                        ox * _kernelW;
                     for (std::size_t kx = 0; kx < _kernelW; ++kx) {
-                        float v = input.at(c, oy * _kernelH + ky,
-                                           ox * _kernelW + kx);
-                        best = std::max(best, v);
-                        sum += v;
+                        best = std::max(best, row[kx]);
+                        sum += row[kx];
                     }
                 }
-                out.at(c, oy, ox) = _kind == PoolKind::Max
-                                        ? best
-                                        : static_cast<float>(sum / window);
+                *dst = _kind == PoolKind::Max
+                           ? best
+                           : static_cast<float>(sum / window);
             }
         }
     }
@@ -79,11 +85,14 @@ GlobalAvgPoolLayer::forward(const Tensor &input) const
     Tensor out(out_shape);
     const double window =
         static_cast<double>(input.dim(1)) * static_cast<double>(input.dim(2));
+    // A channel plane is contiguous: sum it in row-major order, the
+    // same double-precision sequence as the element-wise loop.
+    const std::size_t plane = input.dim(1) * input.dim(2);
     for (std::size_t c = 0; c < out_shape[0]; ++c) {
+        const float *src = input.data() + c * plane;
         double sum = 0.0;
-        for (std::size_t y = 0; y < input.dim(1); ++y)
-            for (std::size_t x = 0; x < input.dim(2); ++x)
-                sum += input.at(c, y, x);
+        for (std::size_t i = 0; i < plane; ++i)
+            sum += src[i];
         out[c] = static_cast<float>(sum / window);
     }
     return out;

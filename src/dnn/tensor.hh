@@ -64,7 +64,7 @@ class Tensor
 
     /**
      * Unchecked fast-path accessors for the numerical kernels
-     * (src/dnn/gemm.cc): no rank or bounds checks in Release builds,
+     * (src/dnn/pooling.cc): no rank or bounds checks in Release builds,
      * MINDFUL_DEBUG_ASSERT-backed otherwise. Callers must have
      * validated the shape once per call before entering their loops.
      */

@@ -16,10 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <vector>
 
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
 #include "dnn/gemm.hh"
+#include "dnn/gemm_kernels.hh"
 #include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
@@ -137,6 +140,60 @@ TEST(GemmConvTest, BitIdenticalAcrossThreadCounts)
 
     expectIdentical(serial, parallel);
     expectIdentical(serial, conv.forwardNaive(x));
+}
+
+/**
+ * Pack one input through gemm::im2col (single-copy taps wherever
+ * stride == 1 and out_w == in_w) and through the per-row packer, and
+ * require the two patch matrices to be byte-identical. The buffers
+ * start from different fill values, so an element either path leaves
+ * unwritten shows up as a mismatch.
+ */
+void
+expectIm2colPathsAgree(std::size_t channels, std::size_t in_h,
+                       std::size_t in_w, std::size_t kh, std::size_t kw,
+                       Padding padding)
+{
+    const bool same = padding == Padding::Same;
+    const std::size_t pad_h = same ? (kh - 1) / 2 : 0;
+    const std::size_t pad_w = same ? (kw - 1) / 2 : 0;
+    const std::size_t out_h = same ? in_h : in_h - kh + 1;
+    const std::size_t out_w = same ? in_w : in_w - kw + 1;
+    const Tensor x = makeInput({channels, in_h, in_w});
+    const std::size_t count =
+        gemm::im2colRows(channels, kh, kw) * out_h * out_w;
+
+    std::vector<float> single(count, 7.0f);
+    std::vector<float> per_row(count, -3.0f);
+    gemm::im2col(x.data(), channels, in_h, in_w, kh, kw, 1, pad_h, pad_w,
+                 out_h, out_w, single.data());
+    gemm::detail::im2colPerRow(x.data(), channels, in_h, in_w, kh, kw, 1,
+                               pad_h, pad_w, out_h, out_w,
+                               per_row.data());
+    ASSERT_EQ(std::memcmp(single.data(), per_row.data(),
+                          count * sizeof(float)),
+              0)
+        << channels << "x" << in_h << "x" << in_w << " kernel " << kh
+        << "x" << kw << (same ? " same" : " valid");
+}
+
+TEST(GemmConvTest, SingleCopyIm2colMatchesPerRowPacking)
+{
+    // Odd, even and rectangular kernels under same padding.
+    expectIm2colPathsAgree(3, 9, 7, 3, 3, Padding::Same);
+    expectIm2colPathsAgree(2, 8, 6, 4, 4, Padding::Same);
+    expectIm2colPathsAgree(2, 5, 8, 2, 2, Padding::Same);
+    expectIm2colPathsAgree(2, 6, 9, 3, 5, Padding::Same);
+    expectIm2colPathsAgree(2, 9, 4, 5, 1, Padding::Same);
+    // Valid padding keeps out_w == in_w only for one-column kernels;
+    // wider ones take the per-row path in both packers.
+    expectIm2colPathsAgree(3, 9, 7, 3, 1, Padding::Valid);
+    expectIm2colPathsAgree(2, 9, 7, 3, 3, Padding::Valid);
+    // A kernel taller than the input: some taps have no valid row.
+    expectIm2colPathsAgree(2, 2, 6, 7, 3, Padding::Same);
+    // One input column: every tap but the centre one is all padding.
+    expectIm2colPathsAgree(2, 5, 1, 3, 3, Padding::Same);
+    expectIm2colPathsAgree(2, 6, 1, 3, 1, Padding::Valid);
 }
 
 TEST(GemmDenseTest, MatchesNaiveExactly)

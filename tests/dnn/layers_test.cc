@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "dnn/activation.hh"
 #include "dnn/conv.hh"
@@ -254,6 +260,112 @@ TEST(PoolingTest, GlobalAvgPool)
     ASSERT_EQ(y.shape(), (Shape{2}));
     EXPECT_FLOAT_EQ(y[0], 1.0f);
     EXPECT_FLOAT_EQ(y[1], 5.0f);
+}
+
+/** Bit pattern of every element, for byte-exact comparisons. */
+std::vector<std::uint32_t>
+bitsOf(const Tensor &t)
+{
+    std::vector<std::uint32_t> bits(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(t[i]);
+    return bits;
+}
+
+/**
+ * Random (3, h >= 7, w >= 5) input with values planted where the
+ * visit order of a window decides the result: +-3e30 in consecutive
+ * rows (the cancellation drops whichever small values are summed
+ * between them), a +0.0 above a -0.0 among negatives (max keeps the
+ * first of equal elements), and -inf, alone and as a whole window.
+ */
+Tensor
+poolingInput(const Shape &shape)
+{
+    Tensor x(shape);
+    Rng rng(41);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    x.at(0, 0, 0) = 3e30f;
+    x.at(0, 1, 0) = -3e30f;
+    for (std::size_t y = 0; y < 7; ++y)
+        for (std::size_t w = 0; w < 5; ++w)
+            x.at(1, y, w) = -0.5f;
+    x.at(1, 0, 0) = 0.0f;
+    x.at(1, 1, 0) = -0.0f;
+    const float ninf = -std::numeric_limits<float>::infinity();
+    x.at(2, 0, 0) = x.at(2, 0, 1) = x.at(2, 1, 0) = x.at(2, 1, 1) = ninf;
+    x.at(2, 3, 3) = ninf;
+    return x;
+}
+
+/** Element-wise Pool2dLayer reference over Tensor::at. */
+Tensor
+referencePool(const Tensor &x, PoolKind kind, std::size_t kh,
+              std::size_t kw)
+{
+    Tensor out(Shape{x.dim(0), x.dim(1) / kh, x.dim(2) / kw});
+    const double window = static_cast<double>(kh) * static_cast<double>(kw);
+    for (std::size_t c = 0; c < out.dim(0); ++c)
+        for (std::size_t oy = 0; oy < out.dim(1); ++oy)
+            for (std::size_t ox = 0; ox < out.dim(2); ++ox) {
+                float best = -std::numeric_limits<float>::infinity();
+                double sum = 0.0;
+                for (std::size_t ky = 0; ky < kh; ++ky)
+                    for (std::size_t kx = 0; kx < kw; ++kx) {
+                        const float v = x.at(c, oy * kh + ky, ox * kw + kx);
+                        best = std::max(best, v);
+                        sum += v;
+                    }
+                out.at(c, oy, ox) = kind == PoolKind::Max
+                                        ? best
+                                        : static_cast<float>(sum / window);
+            }
+    return out;
+}
+
+TEST(PoolingTest, PoolMatchesElementwiseReferenceBitwise)
+{
+    // Square, non-square and one-axis kernels; 7x11 planes leave
+    // partial windows that the floor semantics drop.
+    const Tensor x = poolingInput({3, 7, 11});
+    for (const PoolKind kind : {PoolKind::Max, PoolKind::Average}) {
+        for (const auto &[kh, kw] :
+             {std::pair<std::size_t, std::size_t>{2, 2}, {3, 2}, {2, 5},
+              {1, 3}, {7, 1}, {3, 3}}) {
+            Pool2dLayer pool(kind, kh, kw);
+            EXPECT_EQ(bitsOf(pool.forward(x)),
+                      bitsOf(referencePool(x, kind, kh, kw)))
+                << (kind == PoolKind::Max ? "max " : "avg ") << kh << "x"
+                << kw;
+        }
+    }
+}
+
+TEST(PoolingTest, GlobalAvgPoolMatchesElementwiseReferenceBitwise)
+{
+    // Random planes, one of signed zeros only, one holding a -inf,
+    // and one that opens with +-1e30: summed in order it averages the
+    // small values, summed in any other order it loses them.
+    Tensor x(Shape{4, 5, 9});
+    Rng rng(43);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (std::size_t i = 0; i < 45; ++i)
+        x[i] = i % 2 == 0 ? -0.0f : 0.0f;
+    x[45 + 17] = -std::numeric_limits<float>::infinity();
+    x[3 * 45] = 1e30f;
+    x[3 * 45 + 1] = -1e30f;
+    Tensor reference(Shape{4});
+    for (std::size_t c = 0; c < 4; ++c) {
+        double sum = 0.0;
+        for (std::size_t y = 0; y < 5; ++y)
+            for (std::size_t w = 0; w < 9; ++w)
+                sum += x.at(c, y, w);
+        reference[c] = static_cast<float>(sum / 45.0);
+    }
+    GlobalAvgPoolLayer pool;
+    EXPECT_EQ(bitsOf(pool.forward(x)), bitsOf(reference));
 }
 
 TEST(PoolingTest, FlattenKeepsDataOrder)

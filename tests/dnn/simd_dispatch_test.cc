@@ -11,11 +11,14 @@
  * force-scalar run exercises) and require exact float equality
  * against the scalar kernel over ragged shapes (n % lane != 0,
  * k % lane != 0, row tails), GEMV (n == 1), strided/padded im2col
- * convolutions, the fused bias+ReLU epilogue, and thread counts.
+ * convolutions, the fused bias+ReLU epilogue, and thread counts —
+ * plus a naive-loop reference over the register-tile edges (row
+ * blocks, column tails) and the block-aligned sharded path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -138,6 +141,84 @@ TEST(SimdDispatch, GemmRaggedTailsBitIdentical)
         runShape(m, 19, 27, gemm::Epilogue::None);
     for (const std::size_t k : {1u, 7u, 8u, 9u, 24u, 31u})
         runShape(6, 21, k, gemm::Epilogue::None);
+}
+
+/**
+ * Naive C = epilogue(A * B + bias): one ascending-k chain per
+ * element, with multiply and add as separate statements so nothing
+ * can contract them into an FMA — the contract every kernel meets.
+ */
+std::vector<float>
+referenceGemm(std::size_t m, std::size_t n, std::size_t k,
+              const std::vector<float> &a, const std::vector<float> &b,
+              const std::vector<float> &bias, bool relu)
+{
+    std::vector<float> c(m * n);
+    for (std::size_t row = 0; row < m; ++row) {
+        for (std::size_t col = 0; col < n; ++col) {
+            float acc = bias[row];
+            for (std::size_t kk = 0; kk < k; ++kk) {
+                const float product = a[row * k + kk] * b[kk * n + col];
+                acc += product;
+            }
+            c[row * n + col] = relu ? std::max(acc, 0.0f) : acc;
+        }
+    }
+    return c;
+}
+
+TEST(SimdDispatch, RegisterTilesBitIdenticalToReference)
+{
+    // m crosses the kRowBlock-row register tile (full blocks plus
+    // every leftover-row count), n % 16 covers each column tail the
+    // kernels special-case, and the last two shapes clear
+    // kMinShardMacs so biasGemm shards whole row blocks over the pool
+    // — with leftover rows in the last shard.
+    struct GemmShape
+    {
+        std::size_t m, n, k;
+    };
+    std::vector<GemmShape> shapes;
+    for (const std::size_t m :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u, 16u, 17u, 31u})
+        for (const std::size_t tail : {0u, 1u, 7u, 8u, 9u, 15u})
+            shapes.push_back({m, 32 + tail, 11});
+    const GemmShape sharded[] = {{31, 512 + 15, 1030},
+                                 {17, 1024 + 9, 500}};
+    for (const GemmShape &s : sharded) {
+        ASSERT_GE(static_cast<std::uint64_t>(s.m) * s.n * s.k /
+                      gemm::kMinShardMacs,
+                  2u);
+        shapes.push_back(s);
+    }
+
+    IsaGuard guard;
+    for (const GemmShape &s : shapes) {
+        const auto a = randomVec(s.m * s.k, 401 + s.m);
+        const auto b = randomVec(s.k * s.n, 503 + s.n);
+        const auto bias = randomVec(s.m, 601 + s.k);
+        for (const bool relu : {false, true}) {
+            const auto reference =
+                referenceGemm(s.m, s.n, s.k, a, b, bias, relu);
+            const auto epilogue =
+                relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
+            for (const SimdIsa isa : supportedIsas()) {
+                forceSimdIsa(isa);
+                for (const unsigned threads : {1u, 2u, 8u}) {
+                    exec::ThreadPool::setGlobalThreadCount(threads);
+                    std::vector<float> out(s.m * s.n, -7.0f);
+                    gemm::biasGemm(s.m, s.n, s.k, a.data(), b.data(),
+                                   bias.data(), out.data(), epilogue);
+                    SCOPED_TRACE(testing::Message()
+                                 << "m=" << s.m << " n=" << s.n
+                                 << " k=" << s.k << " relu=" << relu
+                                 << " @" << threads << " threads");
+                    expectBitIdentical(reference, out, simdIsaName(isa));
+                }
+            }
+        }
+    }
+    exec::ThreadPool::setGlobalThreadCount(0);
 }
 
 TEST(SimdDispatch, FusedReluBitIdentical)
