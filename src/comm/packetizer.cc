@@ -1,83 +1,44 @@
 #include "comm/packetizer.hh"
 
+#include <array>
+
 #include "base/logging.hh"
 
 namespace mindful::comm {
 
-std::uint16_t
-crc16(const std::uint8_t *data, std::size_t size)
+namespace {
+
+/** Byte-at-a-time lookup table of CRC-16/CCITT-FALSE (poly 0x1021). */
+constexpr std::array<std::uint16_t, 256>
+makeCrcTable()
 {
-    std::uint16_t crc = 0xFFFF;
-    for (std::size_t i = 0; i < size; ++i) {
-        crc ^= static_cast<std::uint16_t>(data[i]) << 8;
+    std::array<std::uint16_t, 256> table{};
+    for (unsigned byte = 0; byte < 256; ++byte) {
+        auto crc = static_cast<std::uint16_t>(byte << 8);
         for (int bit = 0; bit < 8; ++bit) {
             if (crc & 0x8000)
                 crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
             else
                 crc = static_cast<std::uint16_t>(crc << 1);
         }
+        table[byte] = crc;
     }
-    return crc;
+    return table;
 }
 
-namespace {
-
-/** MSB-first bit packer into a byte vector. */
-class BitWriter
-{
-  public:
-    explicit BitWriter(std::vector<std::uint8_t> &out) : _out(out) {}
-
-    void
-    write(std::uint32_t value, unsigned bits)
-    {
-        for (unsigned i = bits; i-- > 0;) {
-            if (_fill == 0)
-                _out.push_back(0);
-            std::uint8_t bit = (value >> i) & 1u;
-            _out.back() = static_cast<std::uint8_t>(
-                _out.back() | (bit << (7 - _fill)));
-            _fill = (_fill + 1) % 8;
-        }
-    }
-
-  private:
-    std::vector<std::uint8_t> &_out;
-    unsigned _fill = 0;
-};
-
-/** MSB-first bit reader over a byte span. */
-class BitReader
-{
-  public:
-    BitReader(const std::uint8_t *data, std::size_t size)
-        : _data(data), _size(size)
-    {
-    }
-
-    bool
-    read(std::uint32_t &value, unsigned bits)
-    {
-        value = 0;
-        for (unsigned i = 0; i < bits; ++i) {
-            std::size_t byte = _cursor / 8;
-            if (byte >= _size)
-                return false;
-            unsigned offset = _cursor % 8;
-            value = (value << 1) |
-                    ((_data[byte] >> (7 - offset)) & 1u);
-            ++_cursor;
-        }
-        return true;
-    }
-
-  private:
-    const std::uint8_t *_data;
-    std::size_t _size;
-    std::size_t _cursor = 0;
-};
+constexpr std::array<std::uint16_t, 256> kCrcTable = makeCrcTable();
 
 } // namespace
+
+std::uint16_t
+crc16(const std::uint8_t *data, std::size_t size)
+{
+    std::uint16_t crc = 0xFFFF;
+    for (std::size_t i = 0; i < size; ++i)
+        crc = static_cast<std::uint16_t>(
+            (crc << 8) ^ kCrcTable[(crc >> 8) ^ data[i]]);
+    return crc;
+}
 
 Packetizer::Packetizer(FrameConfig config) : _config(config)
 {
@@ -97,7 +58,7 @@ Packetizer::pack(std::uint16_t sequence,
                        _config.sampleBits, "-bit range");
 
     std::vector<std::uint8_t> frame;
-    frame.reserve(headerBytes + samples.size() * 2 + crcBytes);
+    frame.reserve(frameBits(samples.size()) / 8);
     frame.push_back(syncByte);
     frame.push_back(static_cast<std::uint8_t>(sequence >> 8));
     frame.push_back(static_cast<std::uint8_t>(sequence & 0xFF));
@@ -105,9 +66,22 @@ Packetizer::pack(std::uint16_t sequence,
     frame.push_back(static_cast<std::uint8_t>(samples.size() >> 8));
     frame.push_back(static_cast<std::uint8_t>(samples.size() & 0xFF));
 
-    BitWriter writer(frame);
-    for (std::uint32_t s : samples)
-        writer.write(s, _config.sampleBits);
+    // MSB-first through an accumulator: each sample lands below the
+    // `pending` bits not yet stored, and whole bytes leave from the
+    // top. At most 7 + 16 bits are live, so the shifts never lose any.
+    const unsigned bits = _config.sampleBits;
+    std::uint64_t acc = 0;
+    unsigned pending = 0;
+    for (std::uint32_t s : samples) {
+        acc = (acc << bits) | s;
+        pending += bits;
+        while (pending >= 8) {
+            pending -= 8;
+            frame.push_back(static_cast<std::uint8_t>(acc >> pending));
+        }
+    }
+    if (pending > 0)
+        frame.push_back(static_cast<std::uint8_t>(acc << (8 - pending)));
 
     std::uint16_t checksum = crc16(frame.data(), frame.size());
     frame.push_back(static_cast<std::uint8_t>(checksum >> 8));
@@ -136,20 +110,27 @@ Packetizer::unpack(const std::vector<std::uint8_t> &frame) const
 
     // Validate the declared sample count against the payload region
     // before any allocation: a forged or corrupted count field must
-    // not drive reserve(), and a frame whose payload cannot hold
+    // not size the sample buffer, and a frame whose payload cannot hold
     // `count` samples is invalid outright.
     const std::size_t payload_bytes =
         frame.size() - headerBytes - crcBytes;
     if (count * static_cast<std::size_t>(bits) > payload_bytes * 8)
         return out;
 
-    BitReader reader(frame.data() + headerBytes, payload_bytes);
-    out.samples.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        std::uint32_t value = 0;
-        if (!reader.read(value, bits))
-            return out;
-        out.samples.push_back(value);
+    // Reads stay inside the payload: the check above bounds the
+    // ceil(count * bits / 8) bytes the accumulator consumes.
+    const std::uint8_t *in = frame.data() + headerBytes;
+    const std::uint32_t mask = (1u << bits) - 1;
+    std::uint64_t acc = 0;
+    unsigned avail = 0;
+    out.samples.resize(count);
+    for (std::uint32_t &sample : out.samples) {
+        while (avail < bits) {
+            acc = (acc << 8) | *in++;
+            avail += 8;
+        }
+        avail -= bits;
+        sample = static_cast<std::uint32_t>(acc >> avail) & mask;
     }
     out.valid = true;
     return out;

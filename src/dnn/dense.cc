@@ -52,8 +52,10 @@ DenseLayer::forward(const Tensor &input) const
                    "call initializeWeights() before forward()");
     // y = W x + b is the n = 1 case of the shared GEMM kernel: the
     // weight matrix is A [out x in], the input is B [in x 1]. Output
-    // rows shard over the pool; each accumulates in ascending k
-    // order, so the result is bit-identical to forwardNaive().
+    // rows shard over the pool only past gemm::kMinShardMacs per
+    // shard (every speech-MLP(256) layer runs as one); each row
+    // accumulates in ascending k order, so the result is
+    // bit-identical to forwardNaive().
     Tensor out(Shape{_out});
     switch (_dropPath) {
     case DropoutPath::Pruned: {

@@ -46,8 +46,8 @@ class DenseLayer : public Layer
 
     /**
      * Execute via the shared GEMM kernel (src/dnn/gemm.hh), sharding
-     * output rows over the pool. Bit-identical to forwardNaive() and
-     * across thread counts.
+     * output rows over the pool under its shard floor. Bit-identical
+     * to forwardNaive() and across thread counts.
      */
     Tensor forward(const Tensor &input) const override;
 

@@ -139,33 +139,43 @@ gemmRowRangeScalar(std::size_t n, std::size_t k, const float *a,
         gemmRowRange<false>(n, k, a, b, bias, c, row_begin, row_end);
 }
 
-} // namespace detail
-
-namespace {
-
-/**
- * Kernel for the dispatched ISA. Resolved per biasGemm call (one
- * relaxed atomic load inside activeSimdIsa), so tests and the bench
- * harness can retarget the tier mid-process via forceSimdIsa.
- */
-detail::RowRangeFn
+RowRangeFn
 dispatchKernel()
 {
     switch (activeSimdIsa()) {
 #if defined(MINDFUL_HAVE_AVX2)
     case SimdIsa::Avx2:
-        return &detail::gemmRowRangeAvx2;
+        return &gemmRowRangeAvx2;
 #endif
 #if defined(MINDFUL_HAVE_NEON)
     case SimdIsa::Neon:
-        return &detail::gemmRowRangeNeon;
+        return &gemmRowRangeNeon;
 #endif
     default:
-        return &detail::gemmRowRangeScalar;
+        return &gemmRowRangeScalar;
     }
 }
 
-} // namespace
+} // namespace detail
+
+std::size_t
+rowShards(std::size_t m, std::uint64_t macs)
+{
+    const std::uint64_t blocks = (m + kRowBlock - 1) / kRowBlock;
+    return static_cast<std::size_t>(std::max<std::uint64_t>(
+        1, std::min<std::uint64_t>(
+               {exec::kDefaultShards, blocks, macs / kMinShardMacs})));
+}
+
+RowRange
+rowShard(std::size_t m, std::size_t shards, std::size_t shard)
+{
+    const std::uint64_t blocks = (m + kRowBlock - 1) / kRowBlock;
+    const exec::ShardRange range = exec::shardRange(blocks, shards, shard);
+    return {static_cast<std::size_t>(range.begin) * kRowBlock,
+            std::min<std::size_t>(
+                static_cast<std::size_t>(range.end) * kRowBlock, m)};
+}
 
 void
 biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
@@ -184,26 +194,15 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
         .arg("k", static_cast<std::uint64_t>(k));
 
     const bool relu = epilogue == Epilogue::Relu;
-    const detail::RowRangeFn kernel = dispatchKernel();
+    const detail::RowRangeFn kernel = detail::dispatchKernel();
     auto run = [&](std::size_t row_begin, std::size_t row_end) {
         kernel(n, k, a, b, bias, c, row_begin, row_end, relu);
     };
 
     // Shard over output rows only: no shard touches another shard's C
     // rows and there is no cross-shard reduction, so the decomposition
-    // (and the thread count) cannot affect the result. The GEMV path
-    // shards single rows past kParallelMacThreshold; the column-tiled
-    // path shards whole register blocks, at least kMinShardMacs each.
-    const std::size_t unit = n == 1 ? 1 : kRowBlock;
-    const std::size_t units = (m + unit - 1) / unit;
-    std::size_t shards = 1;
-    if (n == 1) {
-        if (macs >= kParallelMacThreshold)
-            shards = std::min<std::size_t>(exec::kDefaultShards, m);
-    } else {
-        shards = static_cast<std::size_t>(std::min<std::uint64_t>(
-            {exec::kDefaultShards, units, macs / kMinShardMacs}));
-    }
+    // (and the thread count) cannot affect the result.
+    const std::size_t shards = rowShards(m, macs);
     if (shards <= 1) {
         run(0, m);
     } else {
@@ -220,13 +219,10 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
             shards,
             [&](std::size_t shard) {
                 obs::HotSpan shard_span(shard_site);
-                const auto range = exec::shardRange(units, shards, shard);
-                const std::size_t row_begin = range.begin * unit;
-                const std::size_t row_end =
-                    std::min<std::size_t>(range.end * unit, m);
-                shard_span.setArg(row_end - row_begin);
-                run(row_begin, row_end);
-                shard_rows.bump(row_end - row_begin);
+                const RowRange rows = rowShard(m, shards, shard);
+                shard_span.setArg(rows.end - rows.begin);
+                run(rows.begin, rows.end);
+                shard_rows.bump(rows.end - rows.begin);
             },
             "dnn.gemm.shard");
     }

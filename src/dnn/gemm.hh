@@ -30,11 +30,14 @@
  * also all the scalar and NEON tiers run. Every element is still one
  * ascending-k chain, whichever code computes it.
  *
- * Sharding (n > 1) hands out whole kRowBlock-row blocks, and only
- * when each shard gets at least kMinShardMacs of work: every shard
- * re-streams the whole B matrix and pays a pool hand-off, and on the
- * DN-CNN conv shapes a split costs 1.5-2x the CPU for at most 30% of
- * the wall time (docs/performance.md, "Shard floor").
+ * Sharding hands out whole kRowBlock-row blocks, and only when each
+ * shard gets at least kMinShardMacs of work (rowShards). The rule is
+ * the same for GEMV (n == 1), the column-tiled path and the sparse
+ * kernel: a shard pays a pool hand-off and, past n == 1, re-streams
+ * the whole B matrix, so every speech-decoder GEMM costs more CPU
+ * split than whole. The floor keeps the MLP(256) and DN-CNN(256)
+ * layers whole and splits only products as large as MLP(1024)'s
+ * 25 M-MAC input layer (docs/performance.md, "Shard floor").
  *
  * The row-range body is runtime-dispatched over SIMD tiers
  * (base/cpu.hh: scalar always, AVX2/NEON when compiled in and the
@@ -70,35 +73,45 @@ inline constexpr std::size_t kColBlock = 16;
  * Register-tile height of the AVX2 kernel (n > 1): kRowBlock rows of
  * C share every B load of a kColBlock-wide tile. Four rows keep eight
  * independent accumulator chains in flight, enough to cover the add
- * latency; the n > 1 path shards in whole blocks on every tier.
+ * latency. Every path shards in whole blocks on every tier.
  */
 inline constexpr std::size_t kRowBlock = 4;
 
 /**
- * Minimum m * n * k product before the GEMV (n == 1) path ships row
- * shards to the process-wide pool; smaller problems run inline (pool
- * dispatch would cost more than the arithmetic). Results are
- * identical either way.
- */
-inline constexpr std::uint64_t kParallelMacThreshold = 1u << 16;
-
-/**
- * Minimum MACs per shard of the column-tiled (n > 1) path:
- * shards = min(exec::kDefaultShards, ceil(m / kRowBlock),
- * macs / kMinShardMacs). Every shard streams the whole B matrix, so
- * a shard must carry enough rows to pay for that; the value comes
- * from a 1/2/4-shard sweep over the DN-CNN conv shapes
- * (docs/performance.md, "Shard floor").
+ * Minimum MACs per shard: shards = min(exec::kDefaultShards,
+ * ceil(m / kRowBlock), macs / kMinShardMacs). The value comes from
+ * bench/shard_sweep's CPU + wall sweep over the speech-MLP dense and
+ * DN-CNN conv shapes (docs/performance.md, "Shard floor").
  */
 inline constexpr std::uint64_t kMinShardMacs = 1u << 22;
+
+/** Half-open output-row range of one shard. */
+struct RowRange
+{
+    std::size_t begin;
+    std::size_t end;
+};
+
+/**
+ * Shard count for a product with @p m output rows and @p macs
+ * multiply-adds under the kMinShardMacs floor; 1 means run inline.
+ * The one shard rule of biasGemm and sparse::SlabCsrMatrix::multiply.
+ */
+std::size_t rowShards(std::size_t m, std::uint64_t macs);
+
+/**
+ * Rows of shard @p shard out of @p shards for an @p m-row product:
+ * a near-even split of whole kRowBlock blocks, the last clipped to m.
+ * Depends only on its arguments, so the decomposition is fixed.
+ */
+RowRange rowShard(std::size_t m, std::size_t shards, std::size_t shard);
 
 /**
  * C = epilogue(A * B + bias), all matrices row-major and contiguous:
  * A is m x k, B is k x n, C is m x n, bias has m entries (may be
- * nullptr for none). Shards rows over exec::parallelFor — GEMV rows
- * once the MAC count clears kParallelMacThreshold, column-tiled rows
- * in kRowBlock blocks of at least kMinShardMacs each; records
- * dnn.gemm.* metrics.
+ * nullptr for none). Shards rows over exec::parallelFor in
+ * kRowBlock blocks of at least kMinShardMacs each (rowShards);
+ * records dnn.gemm.* metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
               const float *a, const float *b, const float *bias, float *c,

@@ -64,6 +64,13 @@ void gemmRowRangeNeon(std::size_t n, std::size_t k, const float *a,
 #endif
 
 /**
+ * Kernel for the dispatched ISA. Resolved per biasGemm call (one
+ * relaxed atomic load inside activeSimdIsa), so tests and the bench
+ * harnesses can retarget the tier mid-process via forceSimdIsa.
+ */
+RowRangeFn dispatchKernel();
+
+/**
  * gemm::im2col with every tap packed row by row, never as one shifted
  * copy — the general path, callable so tests can byte-compare the
  * single-copy taps against it.

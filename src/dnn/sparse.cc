@@ -150,11 +150,9 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
 
     const bool relu = epilogue == gemm::Epilogue::Relu;
 
-    // Same row-only sharding rule as biasGemm: shards own disjoint C
-    // rows, so the decomposition cannot affect the result.
-    std::size_t shards = 1;
-    if (macs >= gemm::kParallelMacThreshold)
-        shards = std::min<std::size_t>(exec::kDefaultShards, _rows);
+    // biasGemm's shard rule: shards own disjoint C rows, so the
+    // decomposition cannot affect the result.
+    const std::size_t shards = gemm::rowShards(_rows, macs);
     if (shards <= 1) {
         multiplyRows(n, b, bias, c, relu, 0, _rows);
     } else {
@@ -166,11 +164,11 @@ SlabCsrMatrix::multiply(std::size_t n, const float *b, const float *bias,
             shards,
             [&](std::size_t shard) {
                 obs::HotSpan shard_span(shard_site);
-                auto range = exec::shardRange(_rows, shards, shard);
-                shard_span.setArg(range.end - range.begin);
-                multiplyRows(n, b, bias, c, relu, range.begin,
-                             range.end);
-                shard_rows.bump(range.end - range.begin);
+                const gemm::RowRange rows =
+                    gemm::rowShard(_rows, shards, shard);
+                shard_span.setArg(rows.end - rows.begin);
+                multiplyRows(n, b, bias, c, relu, rows.begin, rows.end);
+                shard_rows.bump(rows.end - rows.begin);
             },
             "dnn.spmm.shard");
     }

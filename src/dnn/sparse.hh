@@ -102,7 +102,7 @@ class SlabCsrMatrix {
     /**
      * C = epilogue(this * B + bias): B is k x n row-major (full k),
      * C is m x n, bias has m entries or is nullptr. Rows shard over
-     * exec::parallelFor past the same MAC threshold as biasGemm;
+     * exec::parallelFor by biasGemm's rule (gemm::rowShards);
      * each output element accumulates its nonzeros in ascending k
      * order, so results are thread-count invariant.
      */

@@ -1,10 +1,15 @@
 /**
  * @file
- * Frame packetizer tests, including parameterized round-trip sweeps
- * and corruption detection.
+ * Frame packetizer tests, including parameterized round-trip sweeps,
+ * corruption detection, a wire-format golden against a bit-serial
+ * reference, and a seeded mutation sweep over unpack.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "base/random.hh"
 #include "comm/packetizer.hh"
@@ -194,6 +199,236 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{3},
                                          std::size_t{64},
                                          std::size_t{1024})));
+
+// --- wire-format golden ---------------------------------------------------
+
+/** Bitwise CRC-16/CCITT-FALSE: one shift per message bit. */
+std::uint16_t
+referenceCrc16(const std::vector<std::uint8_t> &data)
+{
+    std::uint16_t crc = 0xFFFF;
+    for (std::uint8_t byte : data) {
+        crc ^= static_cast<std::uint16_t>(byte << 8);
+        for (int bit = 0; bit < 8; ++bit) {
+            if (crc & 0x8000)
+                crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+            else
+                crc = static_cast<std::uint16_t>(crc << 1);
+        }
+    }
+    return crc;
+}
+
+/**
+ * The documented frame built one bit at a time: sync, sequence,
+ * width and count bytes, each sample MSB-first at @p bits bits with
+ * zero padding to a byte, then the big-endian CRC over all of it.
+ */
+std::vector<std::uint8_t>
+referenceFrame(std::uint16_t sequence, unsigned bits,
+               const std::vector<std::uint32_t> &samples)
+{
+    std::vector<std::uint8_t> frame{
+        Packetizer::syncByte,
+        static_cast<std::uint8_t>(sequence >> 8),
+        static_cast<std::uint8_t>(sequence & 0xFF),
+        static_cast<std::uint8_t>(bits),
+        static_cast<std::uint8_t>(samples.size() >> 8),
+        static_cast<std::uint8_t>(samples.size() & 0xFF)};
+    std::size_t cursor = 0;
+    for (std::uint32_t sample : samples) {
+        for (unsigned i = bits; i-- > 0; ++cursor) {
+            if (cursor % 8 == 0)
+                frame.push_back(0);
+            const unsigned bit = (sample >> i) & 1u;
+            frame.back() = static_cast<std::uint8_t>(
+                frame.back() | (bit << (7 - cursor % 8)));
+        }
+    }
+    const std::uint16_t crc = referenceCrc16(frame);
+    frame.push_back(static_cast<std::uint8_t>(crc >> 8));
+    frame.push_back(static_cast<std::uint8_t>(crc & 0xFF));
+    return frame;
+}
+
+std::vector<std::uint32_t>
+randomSamples(Rng &rng, unsigned bits, std::size_t count)
+{
+    std::vector<std::uint32_t> samples(count);
+    const std::int64_t cap = (std::int64_t{1} << bits) - 1;
+    for (auto &sample : samples)
+        sample = static_cast<std::uint32_t>(rng.uniformInt(0, cap));
+    return samples;
+}
+
+TEST(PacketizerGolden, PackMatchesBitSerialReferenceForEveryWidth)
+{
+    Rng rng(1501);
+    for (unsigned bits = 1; bits <= 16; ++bits) {
+        Packetizer packetizer({bits});
+        for (const std::size_t count :
+             {0u, 1u, 2u, 3u, 7u, 8u, 9u, 255u, 256u, 257u}) {
+            const auto samples = randomSamples(rng, bits, count);
+            // All-ones samples too: every payload bit set.
+            const std::vector<std::uint32_t> ones(count,
+                                                  (1u << bits) - 1);
+            for (const auto *payload : {&samples, &ones}) {
+                const auto sequence =
+                    static_cast<std::uint16_t>(rng.uniformInt(0, 0xFFFF));
+                const auto frame = packetizer.pack(sequence, *payload);
+                ASSERT_EQ(frame, referenceFrame(sequence, bits, *payload))
+                    << "bits=" << bits << " count=" << count;
+                ASSERT_EQ(frame.size() * 8, packetizer.frameBits(count));
+            }
+        }
+    }
+}
+
+TEST(PacketizerGolden, Crc16MatchesBitwiseReference)
+{
+    Rng rng(1502);
+    for (std::size_t size = 0; size <= 600; ++size) {
+        std::vector<std::uint8_t> data(size);
+        for (auto &byte : data)
+            byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        ASSERT_EQ(crc16(data.data(), data.size()), referenceCrc16(data))
+            << "size=" << size;
+    }
+}
+
+// --- seeded mutation sweep over unpack ----------------------------------
+
+/**
+ * The unpack contract on arbitrary input: either the frame is
+ * rejected, or its CRC matches and it is exactly what pack() would
+ * produce for the decoded samples — same header, same payload bits
+ * (padding and trailing payload bytes aside), every sample in range.
+ */
+void
+expectRejectedOrExact(const Packetizer &packetizer,
+                      const std::vector<std::uint8_t> &mutated)
+{
+    // An exact-size copy, so a read past the end is a heap overflow
+    // the sanitizers see rather than a read of spare capacity.
+    const std::vector<std::uint8_t> frame(mutated.begin(), mutated.end());
+    const UnpackedFrame out = packetizer.unpack(frame);
+    if (!out.valid)
+        return;
+
+    const unsigned bits = packetizer.config().sampleBits;
+    ASSERT_GE(frame.size(), Packetizer::headerBytes + Packetizer::crcBytes);
+    const std::vector<std::uint8_t> body(frame.begin(), frame.end() - 2);
+    ASSERT_EQ(referenceCrc16(body),
+              static_cast<std::uint16_t>((frame[frame.size() - 2] << 8) |
+                                         frame[frame.size() - 1]));
+    for (std::uint32_t sample : out.samples)
+        ASSERT_LT(sample, 1u << bits);
+
+    const auto repacked = packetizer.pack(out.sequence, out.samples);
+    ASSERT_TRUE(std::equal(repacked.begin(),
+                           repacked.begin() + Packetizer::headerBytes,
+                           frame.begin()));
+    const std::size_t payload_bits = out.samples.size() * bits;
+    for (std::size_t byte = 0; byte * 8 < payload_bits; ++byte) {
+        const std::size_t live = std::min<std::size_t>(
+            8, payload_bits - byte * 8);
+        const auto mask = static_cast<std::uint8_t>(0xFF << (8 - live));
+        ASSERT_EQ(repacked[Packetizer::headerBytes + byte] & mask,
+                  frame[Packetizer::headerBytes + byte] & mask)
+            << "payload byte " << byte;
+    }
+    const UnpackedFrame again = packetizer.unpack(repacked);
+    ASSERT_TRUE(again.valid);
+    ASSERT_EQ(again.sequence, out.sequence);
+    ASSERT_EQ(again.samples, out.samples);
+}
+
+/** Recompute the trailing CRC so only the structural checks remain. */
+void
+reseal(std::vector<std::uint8_t> &frame)
+{
+    if (frame.size() < Packetizer::crcBytes)
+        return;
+    const std::uint16_t checksum =
+        crc16(frame.data(), frame.size() - Packetizer::crcBytes);
+    frame[frame.size() - 2] = static_cast<std::uint8_t>(checksum >> 8);
+    frame[frame.size() - 1] = static_cast<std::uint8_t>(checksum & 0xFF);
+}
+
+TEST(PacketizerMutation, MutatedFramesAreRejectedOrRoundTripExactly)
+{
+    Rng rng(1503);
+    std::size_t accepted = 0;
+    std::size_t mutations = 0;
+    for (const unsigned bits : {1u, 3u, 8u, 10u, 13u, 16u}) {
+        Packetizer packetizer({bits});
+        auto draw = [&](std::int64_t lo, std::int64_t hi) {
+            return static_cast<std::size_t>(rng.uniformInt(lo, hi));
+        };
+        auto validFrame = [&] {
+            const auto samples = randomSamples(rng, bits, draw(0, 300));
+            return packetizer.pack(
+                static_cast<std::uint16_t>(draw(0, 0xFFFF)), samples);
+        };
+        // A cut point in [0, size], or an index into the frame.
+        auto cut = [&](std::size_t size, bool index = false) {
+            return draw(0, static_cast<std::int64_t>(size) - (index ? 1 : 0));
+        };
+        for (int trial = 0; trial < 1500; ++trial) {
+            std::vector<std::uint8_t> frame = validFrame();
+            switch (draw(0, 5)) {
+            case 0: // byte flips anywhere, header and CRC included
+                for (std::size_t n = draw(1, 4); n-- > 0;)
+                    frame[cut(frame.size(), true)] ^=
+                        static_cast<std::uint8_t>(draw(1, 255));
+                break;
+            case 1: // truncation
+                frame.resize(cut(frame.size(), true));
+                break;
+            case 2: { // splice: one frame's head onto another's tail
+                const std::vector<std::uint8_t> other = validFrame();
+                frame.resize(cut(frame.size()));
+                frame.insert(frame.end(),
+                             other.begin() + static_cast<std::ptrdiff_t>(
+                                                 cut(other.size())),
+                             other.end());
+                break;
+            }
+            case 3: // forged count: anywhere, or just around the truth
+                if (draw(0, 1) == 0) {
+                    frame[4] = static_cast<std::uint8_t>(draw(0, 255));
+                    frame[5] = static_cast<std::uint8_t>(draw(0, 255));
+                } else {
+                    const std::size_t count =
+                        ((frame[4] << 8) | frame[5]) + draw(0, 16) - 8;
+                    frame[4] = static_cast<std::uint8_t>(count >> 8);
+                    frame[5] = static_cast<std::uint8_t>(count & 0xFF);
+                }
+                break;
+            case 4: // forged width
+                frame[3] = static_cast<std::uint8_t>(draw(0, 255));
+                break;
+            default: // trailing garbage
+                for (std::size_t n = draw(1, 8); n-- > 0;)
+                    frame.insert(frame.end() - 2,
+                                 static_cast<std::uint8_t>(draw(0, 255)));
+                break;
+            }
+            // Most mutations are resealed, so they get past the CRC
+            // and exercise the structural checks behind it.
+            if (draw(0, 3) != 0)
+                reseal(frame);
+            ++mutations;
+            expectRejectedOrExact(packetizer, frame);
+            if (HasFatalFailure())
+                return;
+            accepted += packetizer.unpack(frame).valid ? 1 : 0;
+        }
+    }
+    // Both outcomes occur, so neither branch of the oracle is vacuous.
+    EXPECT_GT(accepted, mutations / 20);
+    EXPECT_LT(accepted, mutations);
+}
 
 } // namespace
 } // namespace mindful::comm

@@ -15,14 +15,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
 #include "dnn/gemm.hh"
 #include "dnn/gemm_kernels.hh"
+#include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
@@ -209,19 +213,55 @@ TEST(GemmDenseTest, MatchesNaiveExactly)
 
 TEST(GemmDenseTest, BitIdenticalAcrossThreadCounts)
 {
-    DenseLayer layer(512, 512);
-    Rng rng(17);
-    layer.initializeWeights(rng);
-    Tensor x = makeInput({512});
-
-    exec::ThreadPool::setGlobalThreadCount(1);
-    Tensor serial = layer.forward(x);
-    exec::ThreadPool::setGlobalThreadCount(8);
-    Tensor parallel = layer.forward(x);
+    // 512 x 512 runs as one shard; 1027 outputs x 8200 inputs clears
+    // two kMinShardMacs, so the GEMV shards whole row blocks, the last
+    // one three rows short.
+    ASSERT_EQ(gemm::rowShards(1027, std::uint64_t{8200} * 1027), 2u);
+    for (const auto [in, out] : {std::pair<std::size_t, std::size_t>{512, 512},
+                                 {8200, 1027}}) {
+        DenseLayer layer(in, out);
+        Rng rng(17);
+        layer.initializeWeights(rng);
+        Tensor x = makeInput({in});
+        const Tensor naive = layer.forwardNaive(x);
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            exec::ThreadPool::setGlobalThreadCount(threads);
+            expectIdentical(layer.forward(x), naive);
+        }
+    }
     exec::ThreadPool::setGlobalThreadCount(0);
+}
 
-    expectIdentical(serial, parallel);
-    expectIdentical(serial, layer.forwardNaive(x));
+TEST(GemmShardRule, FloorBlocksAndPoolCapBoundTheShardCount)
+{
+    const std::uint64_t floor = gemm::kMinShardMacs;
+    EXPECT_EQ(gemm::rowShards(4096, 0), 1u);
+    EXPECT_EQ(gemm::rowShards(4096, 2 * floor - 1), 1u);
+    EXPECT_EQ(gemm::rowShards(4096, 2 * floor), 2u);
+    EXPECT_EQ(gemm::rowShards(4096, 7 * floor), 7u);
+    EXPECT_EQ(gemm::rowShards(4096, 1000 * floor), exec::kDefaultShards);
+    // Never more shards than whole kRowBlock blocks.
+    EXPECT_EQ(gemm::rowShards(9, 1000 * floor), 3u);
+    EXPECT_EQ(gemm::rowShards(1, 1000 * floor), 1u);
+}
+
+TEST(GemmShardRule, ShardsTileTheRowsInWholeBlocks)
+{
+    for (const std::size_t m : {1u, 3u, 4u, 5u, 16u, 17u, 63u, 1027u}) {
+        const std::size_t blocks = (m + gemm::kRowBlock - 1) / gemm::kRowBlock;
+        for (std::size_t shards = 1;
+             shards <= std::min<std::size_t>(blocks, 16); ++shards) {
+            std::size_t next = 0;
+            for (std::size_t shard = 0; shard < shards; ++shard) {
+                const gemm::RowRange rows = gemm::rowShard(m, shards, shard);
+                ASSERT_EQ(rows.begin, next) << m << "/" << shards;
+                ASSERT_EQ(rows.begin % gemm::kRowBlock, 0u);
+                ASSERT_GT(rows.end, rows.begin);
+                next = rows.end;
+            }
+            ASSERT_EQ(next, m) << m << "/" << shards;
+        }
+    }
 }
 
 TEST(GemmDenseStageTest, FusedForwardMatchesReferenceExactly)

@@ -164,6 +164,46 @@ TEST(SlabCsr, WideRightHandSideWithRelu)
         }
 }
 
+TEST(SlabCsr, ShardedMultiplyBitIdenticalAcrossThreadCounts)
+{
+    // nnz * n clears three kMinShardMacs, so multiply shards whole
+    // row blocks by biasGemm's rule; 37 rows leave a one-row block.
+    const std::size_t m = 37, k = 2000, n = 512;
+    Rng rng(59);
+    std::vector<float> a(m * k), b(k * n), bias(m);
+    for (auto &v : a)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto &v : b)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto &v : bias)
+        v = static_cast<float>(rng.uniform(-0.5, 0.5));
+    const auto mask = randomMask(k, k / 3, 61);
+
+    auto csr =
+        sparse::SlabCsrMatrix::fromDense(a.data(), m, k, mask.data());
+    ASSERT_EQ(gemm::rowShards(m, static_cast<std::uint64_t>(csr.nnz()) * n),
+              3u);
+    std::vector<float> reference(m * n);
+    for (std::size_t row = 0; row < m; ++row)
+        for (std::size_t col = 0; col < n; ++col) {
+            float acc = bias[row];
+            for (std::size_t kk = 0; kk < k; ++kk)
+                if (mask[kk] != 0)
+                    acc += a[row * k + kk] * b[kk * n + col];
+            reference[row * n + col] = std::max(acc, 0.0f);
+        }
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        exec::ThreadPool::setGlobalThreadCount(threads);
+        std::vector<float> y(m * n, -7.0f);
+        csr.multiply(n, b.data(), bias.data(), y.data(),
+                     gemm::Epilogue::Relu);
+        for (std::size_t i = 0; i < y.size(); ++i)
+            ASSERT_EQ(y[i], reference[i])
+                << "element " << i << " @" << threads << " threads";
+    }
+    exec::ThreadPool::setGlobalThreadCount(0);
+}
+
 TEST(PrunedColumns, PacksAndGathers)
 {
     const std::vector<float> dense = {

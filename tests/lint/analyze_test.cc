@@ -1075,7 +1075,7 @@ TEST_F(AnalyzeRunTest, OldSchemaCacheFallsBackToReparse)
     EXPECT_EQ(run(options, cold), 1);
     EXPECT_NE(cold.find("[hot-path]"), std::string::npos);
 
-    // Forge an old-schema (v2) record at the exact key the analyzer
+    // Forge an old-schema (v3) record at the exact key the analyzer
     // will look up, whose body claims the file has no facts at all.
     // The strict loader must reject the header and reparse — if it
     // trusted the record, the finding would vanish.
@@ -1083,18 +1083,18 @@ TEST_F(AnalyzeRunTest, OldSchemaCacheFallsBackToReparse)
     const fs::path forged = _root / "cache" / (key + ".facts");
     {
         std::ofstream out(forged);
-        out << "mindful-analyze-cache 2\nP " << rel << "\nE\n";
+        out << "mindful-analyze-cache 3\nP " << rel << "\nE\n";
     }
     std::string warm;
     EXPECT_EQ(run(options, warm), 1);
     EXPECT_EQ(cold, warm);
 
     // Control for the forgery mechanism itself: the same empty body
-    // under the CURRENT (v3) schema header IS accepted, so the key
+    // under the CURRENT (v4) schema header IS accepted, so the key
     // and path above really exercise the loader.
     {
         std::ofstream out(forged);
-        out << "mindful-analyze-cache 3\nP " << rel << "\nE\n";
+        out << "mindful-analyze-cache 4\nP " << rel << "\nE\n";
     }
     std::string forged_out;
     EXPECT_EQ(run(options, forged_out), 0) << forged_out;
@@ -1272,6 +1272,56 @@ TEST(AnalyzeRealtime, OpaqueCalleeFallbackTwoDefsInDifferentFiles)
         )fix"},
     });
     EXPECT_EQ(countCheck(findings, "realtime-loop"), 0u);
+}
+
+TEST(AnalyzeRealtime, MemberCallNeverResolvesToAnotherFilesFreeFunction)
+{
+    // `os.write(...)` is a stream member; the only *definition* named
+    // `write` is a blocking free function in another file. Resolving
+    // by bare name would walk the streaming loop into it.
+    const std::pair<std::string, std::string> exporter{
+        "bench/exporter.cc", R"fix(
+            namespace {
+            void write(const std::string &path, const Table &table)
+            {
+                std::ofstream out(path);
+                out << table;
+            }
+            } // namespace
+        )fix"};
+    auto findings = analyze({
+        exporter,
+        {"obs/sink.cc", R"fix(
+            void drain(Ring *ring, std::ostream &os, Sink *sink)
+            {
+                Event event;
+                MINDFUL_RT_LOOP("fixture.drain")
+                while (ring->tryPop(event)) {
+                    os.write(event.bytes, event.size);
+                    sink->write(event.bytes, event.size);
+                }
+            }
+        )fix"},
+    });
+    EXPECT_EQ(countCheck(findings, "realtime-loop"), 0u);
+
+    // Control: the same loop calling the free function does reach it.
+    findings = analyze({
+        exporter,
+        {"obs/sink.cc", R"fix(
+            void drain(Ring *ring, const Table &table)
+            {
+                Event event;
+                MINDFUL_RT_LOOP("fixture.drain")
+                while (ring->tryPop(event)) {
+                    write("out.csv", table);
+                }
+            }
+        )fix"},
+    });
+    ASSERT_EQ(countCheck(findings, "realtime-loop"), 1u);
+    EXPECT_TRUE(hasFinding(findings, "realtime-loop",
+                           "opens a file stream (std::ofstream)"));
 }
 
 TEST(AnalyzeRealtime, RtOkAtTheBlockerSuppressesWithReason)

@@ -249,6 +249,9 @@ class Parser
     /** Unordered locals of the body currently being flat-scanned. */
     std::set<std::string> *_unordered = nullptr;
 
+    /** Class bodies enclosing the scope being parsed. */
+    std::size_t _classDepth = 0;
+
     const std::string &
     tok(std::size_t i) const
     {
@@ -321,7 +324,9 @@ class Parser
         } else if (has_paren) {
             parseFunction(head, open, close);
         } else if (has_class) {
+            ++_classDepth;
             parseScope(open + 1, close);
+            --_classDepth;
         }
         // anything else: opaque block
     }
@@ -344,6 +349,8 @@ class Parser
         if (isIdentTok(tok(paren - 1)))
             fn.name = tok(paren - 1);
         fn.line = _t[paren - 1].line;
+        fn.freeFunction = _classDepth == 0 &&
+                          !(paren >= 2 && tok(paren - 2) == ":");
         parseParams(paren + 1, matchParen(_t, paren), fn.params);
         analyzeBody(fn, open + 1, close);
         _out.functions.push_back(std::move(fn));
@@ -906,6 +913,7 @@ class Parser
                 call.callee = t;
                 call.line = line;
                 call.pos = i;
+                call.member = after_dot;
                 collectArgIdents(paren, call.argIdents);
                 fn.calls.push_back(std::move(call));
             }
@@ -1534,10 +1542,13 @@ class Linker
      * Conservative resolution: same-file candidates win; otherwise a
      * name defined in exactly one file resolves; a name defined in
      * several files is an overload set we cannot type, so it stays
-     * opaque (assumed pure) — every reported path is real.
+     * opaque (assumed pure) — every reported path is real. A
+     * @p member call (`obj.f()`, `p->f()`) never reaches another
+     * file's namespace-scope free function.
      */
     std::vector<FnKey>
-    resolve(std::size_t from_file, const std::string &name) const
+    resolve(std::size_t from_file, const std::string &name,
+            bool member = false) const
     {
         auto it = _byName.find(name);
         if (it == _byName.end() || name.empty())
@@ -1551,9 +1562,22 @@ class Linker
         }
         if (!same_file.empty())
             return same_file;
-        if (defining_files.size() == 1)
-            return it->second;
-        return {};
+        if (defining_files.size() != 1)
+            return {};
+        std::vector<FnKey> keys = it->second;
+        if (member)
+            keys.erase(std::remove_if(keys.begin(), keys.end(),
+                                      [&](const FnKey &key) {
+                                          return fn(key).freeFunction;
+                                      }),
+                       keys.end());
+        return keys;
+    }
+
+    std::vector<FnKey>
+    resolve(std::size_t from_file, const CallSite &call) const
+    {
+        return resolve(from_file, call.callee, call.member);
     }
 
     const FunctionFacts &
@@ -1625,7 +1649,7 @@ reachableFrom(FnKey root, const Linker &linker)
         FnKey current = reach.order[head];
         for (const CallSite &call : linker.fn(current).calls) {
             for (const FnKey &next :
-                 linker.resolve(current.file, call.callee)) {
+                 linker.resolve(current.file, call)) {
                 if (visited.insert(next).second) {
                     reach.parent[next] = current;
                     reach.order.push_back(next);
@@ -1696,7 +1720,7 @@ unforkedParamDraws(const std::vector<FileFacts> &files,
                 const FunctionFacts &fn = files[f].functions[k];
                 for (const CallSite &call : fn.calls) {
                     for (const FnKey &target :
-                         linker.resolve(f, call.callee)) {
+                         linker.resolve(f, call)) {
                         auto it = unforked.find(target);
                         if (it == unforked.end())
                             continue;
@@ -1757,7 +1781,7 @@ growingParams(const std::vector<FileFacts> &files, const Linker &linker)
                 const FunctionFacts &fn = files[f].functions[k];
                 for (const CallSite &call : fn.calls) {
                     for (const FnKey &target :
-                         linker.resolve(f, call.callee)) {
+                         linker.resolve(f, call)) {
                         auto it = growing.find(target);
                         if (it == growing.end() ||
                             target == FnKey{f, k})
@@ -2217,7 +2241,7 @@ semanticFindings(const std::vector<FileFacts> &files)
         // that (transitively) draws from it without forking.
         for (const CallSite &call : root_fn.calls) {
             for (const FnKey &target :
-                 linker.resolve(root.key.file, call.callee)) {
+                 linker.resolve(root.key.file, call)) {
                 auto it = unforked.find(target);
                 if (it == unforked.end())
                     continue;
@@ -2366,7 +2390,7 @@ semanticFindings(const std::vector<FileFacts> &files)
                         call.pos >= view.lastUsePos)
                         continue;
                     for (const FnKey &target :
-                         linker.resolve(f, call.callee)) {
+                         linker.resolve(f, call)) {
                         auto it = growing.find(target);
                         if (it == growing.end())
                             continue;

@@ -87,6 +87,8 @@ struct CallSite
     std::vector<std::string> argIdents;
     /** Token index within the body (orders calls vs view lifetimes). */
     std::size_t pos = 0;
+    /** Callee follows `.` or `->`: a member call, never a free function. */
+    bool member = false;
 };
 
 /** One RNG draw (`engine.gaussian()` and friends). */
@@ -148,6 +150,9 @@ struct FunctionFacts
 {
     std::string name; //!< unqualified ("forward", not "Network::forward")
     std::size_t line = 0;
+
+    /** Defined at namespace scope with an unqualified name. */
+    bool freeFunction = false;
 
     /** Lambda handed directly to parallelFor/parallelReduce. */
     bool shardRoot = false;

@@ -23,8 +23,9 @@ namespace {
  * v3: realtime-loop and view-invalidation — rtRoot flag on 'F',
  * mutableRef on 'p', call token position on 'c', plus 'b' blocker,
  * 'V' view and 'G' grow records.
+ * v4: freeFunction flag on 'F', member-call flag on 'c'.
  */
-constexpr const char *kCacheVersion = "3";
+constexpr const char *kCacheVersion = "4";
 
 std::string
 escapeField(const std::string &field)
@@ -190,7 +191,8 @@ storeCachedFacts(const std::string &cache_dir, const std::string &key,
             out << "F " << escapeField(fn.name) << ' ' << fn.line << ' '
                 << (fn.shardRoot ? 1 : 0) << ' '
                 << escapeField(fn.rootLabel) << ' ' << fn.rootLine
-                << ' ' << (fn.rtRoot ? 1 : 0) << '\n';
+                << ' ' << (fn.rtRoot ? 1 : 0) << ' '
+                << (fn.freeFunction ? 1 : 0) << '\n';
             for (const ParamFacts &param : fn.params)
                 out << "p " << escapeField(param.name) << ' '
                     << (param.isRng ? 1 : 0) << ' '
@@ -216,6 +218,7 @@ storeCachedFacts(const std::string &cache_dir, const std::string &key,
             for (const CallSite &call : fn.calls) {
                 out << "c " << escapeField(call.callee) << ' '
                     << call.line << ' ' << call.pos << ' '
+                    << (call.member ? 1 : 0) << ' '
                     << call.argIdents.size();
                 for (const std::string &arg : call.argIdents)
                     out << ' ' << escapeField(arg);
@@ -303,7 +306,7 @@ loadCachedFacts(const std::string &cache_dir, const std::string &key,
             break;
         }
         case 'F': {
-            if (fields.size() != 7)
+            if (fields.size() != 8)
                 return false;
             auto name = unescapeField(fields[1]);
             auto fn_line = parseSize(fields[2]);
@@ -311,7 +314,8 @@ loadCachedFacts(const std::string &cache_dir, const std::string &key,
             auto root_line = parseSize(fields[5]);
             if (!name || !fn_line || !label || !root_line ||
                 (fields[3] != "0" && fields[3] != "1") ||
-                (fields[6] != "0" && fields[6] != "1"))
+                (fields[6] != "0" && fields[6] != "1") ||
+                (fields[7] != "0" && fields[7] != "1"))
                 return false;
             FunctionFacts next;
             next.name = *name;
@@ -320,6 +324,7 @@ loadCachedFacts(const std::string &cache_dir, const std::string &key,
             next.rootLabel = *label;
             next.rootLine = *root_line;
             next.rtRoot = fields[6] == "1";
+            next.freeFunction = fields[7] == "1";
             loaded.functions.push_back(std::move(next));
             fn = &loaded.functions.back();
             break;
@@ -348,21 +353,23 @@ loadCachedFacts(const std::string &cache_dir, const std::string &key,
             break;
         }
         case 'c': {
-            if (!fn || fields.size() < 5)
+            if (!fn || fields.size() < 6 ||
+                (fields[4] != "0" && fields[4] != "1"))
                 return false;
             auto callee = unescapeField(fields[1]);
             auto at = parseSize(fields[2]);
             auto pos = parseSize(fields[3]);
-            auto n = parseSize(fields[4]);
+            auto n = parseSize(fields[5]);
             if (!callee || !at || !pos || !n ||
-                fields.size() != 5 + *n)
+                fields.size() != 6 + *n)
                 return false;
             CallSite call;
             call.callee = *callee;
             call.line = *at;
             call.pos = *pos;
+            call.member = fields[4] == "1";
             for (std::size_t k = 0; k < *n; ++k) {
-                auto arg = unescapeField(fields[5 + k]);
+                auto arg = unescapeField(fields[6 + k]);
                 if (!arg)
                     return false;
                 call.argIdents.push_back(*arg);
