@@ -11,23 +11,32 @@
 namespace mindful::dnn {
 namespace {
 
+/** Views of the calling thread's conv scratch. */
+struct ConvScratch
+{
+    float *floats;         //!< im2col patch matrix, compacted planes
+    std::uint32_t *masks;  //!< im2col column masks
+};
+
 /**
- * Per-thread scratch for the conv forward paths (im2col patch matrix,
- * compacted dropout planes): grown to the largest request this thread
- * has made and never shrunk, so a steady-state forward allocates and
- * zero-fills nothing. Per thread because a const layer may run on
- * several threads at once; one thread never has two conv forwards in
- * flight (biasGemm's shards only read the buffer while the caller
- * waits), so one buffer per thread suffices. Callers size it before
- * handing it to biasGemm — never inside a shard body.
+ * Per-thread scratch for the conv forward paths: grown to the largest
+ * request this thread has made and never shrunk, so a steady-state
+ * forward allocates and zero-fills nothing. Per thread because a const
+ * layer may run on several threads at once; one thread never has two
+ * conv forwards in flight (biasGemm's shards only read the buffers
+ * while the caller waits), so one set per thread suffices. Callers
+ * size it before handing it to biasGemm — never inside a shard body.
  */
-float *
-convScratch(std::size_t floats)
+ConvScratch
+convScratch(std::size_t floats, std::size_t mask_words)
 {
     thread_local std::vector<float> buffer;
+    thread_local std::vector<std::uint32_t> masks;
     if (buffer.size() < floats)
         buffer.resize(floats);
-    return buffer.data();
+    if (masks.size() < mask_words)
+        masks.resize(mask_words);
+    return {buffer.data(), masks.data()};
 }
 
 } // namespace
@@ -130,13 +139,14 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
         return;
     }
 
-    float *patches = convScratch(k * n);
+    const ConvScratch scratch =
+        convScratch(k * n, gemm::im2colMaskWords(_kernelW, out_h, out_w));
     gemm::im2col(input.data(), _inChannels, input.dim(1), input.dim(2),
                  _kernelH, _kernelW, _stride,
                  static_cast<std::size_t>(padBefore(_kernelH)),
                  static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                 out_w, patches);
-    gemm::biasGemm(_outChannels, n, k, _weights.data(), patches,
+                 out_w, scratch.floats, scratch.masks);
+    gemm::biasGemm(_outChannels, n, k, _weights.data(), scratch.floats,
                    _biases.data(), out, epilogue);
 }
 
@@ -174,7 +184,10 @@ Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
     const std::size_t plane = in_h * in_w;
     const std::size_t k = gemm::im2colRows(ka, _kernelH, _kernelW);
     const bool pointwise = _kernelH == 1 && _kernelW == 1 && _stride == 1;
-    float *compact = convScratch(ka * plane + (pointwise ? 0 : k * n));
+    const ConvScratch scratch = convScratch(
+        ka * plane + (pointwise ? 0 : k * n),
+        pointwise ? 0 : gemm::im2colMaskWords(_kernelW, out_h, out_w));
+    float *compact = scratch.floats;
     for (std::size_t j = 0; j < ka; ++j)
         std::copy(input.data() + _activeChannels[j] * plane,
                   input.data() + (_activeChannels[j] + 1) * plane,
@@ -186,7 +199,7 @@ Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
         gemm::im2col(compact, ka, in_h, in_w, _kernelH, _kernelW,
                      _stride, static_cast<std::size_t>(padBefore(_kernelH)),
                      static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                     out_w, patches);
+                     out_w, patches, scratch.masks);
         b_matrix = patches;
     }
 

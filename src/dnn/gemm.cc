@@ -1,6 +1,8 @@
 #include "dnn/gemm.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "base/cpu.hh"
 #include "base/logging.hh"
@@ -238,6 +240,12 @@ im2colRows(std::size_t in_channels, std::size_t kernel_h,
     return in_channels * kernel_h * kernel_w;
 }
 
+std::size_t
+im2colMaskWords(std::size_t kernel_w, std::size_t out_h, std::size_t out_w)
+{
+    return kernel_w * out_h * out_w;
+}
+
 namespace {
 
 /** Half-open range of output positions whose input index is valid. */
@@ -301,34 +309,59 @@ packTapRows(const float *plane, std::size_t in_w, std::size_t stride,
 }
 
 /**
+ * Column masks of the shifted taps: word j of the kx-th n-word block
+ * is all ones where output column j % out_w of tap kx reads inside the
+ * input and zero where it reads padding. One output row is built, then
+ * doubled in place until the block is full, so no index is divided.
+ */
+void
+buildColumnMasks(std::size_t in_w, std::size_t kernel_w, std::size_t pad_w,
+                 std::size_t out_h, std::size_t out_w, std::uint32_t *masks)
+{
+    const std::size_t n = out_h * out_w;
+    for (std::size_t kx = 0; kx < kernel_w; ++kx) {
+        std::uint32_t *mask = masks + kx * n;
+        const ValidSpan xs = validSpan(static_cast<std::ptrdiff_t>(kx) -
+                                           static_cast<std::ptrdiff_t>(pad_w),
+                                       1, in_w, out_w);
+        for (std::size_t ox = 0; ox < out_w; ++ox)
+            mask[ox] = ox >= xs.lo && ox < xs.hi ? ~0u : 0u;
+        for (std::size_t filled = out_w; filled < n; filled *= 2)
+            std::copy_n(mask, std::min(filled, n - filled), mask + filled);
+    }
+}
+
+/**
  * Stride-1 tap with out_w == in_w: patch element j reads plane
- * element j + shift_y*in_w + shift_x, so the whole valid range is one
- * contiguous copy. The copy runs straight across row ends; the wrapped
- * boundary columns between consecutive valid rows are zeroed after.
+ * element j + shift_y*in_w + shift_x, so the whole valid range
+ * [first, last) is one contiguous pass that runs straight across row
+ * ends. The tap's column mask zeroes the wrapped boundary columns in
+ * the same pass: a masked lane comes out +0.0f whatever it read, NaN
+ * and infinities included.
  */
 void
 packTapShifted(const float *plane, std::size_t in_w, std::ptrdiff_t shift_y,
                std::ptrdiff_t shift_x, ValidSpan ys, ValidSpan xs,
-               std::size_t out_h, std::size_t out_w, float *prow)
+               std::size_t out_h, std::size_t out_w,
+               const std::uint32_t *colmask, float *prow)
 {
     const std::size_t n = out_h * out_w;
     if (ys.lo >= ys.hi || xs.lo >= xs.hi) {
         std::fill(prow, prow + n, 0.0f);
         return;
     }
-    const std::ptrdiff_t offset =
-        shift_y * static_cast<std::ptrdiff_t>(in_w) + shift_x;
     const std::size_t first = ys.lo * out_w + xs.lo;
     const std::size_t last = (ys.hi - 1) * out_w + xs.hi;
-    std::fill(prow, prow + first, 0.0f);
-    std::copy(plane + static_cast<std::ptrdiff_t>(first) + offset,
-              plane + static_cast<std::ptrdiff_t>(last) + offset,
-              prow + first);
+    const float *src =
+        plane + (static_cast<std::ptrdiff_t>(first) +
+                 shift_y * static_cast<std::ptrdiff_t>(in_w) + shift_x);
+    const std::uint32_t *mask = colmask + first;
+    float *dst = prow + first;
+    std::fill(prow, dst, 0.0f);
+    for (std::size_t j = 0; j < last - first; ++j)
+        dst[j] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(src[j]) &
+                                      mask[j]);
     std::fill(prow + last, prow + n, 0.0f);
-    if (xs.hi - xs.lo < out_w)
-        for (std::size_t oy = ys.lo; oy + 1 < ys.hi; ++oy)
-            std::fill(prow + oy * out_w + xs.hi,
-                      prow + (oy + 1) * out_w + xs.lo, 0.0f);
 }
 
 void
@@ -336,14 +369,19 @@ packPatches(const float *input, std::size_t channels, std::size_t in_h,
             std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
             std::size_t stride, std::size_t pad_h, std::size_t pad_w,
             std::size_t out_h, std::size_t out_w, float *patches,
-            bool single_copy_taps)
+            std::uint32_t *col_masks)
 {
     MINDFUL_ASSERT(input != nullptr, "im2col input buffer is null");
     MINDFUL_ASSERT(stride > 0, "im2col stride must be positive");
     MINDFUL_ASSERT(patches != nullptr, "im2col patch buffer is null");
 
-    const bool shifted = single_copy_taps && stride == 1 && out_w == in_w;
+    // Without mask scratch (the per-row reference) every tap packs
+    // row by row.
+    const bool shifted =
+        col_masks != nullptr && stride == 1 && out_w == in_w;
     const std::size_t n = out_h * out_w;
+    if (shifted)
+        buildColumnMasks(in_w, kernel_w, pad_w, out_h, out_w, col_masks);
     float *prow = patches;
     for (std::size_t ic = 0; ic < channels; ++ic) {
         const float *plane = input + ic * in_h * in_w;
@@ -360,7 +398,7 @@ packPatches(const float *input, std::size_t channels, std::size_t in_h,
                     validSpan(shift_x, stride, in_w, out_w);
                 if (shifted)
                     packTapShifted(plane, in_w, shift_y, shift_x, ys, xs,
-                                   out_h, out_w, prow);
+                                   out_h, out_w, col_masks + kx * n, prow);
                 else
                     packTapRows(plane, in_w, stride, shift_y, shift_x, ys,
                                 xs, out_h, out_w, prow);
@@ -375,11 +413,12 @@ void
 im2col(const float *input, std::size_t channels, std::size_t in_h,
        std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
        std::size_t stride, std::size_t pad_h, std::size_t pad_w,
-       std::size_t out_h, std::size_t out_w, float *patches)
+       std::size_t out_h, std::size_t out_w, float *patches,
+       std::uint32_t *col_masks)
 {
+    MINDFUL_ASSERT(col_masks != nullptr, "im2col mask scratch is null");
     packPatches(input, channels, in_h, in_w, kernel_h, kernel_w, stride,
-                pad_h, pad_w, out_h, out_w, patches,
-                /*single_copy_taps=*/true);
+                pad_h, pad_w, out_h, out_w, patches, col_masks);
 }
 
 namespace detail {
@@ -392,7 +431,7 @@ im2colPerRow(const float *input, std::size_t channels, std::size_t in_h,
 {
     packPatches(input, channels, in_h, in_w, kernel_h, kernel_w, stride,
                 pad_h, pad_w, out_h, out_w, patches,
-                /*single_copy_taps=*/false);
+                /*col_masks=*/nullptr);
 }
 
 } // namespace detail

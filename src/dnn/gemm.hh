@@ -125,11 +125,18 @@ std::size_t im2colRows(std::size_t in_channels, std::size_t kernel_h,
                        std::size_t kernel_w);
 
 /**
+ * Words of column-mask scratch im2col needs: one per output position
+ * for each of the kernel_w kernel columns.
+ */
+std::size_t im2colMaskWords(std::size_t kernel_w, std::size_t out_h,
+                            std::size_t out_w);
+
+/**
  * Pack a contiguous (channels, in_h, in_w) input into the im2col
  * patch matrix @p patches of shape [channels * kh * kw] x
  * [out_h * out_w] (row-major, caller-allocated): row
  * (ic*kh + ky)*kw + kx, column oy*out_w + ox holds
- * input[ic][oy*stride + ky - pad_h][ox*stride + kx - pad_w], or 0
+ * input[ic][oy*stride + ky - pad_h][ox*stride + kx - pad_w], or +0.0f
  * where that index falls outside the input (zero padding). Row order
  * matches Conv2dLayer's [oc][ic][kh][kw] weight layout, so the weight
  * buffer is usable as the GEMM A matrix unchanged.
@@ -137,15 +144,20 @@ std::size_t im2colRows(std::size_t in_channels, std::size_t kernel_h,
  * Boundary handling is hoisted out of the inner loop. A stride-1 tap
  * whose output width equals the input width (every "same"-padded
  * stride-1 conv) is the input plane shifted by a constant offset, so
- * its patch row is one contiguous copy followed by zeroing the
- * out-of-range rows and the few wrapped boundary columns. Every other
- * tap packs row by row: a zero head, a contiguous/strided copy of the
- * valid span, and a zero tail.
+ * its patch row is one branch-free pass over the valid rows,
+ * patch[j] = bits(input[j + offset]) & mask_kx[j], with zeroed
+ * out-of-range rows before and after it. The column mask of tap kx
+ * zeroes the positions whose column reads padding (wrapped across a
+ * row end); it is built once per call, for all channels, in the
+ * caller's @p col_masks scratch of im2colMaskWords(kernel_w, out_h,
+ * out_w) words. Every other tap packs row by row: a zero head, a
+ * contiguous/strided copy of the valid span, and a zero tail.
  */
 void im2col(const float *input, std::size_t channels, std::size_t in_h,
             std::size_t in_w, std::size_t kernel_h, std::size_t kernel_w,
             std::size_t stride, std::size_t pad_h, std::size_t pad_w,
-            std::size_t out_h, std::size_t out_w, float *patches);
+            std::size_t out_h, std::size_t out_w, float *patches,
+            std::uint32_t *col_masks);
 
 } // namespace mindful::dnn::gemm
 

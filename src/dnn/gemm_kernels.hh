@@ -71,9 +71,9 @@ void gemmRowRangeNeon(std::size_t n, std::size_t k, const float *a,
 RowRangeFn dispatchKernel();
 
 /**
- * gemm::im2col with every tap packed row by row, never as one shifted
- * copy — the general path, callable so tests can byte-compare the
- * single-copy taps against it.
+ * gemm::im2col with every tap packed row by row, never as one masked
+ * shifted pass — the general path, callable so tests can byte-compare
+ * the shifted taps against it.
  */
 void im2colPerRow(const float *input, std::size_t channels,
                   std::size_t in_h, std::size_t in_w,

@@ -34,39 +34,87 @@ Pool2dLayer::outputShape(const Shape &input) const
     return {input[0], input[1] / _kernelH, input[2] / _kernelW};
 }
 
-Tensor
-Pool2dLayer::forward(const Tensor &input) const
-{
-    Shape out_shape = outputShape(input.shape());
-    Tensor out(out_shape);
-    const double window =
-        static_cast<double>(_kernelH) * static_cast<double>(_kernelW);
+namespace {
 
-    // Rows are read through unchecked row pointers (outputShape
-    // validated the shape); the window is still visited row-major, so
-    // the max order and the double-precision sum match the
-    // element-wise loop.
-    float *dst = out.data();
-    for (std::size_t c = 0; c < out_shape[0]; ++c) {
-        for (std::size_t oy = 0; oy < out_shape[1]; ++oy) {
-            for (std::size_t ox = 0; ox < out_shape[2]; ++ox, ++dst) {
-                float best = -std::numeric_limits<float>::infinity();
-                double sum = 0.0;
-                for (std::size_t ky = 0; ky < _kernelH; ++ky) {
-                    const float *row =
-                        input.rowData(c, oy * _kernelH + ky) +
-                        ox * _kernelW;
-                    for (std::size_t kx = 0; kx < _kernelW; ++kx) {
-                        best = std::max(best, row[kx]);
-                        sum += row[kx];
-                    }
-                }
-                *dst = _kind == PoolKind::Max
-                           ? best
-                           : static_cast<float>(sum / window);
+/** Geometry of one non-overlapping pool over (channels, h, w). */
+struct PoolGeometry
+{
+    std::size_t channels;
+    std::size_t inH, inW;
+    std::size_t kernelH, kernelW;
+    std::size_t outH, outW;
+};
+
+/**
+ * Max-pool, a whole output row at a time: the row starts at -inf and
+ * takes std::max with each window element, visiting the window
+ * row-major as the innermost loop runs across ox. Every output sees
+ * exactly the element-wise loop's max sequence — a NaN element never
+ * replaces the running max, and of equal elements (+0 vs -0) the first
+ * is kept — while the ox loop vectorises.
+ */
+void
+maxPool(const float *input, const PoolGeometry &g, float *out)
+{
+    const std::size_t kw = g.kernelW;
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        const float *plane = input + c * g.inH * g.inW;
+        for (std::size_t oy = 0; oy < g.outH; ++oy, out += g.outW) {
+            std::fill(out, out + g.outW,
+                      -std::numeric_limits<float>::infinity());
+            for (std::size_t ky = 0; ky < g.kernelH; ++ky) {
+                const float *row = plane + (oy * g.kernelH + ky) * g.inW;
+                for (std::size_t kx = 0; kx < kw; ++kx)
+                    for (std::size_t ox = 0; ox < g.outW; ++ox)
+                        out[ox] = std::max(out[ox], row[ox * kw + kx]);
             }
         }
     }
+}
+
+/**
+ * Average-pool: each output sums its window in double precision,
+ * row-major, then divides once — the element-wise loop's sequence.
+ */
+void
+averagePool(const float *input, const PoolGeometry &g, float *out)
+{
+    const double window =
+        static_cast<double>(g.kernelH) * static_cast<double>(g.kernelW);
+    for (std::size_t c = 0; c < g.channels; ++c) {
+        const float *plane = input + c * g.inH * g.inW;
+        for (std::size_t oy = 0; oy < g.outH; ++oy) {
+            for (std::size_t ox = 0; ox < g.outW; ++ox, ++out) {
+                double sum = 0.0;
+                for (std::size_t ky = 0; ky < g.kernelH; ++ky) {
+                    const float *row = plane +
+                                       (oy * g.kernelH + ky) * g.inW +
+                                       ox * g.kernelW;
+                    for (std::size_t kx = 0; kx < g.kernelW; ++kx)
+                        sum += row[kx];
+                }
+                *out = static_cast<float>(sum / window);
+            }
+        }
+    }
+}
+
+} // namespace
+
+Tensor
+Pool2dLayer::forward(const Tensor &input) const
+{
+    const Shape out_shape = outputShape(input.shape());
+    Tensor out(out_shape);
+    // outputShape validated the shape, so rows are read through raw
+    // plane pointers.
+    const PoolGeometry geometry{out_shape[0], input.dim(1), input.dim(2),
+                                _kernelH,     _kernelW,     out_shape[1],
+                                out_shape[2]};
+    if (_kind == PoolKind::Max)
+        maxPool(input.data(), geometry, out.data());
+    else
+        averagePool(input.data(), geometry, out.data());
     return out;
 }
 

@@ -26,6 +26,10 @@ AdcModel::lsbMicrovolts() const
 std::uint32_t
 AdcModel::quantize(double microvolts) const
 {
+    // std::clamp passes NaN through, and casting floor(NaN) to an
+    // integer is undefined; a NaN sample reads as zero input.
+    if (std::isnan(microvolts))
+        return midCode();
     double clamped = std::clamp(microvolts, -_fullScale, _fullScale);
     double normalized = (clamped + _fullScale) / (2.0 * _fullScale);
     auto code = static_cast<std::int64_t>(

@@ -41,13 +41,19 @@ class AdcModel
     /** Largest code value (2^d - 1). */
     std::uint32_t maxCode() const { return (1u << _bits) - 1; }
 
-    /** Quantize one sample (uV) to an unsigned code, saturating. */
+    /** Code of a 0 uV input (2^(d-1)), the bin just above mid-scale. */
+    std::uint32_t midCode() const { return 1u << (_bits - 1); }
+
+    /**
+     * Quantize one sample (uV) to an unsigned code, saturating: -inf
+     * gives 0, +inf maxCode(), and NaN midCode(), the code of 0 uV.
+     */
     std::uint32_t quantize(double microvolts) const;
 
     /** Reconstruct the analog value (uV) at a code's bin centre. */
     double dequantize(std::uint32_t code) const;
 
-    /** Quantize a whole buffer. */
+    /** Quantize a whole buffer, each sample as quantize(double). */
     std::vector<std::uint32_t>
     quantize(const std::vector<double> &microvolts) const;
 

@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -147,11 +149,44 @@ TEST(GemmConvTest, BitIdenticalAcrossThreadCounts)
 }
 
 /**
- * Pack one input through gemm::im2col (single-copy taps wherever
+ * makeInput with NaN, +-inf and -0.0 planted all around the border of
+ * every plane — the first and last row and column, which a shifted tap
+ * reads across a row end and its column mask drops. Masked positions
+ * must come out +0.0f whatever they read.
+ */
+Tensor
+makeBorderedInput(const Shape &shape)
+{
+    Tensor x = makeInput(shape);
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              -0.0f};
+    std::size_t next = 0;
+    auto plant = [&](std::size_t c, std::size_t y, std::size_t w) {
+        x.at(c, y, w) = specials[next++ % std::size(specials)];
+    };
+    const std::size_t h = shape[1];
+    const std::size_t w = shape[2];
+    for (std::size_t c = 0; c < shape[0]; ++c) {
+        for (std::size_t y = 0; y < h; ++y) {
+            plant(c, y, 0);
+            plant(c, y, w - 1);
+        }
+        for (std::size_t col = 0; col < w; ++col) {
+            plant(c, 0, col);
+            plant(c, h - 1, col);
+        }
+    }
+    return x;
+}
+
+/**
+ * Pack one input through gemm::im2col (masked shifted taps wherever
  * stride == 1 and out_w == in_w) and through the per-row packer, and
  * require the two patch matrices to be byte-identical. The buffers
- * start from different fill values, so an element either path leaves
- * unwritten shows up as a mismatch.
+ * start from different fill values and the mask scratch from garbage,
+ * so an element either path leaves unwritten shows up as a mismatch.
  */
 void
 expectIm2colPathsAgree(std::size_t channels, std::size_t in_h,
@@ -163,14 +198,16 @@ expectIm2colPathsAgree(std::size_t channels, std::size_t in_h,
     const std::size_t pad_w = same ? (kw - 1) / 2 : 0;
     const std::size_t out_h = same ? in_h : in_h - kh + 1;
     const std::size_t out_w = same ? in_w : in_w - kw + 1;
-    const Tensor x = makeInput({channels, in_h, in_w});
+    const Tensor x = makeBorderedInput({channels, in_h, in_w});
     const std::size_t count =
         gemm::im2colRows(channels, kh, kw) * out_h * out_w;
 
     std::vector<float> single(count, 7.0f);
     std::vector<float> per_row(count, -3.0f);
+    std::vector<std::uint32_t> masks(gemm::im2colMaskWords(kw, out_h, out_w),
+                                     0x5a5a5a5au);
     gemm::im2col(x.data(), channels, in_h, in_w, kh, kw, 1, pad_h, pad_w,
-                 out_h, out_w, single.data());
+                 out_h, out_w, single.data(), masks.data());
     gemm::detail::im2colPerRow(x.data(), channels, in_h, in_w, kh, kw, 1,
                                pad_h, pad_w, out_h, out_w,
                                per_row.data());
@@ -198,6 +235,11 @@ TEST(GemmConvTest, SingleCopyIm2colMatchesPerRowPacking)
     // One input column: every tap but the centre one is all padding.
     expectIm2colPathsAgree(2, 5, 1, 3, 3, Padding::Same);
     expectIm2colPathsAgree(2, 6, 1, 3, 1, Padding::Valid);
+    // DN-CNN(256)'s own planes: the stem conv and the block 1 and
+    // block 2 stage inputs, all 3x3 same.
+    expectIm2colPathsAgree(1, 256, 16, 3, 3, Padding::Same);
+    expectIm2colPathsAgree(16, 64, 8, 3, 3, Padding::Same);
+    expectIm2colPathsAgree(80, 32, 4, 3, 3, Padding::Same);
 }
 
 TEST(GemmDenseTest, MatchesNaiveExactly)

@@ -273,11 +273,13 @@ bitsOf(const Tensor &t)
 }
 
 /**
- * Random (3, h >= 7, w >= 5) input with values planted where the
+ * Random (3, h >= 7, w >= 10) input with values planted where the
  * visit order of a window decides the result: +-3e30 in consecutive
  * rows (the cancellation drops whichever small values are summed
  * between them), a +0.0 above a -0.0 among negatives (max keeps the
- * first of equal elements), and -inf, alone and as a whole window.
+ * first of equal elements), -inf, alone and as a whole window, and
+ * NaN at the head and the tail of a 2x2 window and as whole 2x2 and
+ * 3x3 windows (max never takes a NaN; an all-NaN window stays -inf).
  */
 Tensor
 poolingInput(const Shape &shape)
@@ -296,6 +298,12 @@ poolingInput(const Shape &shape)
     const float ninf = -std::numeric_limits<float>::infinity();
     x.at(2, 0, 0) = x.at(2, 0, 1) = x.at(2, 1, 0) = x.at(2, 1, 1) = ninf;
     x.at(2, 3, 3) = ninf;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    x.at(0, 4, 4) = nan;
+    x.at(0, 5, 7) = nan;
+    for (std::size_t y = 3; y < 6; ++y)
+        for (std::size_t w = 6; w < 10; ++w)
+            x.at(2, y, w) = nan;
     return x;
 }
 
@@ -327,17 +335,20 @@ referencePool(const Tensor &x, PoolKind kind, std::size_t kh,
 TEST(PoolingTest, PoolMatchesElementwiseReferenceBitwise)
 {
     // Square, non-square and one-axis kernels; 7x11 planes leave
-    // partial windows that the floor semantics drop.
-    const Tensor x = poolingInput({3, 7, 11});
-    for (const PoolKind kind : {PoolKind::Max, PoolKind::Average}) {
-        for (const auto &[kh, kw] :
-             {std::pair<std::size_t, std::size_t>{2, 2}, {3, 2}, {2, 5},
-              {1, 3}, {7, 1}, {3, 3}}) {
-            Pool2dLayer pool(kind, kh, kw);
-            EXPECT_EQ(bitsOf(pool.forward(x)),
-                      bitsOf(referencePool(x, kind, kh, kw)))
-                << (kind == PoolKind::Max ? "max " : "avg ") << kh << "x"
-                << kw;
+    // partial windows that the floor semantics drop, and 40-wide ones
+    // give output rows long enough for a vector body plus a tail.
+    for (const Shape &shape : {Shape{3, 7, 11}, Shape{3, 8, 40}}) {
+        const Tensor x = poolingInput(shape);
+        for (const PoolKind kind : {PoolKind::Max, PoolKind::Average}) {
+            for (const auto &[kh, kw] :
+                 {std::pair<std::size_t, std::size_t>{2, 2}, {3, 2}, {2, 5},
+                  {1, 3}, {7, 1}, {3, 3}, {2, 1}}) {
+                Pool2dLayer pool(kind, kh, kw);
+                EXPECT_EQ(bitsOf(pool.forward(x)),
+                          bitsOf(referencePool(x, kind, kh, kw)))
+                    << (kind == PoolKind::Max ? "max " : "avg ") << kh
+                    << "x" << kw << " on " << toString(shape);
+            }
         }
     }
 }

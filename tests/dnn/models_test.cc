@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "dnn/models.hh"
+#include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
 namespace {
@@ -157,6 +164,64 @@ TEST(SpeechDnCnnTest, ForwardExecutesAtBaseScale)
     for (std::size_t i = 0; i < y.size(); ++i)
         sum += y[i];
     EXPECT_NEAR(sum, 1.0f, 1e-5);
+}
+
+/** Float bits of a tensor, for exact comparison (NaN-safe). */
+std::vector<std::uint32_t>
+tensorBits(const Tensor &t)
+{
+    std::vector<std::uint32_t> bits(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        bits[i] = std::bit_cast<std::uint32_t>(t[i]);
+    return bits;
+}
+
+TEST(ConcurrentForward, SharedConstDnCnnMatchesOneThreadBitwise)
+{
+    // Network::forward is const and may run on several threads at
+    // once: the conv layers' im2col scratch is per thread. Four
+    // threads decode different windows through one shared network at
+    // the same time; each result must equal the 1-thread forward's.
+    Network owned = buildSpeechDnCnn(128);
+    Rng rng(21);
+    owned.initializeWeights(rng);
+    const Network &cnn = owned;
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<Tensor> inputs;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        Tensor x(cnn.inputShape());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = 0.001f * static_cast<float>((i * (t + 3)) % 101) -
+                   0.05f;
+        inputs.push_back(std::move(x));
+    }
+    exec::ThreadPool::setGlobalThreadCount(1);
+    std::vector<std::vector<std::uint32_t>> expected;
+    for (const Tensor &x : inputs)
+        expected.push_back(tensorBits(cnn.forward(x)));
+    exec::ThreadPool::setGlobalThreadCount(0);
+
+    // Each thread walks every input, starting at its own, so the
+    // threads hold different windows in flight at any moment.
+    constexpr std::size_t kRounds = 3;
+    std::vector<std::vector<std::vector<std::uint32_t>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t r = 0; r < kRounds * kThreads; ++r)
+                got[t].push_back(tensorBits(
+                    cnn.forward(inputs[(t + r) % kThreads])));
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), kRounds * kThreads);
+        for (std::size_t r = 0; r < got[t].size(); ++r)
+            EXPECT_EQ(got[t][r], expected[(t + r) % kThreads])
+                << "thread " << t << " round " << r;
+    }
 }
 
 TEST(SpeechDnCnnTest, SpatialCapBoundsFeatureHeight)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "ni/adc.hh"
 
 namespace mindful::ni {
@@ -63,6 +66,27 @@ TEST(AdcTest, BufferQuantization)
     EXPECT_EQ(codes[0], 512u);
     EXPECT_GT(codes[1], codes[0]);
     EXPECT_LT(codes[2], codes[0]);
+}
+
+TEST(AdcTest, NonFiniteInputsMapToDocumentedCodes)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const unsigned bits : {1u, 10u, 16u}) {
+        AdcModel adc = makeAdc(bits);
+        EXPECT_EQ(adc.midCode(), adc.quantize(0.0)) << "bits=" << bits;
+        EXPECT_EQ(adc.quantize(nan), adc.midCode()) << "bits=" << bits;
+        EXPECT_EQ(adc.quantize(-nan), adc.midCode()) << "bits=" << bits;
+        EXPECT_EQ(adc.quantize(inf), adc.maxCode()) << "bits=" << bits;
+        EXPECT_EQ(adc.quantize(-inf), 0u) << "bits=" << bits;
+        const std::vector<std::uint32_t> codes =
+            adc.quantize(std::vector<double>{nan, inf, -inf, 0.0, -nan});
+        EXPECT_EQ(codes,
+                  (std::vector<std::uint32_t>{adc.midCode(), adc.maxCode(),
+                                              0u, adc.midCode(),
+                                              adc.midCode()}))
+            << "bits=" << bits;
+    }
 }
 
 /** Property sweep: round-trip error is bounded by half an LSB. */
