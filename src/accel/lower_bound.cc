@@ -16,7 +16,7 @@ LowerBoundSolver::LowerBoundSolver(MacUnitParams mac) : _mac(std::move(mac))
 }
 
 Time
-LowerBoundSolver::sharedPoolLatency(const std::vector<dnn::MacCensus> &census,
+LowerBoundSolver::sharedPoolLatency(std::span<const dnn::MacCensus> census,
                                     std::uint64_t mac_units) const
 {
     MINDFUL_ASSERT(mac_units > 0, "latency needs at least one MAC unit");
@@ -31,7 +31,7 @@ LowerBoundSolver::sharedPoolLatency(const std::vector<dnn::MacCensus> &census,
 }
 
 AcceleratorBound
-LowerBoundSolver::solveSharedPool(const std::vector<dnn::MacCensus> &census,
+LowerBoundSolver::solveSharedPool(std::span<const dnn::MacCensus> census,
                                   Time t) const
 {
     MINDFUL_ASSERT(t.inSeconds() > 0.0, "deadline must be positive");
@@ -67,7 +67,7 @@ LowerBoundSolver::solveSharedPool(const std::vector<dnn::MacCensus> &census,
 }
 
 AcceleratorBound
-LowerBoundSolver::solvePipelined(const std::vector<dnn::MacCensus> &census,
+LowerBoundSolver::solvePipelined(std::span<const dnn::MacCensus> census,
                                  Time t) const
 {
     MINDFUL_ASSERT(t.inSeconds() > 0.0, "deadline must be positive");
@@ -113,7 +113,7 @@ LowerBoundSolver::solvePipelined(const std::vector<dnn::MacCensus> &census,
 }
 
 AcceleratorBound
-LowerBoundSolver::solveBest(const std::vector<dnn::MacCensus> &census,
+LowerBoundSolver::solveBest(std::span<const dnn::MacCensus> census,
                             Time t) const
 {
     AcceleratorBound shared = solveSharedPool(census, t);

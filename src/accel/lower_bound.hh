@@ -27,6 +27,7 @@
 #define MINDFUL_ACCEL_LOWER_BOUND_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/mac_unit.hh"
@@ -70,23 +71,23 @@ class LowerBoundSolver
 
     /** Execution time of the whole census with a shared pool of
      *  @p mac_units units (Eq. 11 left-hand side). */
-    Time sharedPoolLatency(const std::vector<dnn::MacCensus> &census,
+    Time sharedPoolLatency(std::span<const dnn::MacCensus> census,
                            std::uint64_t mac_units) const;
 
     /** Size a shared-pool accelerator to deadline @p t (Eqs. 11-12). */
     AcceleratorBound
-    solveSharedPool(const std::vector<dnn::MacCensus> &census, Time t) const;
+    solveSharedPool(std::span<const dnn::MacCensus> census, Time t) const;
 
     /** Size a pipelined accelerator to deadline @p t (Eqs. 14-15). */
     AcceleratorBound
-    solvePipelined(const std::vector<dnn::MacCensus> &census, Time t) const;
+    solvePipelined(std::span<const dnn::MacCensus> census, Time t) const;
 
     /**
      * Best (lowest-power feasible) of the two disciplines — the
      * paper reports "the best result between a pipelined and a
      * non-pipelined design" for every DNN.
      */
-    AcceleratorBound solveBest(const std::vector<dnn::MacCensus> &census,
+    AcceleratorBound solveBest(std::span<const dnn::MacCensus> census,
                                Time t) const;
 
   private:

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 
-#include "dnn/network.hh"
+#include "core/dnn_cost.hh"
 
 namespace mindful::core {
 
@@ -37,10 +37,15 @@ struct PartitionPlan
 };
 
 /**
- * Earliest viable cut of @p network whose transmitted volume is at
- * most @p max_elements per inference. Cutting after the final layer
- * is "no partition" and is never returned as viable.
+ * Earliest viable cut of the network described by @p facts whose
+ * transmitted volume is at most @p max_elements per inference.
+ * Cutting after the final layer is "no partition" and is never
+ * returned as viable.
  */
+PartitionPlan earliestViableCut(const DnnFacts &facts,
+                                std::uint64_t max_elements);
+
+/** The same walk over the facts of @p network. */
 PartitionPlan earliestViableCut(const dnn::Network &network,
                                 std::uint64_t max_elements);
 

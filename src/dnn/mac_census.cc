@@ -5,7 +5,7 @@
 namespace mindful::dnn {
 
 std::uint64_t
-totalMacs(const std::vector<MacCensus> &census)
+totalMacs(std::span<const MacCensus> census)
 {
     std::uint64_t total = 0;
     for (const auto &entry : census)
@@ -14,7 +14,7 @@ totalMacs(const std::vector<MacCensus> &census)
 }
 
 std::uint64_t
-maxMacOp(const std::vector<MacCensus> &census)
+maxMacOp(std::span<const MacCensus> census)
 {
     std::uint64_t best = 0;
     for (const auto &entry : census)

@@ -19,7 +19,7 @@
 #define MINDFUL_DNN_MAC_CENSUS_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace mindful::dnn {
 
@@ -51,10 +51,10 @@ struct MacCensus
 };
 
 /** Sum of total MACs over a census list. */
-std::uint64_t totalMacs(const std::vector<MacCensus> &census);
+std::uint64_t totalMacs(std::span<const MacCensus> census);
 
 /** Largest #MAC_op over a census list (the Eq. 12 cap). */
-std::uint64_t maxMacOp(const std::vector<MacCensus> &census);
+std::uint64_t maxMacOp(std::span<const MacCensus> census);
 
 } // namespace mindful::dnn
 

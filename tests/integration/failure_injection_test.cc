@@ -118,7 +118,8 @@ TEST(FailureInjectionTest, SolverSurvivesHostileCensuses)
     EXPECT_FALSE(bound.feasible);
 
     // Degenerate 1x1 layer: exactly one unit.
-    auto tiny = solver.solveSharedPool({{1, 1}}, Time::microseconds(1.0));
+    std::vector<dnn::MacCensus> unit{{1, 1}};
+    auto tiny = solver.solveSharedPool(unit, Time::microseconds(1.0));
     ASSERT_TRUE(tiny.feasible);
     EXPECT_EQ(tiny.macUnits, 1u);
 }
