@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -57,6 +58,56 @@ TEST(ExperimentsTest, Fig5SweepCoversAllWirelessSocs)
     }
     EXPECT_EQ(fig5Table(CommScalingStrategy::Naive).rows(), 8u);
     EXPECT_EQ(fig5Table(CommScalingStrategy::HighMargin).rows(), 8u);
+}
+
+// EXPERIMENTS.md Fig. 5: under high-margin scaling every SoC crosses
+// its power budget, at the stated channel count. On a 64-channel grid
+// the crossing lies in (last safe count, first over-budget count];
+// "~x.yk" holds when that cell overlaps [x.y k - 50, x.y k + 50), and
+// "<2k" when the first over-budget count is below 2000.
+TEST(ExperimentsTest, Fig5HighMarginCrossoversHold)
+{
+    std::vector<std::uint64_t> grid;
+    for (std::uint64_t n = 64; n <= 16384; n += 64)
+        grid.push_back(n);
+    const std::map<std::string, double> stated{
+        {"BISC", 4300.0},   {"Gilhotra", 2000.0}, {"Shen", 7000.0},
+        {"Muller", 6500.0}, {"Yang", 2600.0},     {"WIMAGINE", 5900.0},
+        {"HALO*", 1500.0}};
+    auto series = commCentricSweep(CommScalingStrategy::HighMargin, grid);
+    ASSERT_EQ(series.size(), 8u);
+    for (const auto &entry : series) {
+        auto over = std::find_if(
+            entry.points.begin(), entry.points.end(),
+            [](const CommCentricPoint &point) { return !point.safe(); });
+        ASSERT_NE(over, entry.points.end()) << entry.name;
+        const double hi = static_cast<double>(over->channels);
+        const double lo =
+            over == entry.points.begin()
+                ? 0.0
+                : static_cast<double>(std::prev(over)->channels);
+        if (entry.name == "Neuralink") {
+            EXPECT_LT(hi, 2000.0);
+            continue;
+        }
+        auto it = stated.find(entry.name);
+        ASSERT_NE(it, stated.end()) << entry.name;
+        EXPECT_TRUE(lo < it->second + 50.0 && hi >= it->second - 50.0)
+            << entry.name << " crosses in (" << lo << ", " << hi
+            << "], stated ~" << it->second;
+    }
+}
+
+// EXPERIMENTS.md Fig. 7: the fleet-average QAM reach at 20% and 100%
+// efficiency.
+TEST(ExperimentsTest, Fig7QamReachClaimsHold)
+{
+    const QamSummary at20 = qamSummary(0.20);
+    EXPECT_EQ(at20.averageMaxChannels, 1968.0);
+    EXPECT_NEAR(at20.averageGain, 1.92, 0.005);
+    const QamSummary at100 = qamSummary(1.0);
+    EXPECT_EQ(at100.averageMaxChannels, 3944.0);
+    EXPECT_NEAR(at100.averageGain, 3.85, 0.005);
 }
 
 TEST(ExperimentsTest, Fig6TableShape)

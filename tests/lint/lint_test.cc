@@ -1,7 +1,7 @@
 /**
  * @file
- * mindful-lint checker tests: each check runs against small inline
- * fixtures, plus an end-to-end runLint pass over a temporary tree
+ * Lexical checker tests: each check runs against small inline
+ * fixtures, plus end-to-end runAnalyze passes over a temporary tree
  * exercising the allowlist and its ratchet.
  */
 
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analyze.hh"
 #include "lint.hh"
 
 namespace fs = std::filesystem;
@@ -418,13 +419,14 @@ class LintRunTest : public ::testing::Test
 
     int run(const std::string &allowlist, std::string &output)
     {
+        AnalyzeOptions options;
+        options.roots.push_back({(_root / "src").string(), ""});
+        if (!allowlist.empty())
+            options.allowlistPath = (_root / allowlist).string();
         std::ostringstream os;
-        int rc = runLint((_root / "src").string(),
-                         allowlist.empty()
-                             ? std::string()
-                             : (_root / allowlist).string(),
-                         os);
-        output = os.str();
+        std::ostringstream es;
+        int rc = runAnalyze(options, os, es);
+        output = os.str() + es.str();
         return rc;
     }
 

@@ -14,9 +14,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cache.hh"
-#include "exec/parallel.hh"
-#include "exec/thread_pool.hh"
 #include "sarif.hh"
 
 namespace mindful::lint {
@@ -1591,14 +1588,27 @@ class Linker
     std::map<std::string, std::vector<FnKey>> _byName;
 };
 
+/**
+ * One reachability root: a shard body handed to parallelFor /
+ * parallelReduce, or a loop carved out of a MINDFUL_RT_LOOP marker.
+ * Shard roots get the hot-path, determinism-flow and rng-flow checks;
+ * realtime roots get the realtime-loop checks.
+ */
 struct Root
 {
+    enum class Kind
+    {
+        shard,
+        realtime
+    };
+    Kind kind = Kind::shard;
     FnKey key;
-    std::string label;
-    std::size_t line = 0; //!< parallelFor/parallelReduce call line
+    std::string label;    //!< "parallelFor" / "parallelReduce" / stage
+    std::size_t line = 0; //!< call line, or the RT marker line
     bool byName = false;  //!< handed by name (lexical check is blind)
 };
 
+/** Shard roots in (function, call line) order, then realtime roots. */
 std::vector<Root>
 collectRoots(const std::vector<FileFacts> &files, const Linker &linker)
 {
@@ -1607,14 +1617,15 @@ collectRoots(const std::vector<FileFacts> &files, const Linker &linker)
         for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
             const FunctionFacts &fn = files[f].functions[k];
             if (fn.shardRoot)
-                roots.push_back({{f, k}, fn.rootLabel, fn.rootLine,
-                                 false});
+                roots.push_back({Root::Kind::shard, {f, k},
+                                 fn.rootLabel, fn.rootLine, false});
         }
         for (const RootRef &ref : files[f].rootRefs) {
             // by-name roots resolve within their own file only
             for (const FnKey &key : linker.resolve(f, ref.name)) {
                 if (key.file == f)
-                    roots.push_back({key, ref.label, ref.line, true});
+                    roots.push_back({Root::Kind::shard, key, ref.label,
+                                     ref.line, true});
             }
         }
     }
@@ -1629,6 +1640,14 @@ collectRoots(const std::vector<FileFacts> &files, const Linker &linker)
                                 return a.key == b.key;
                             }),
                 roots.end());
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
+            const FunctionFacts &fn = files[f].functions[k];
+            if (fn.rtRoot)
+                roots.push_back({Root::Kind::realtime, {f, k},
+                                 fn.rootLabel, fn.rootLine, false});
+        }
+    }
     return roots;
 }
 
@@ -1662,8 +1681,7 @@ reachableFrom(FnKey root, const Linker &linker)
 
 std::string
 callChain(const Reach &reach, FnKey root, FnKey node,
-          const Linker &linker,
-          const char *root_noun = "in the shard body")
+          const Linker &linker, const char *root_noun)
 {
     std::vector<std::string> names;
     for (FnKey at = node; !(at == root);) {
@@ -1691,26 +1709,22 @@ engineIsSafe(const FunctionFacts &fn, const std::string &engine)
                      engine) != fn.safeEngines.end();
 }
 
-/** Param indices a function (transitively) draws from without fork. */
-std::map<FnKey, std::set<std::size_t>>
-unforkedParamDraws(const std::vector<FileFacts> &files,
-                   const Linker &linker)
+/** Per function: parameter index -> what it (transitively) does. */
+using ParamActs = std::map<FnKey, std::map<std::size_t, std::string>>;
+
+/**
+ * Propagate @p acts (seeded with each function's direct acts on its
+ * own parameters) through call-argument positions to a fixpoint: a
+ * call passing parameter p as argument j of a callee that acts on
+ * its parameter j acts on p too, when @p inherits(caller, p) holds.
+ * The first act recorded for a parameter is the one reported.
+ */
+template <typename Inherits>
+ParamActs
+propagateParamActs(const std::vector<FileFacts> &files,
+                   const Linker &linker, ParamActs acts,
+                   Inherits inherits)
 {
-    std::map<FnKey, std::set<std::size_t>> unforked;
-    for (std::size_t f = 0; f < files.size(); ++f) {
-        for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
-            const FunctionFacts &fn = files[f].functions[k];
-            for (const DrawSite &draw : fn.draws) {
-                if (draw.engine.empty() ||
-                    engineIsSafe(fn, draw.engine))
-                    continue;
-                for (std::size_t p = 0; p < fn.params.size(); ++p)
-                    if (fn.params[p].name == draw.engine)
-                        unforked[{f, k}].insert(p);
-            }
-        }
-    }
-    // Propagate through call argument positions to a fixpoint.
     bool changed = true;
     while (changed) {
         changed = false;
@@ -1721,23 +1735,22 @@ unforkedParamDraws(const std::vector<FileFacts> &files,
                 for (const CallSite &call : fn.calls) {
                     for (const FnKey &target :
                          linker.resolve(f, call)) {
-                        auto it = unforked.find(target);
-                        if (it == unforked.end())
+                        auto it = acts.find(target);
+                        if (it == acts.end())
                             continue;
-                        const FunctionFacts &callee = linker.fn(target);
-                        for (std::size_t j = 0;
-                             j < call.argIdents.size() &&
-                             j < callee.params.size();
-                             ++j) {
-                            if (!it->second.count(j) ||
-                                call.argIdents[j].empty() ||
-                                engineIsSafe(fn, call.argIdents[j]))
+                        // std::map insertion invalidates no iterator,
+                        // so a recursive call may extend the map it
+                        // walks here.
+                        for (const auto &[j, act] : it->second) {
+                            if (j >= call.argIdents.size() ||
+                                call.argIdents[j].empty())
                                 continue;
                             for (std::size_t p = 0;
                                  p < fn.params.size(); ++p) {
                                 if (fn.params[p].name ==
                                         call.argIdents[j] &&
-                                    unforked[{f, k}].insert(p).second)
+                                    inherits(fn, fn.params[p]) &&
+                                    acts[{f, k}].insert({p, act}).second)
                                     changed = true;
                             }
                         }
@@ -1746,20 +1759,44 @@ unforkedParamDraws(const std::vector<FileFacts> &files,
             }
         }
     }
-    return unforked;
+    return acts;
+}
+
+/** Params a function (transitively) draws from without Rng::fork. */
+ParamActs
+unforkedParamDraws(const std::vector<FileFacts> &files,
+                   const Linker &linker)
+{
+    ParamActs draws;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
+            const FunctionFacts &fn = files[f].functions[k];
+            for (const DrawSite &draw : fn.draws) {
+                if (draw.engine.empty() ||
+                    engineIsSafe(fn, draw.engine))
+                    continue;
+                for (std::size_t p = 0; p < fn.params.size(); ++p)
+                    if (fn.params[p].name == draw.engine)
+                        draws[{f, k}].insert({p, draw.method});
+            }
+        }
+    }
+    return propagateParamActs(
+        files, linker, std::move(draws),
+        [](const FunctionFacts &caller, const ParamFacts &param) {
+            return !engineIsSafe(caller, param.name);
+        });
 }
 
 /**
- * Param indices a function (transitively) grows, with the growth
- * method for reporting. Only mutable-reference/pointer parameters
- * count — growing a by-value copy cannot invalidate the caller's
- * views. Mirrors unforkedParamDraws: direct GrowSites seed the map,
- * then call-argument positions propagate it to a fixpoint.
+ * Params a function (transitively) grows, with the growth method for
+ * reporting. Only mutable-reference/pointer parameters count —
+ * growing a by-value copy cannot invalidate the caller's views.
  */
-std::map<FnKey, std::map<std::size_t, std::string>>
+ParamActs
 growingParams(const std::vector<FileFacts> &files, const Linker &linker)
 {
-    std::map<FnKey, std::map<std::size_t, std::string>> growing;
+    ParamActs growing;
     for (std::size_t f = 0; f < files.size(); ++f) {
         for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
             const FunctionFacts &fn = files[f].functions[k];
@@ -1772,41 +1809,11 @@ growingParams(const std::vector<FileFacts> &files, const Linker &linker)
             }
         }
     }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t f = 0; f < files.size(); ++f) {
-            for (std::size_t k = 0; k < files[f].functions.size();
-                 ++k) {
-                const FunctionFacts &fn = files[f].functions[k];
-                for (const CallSite &call : fn.calls) {
-                    for (const FnKey &target :
-                         linker.resolve(f, call)) {
-                        auto it = growing.find(target);
-                        if (it == growing.end() ||
-                            target == FnKey{f, k})
-                            continue;
-                        for (const auto &[j, method] : it->second) {
-                            if (j >= call.argIdents.size() ||
-                                call.argIdents[j].empty())
-                                continue;
-                            for (std::size_t p = 0;
-                                 p < fn.params.size(); ++p) {
-                                if (fn.params[p].name ==
-                                        call.argIdents[j] &&
-                                    fn.params[p].mutableRef &&
-                                    growing[{f, k}]
-                                        .insert({p, method})
-                                        .second)
-                                    changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    return growing;
+    return propagateParamActs(
+        files, linker, std::move(growing),
+        [](const FunctionFacts &, const ParamFacts &param) {
+            return param.mutableRef;
+        });
 }
 
 // --- atomics-discipline ---------------------------------------------------
@@ -2148,37 +2155,97 @@ semanticFindings(const std::vector<FileFacts> &files)
     }
 
     const std::vector<Root> roots = collectRoots(files, linker);
-    const auto unforked = unforkedParamDraws(files, linker);
+    const ParamActs unforked = unforkedParamDraws(files, linker);
 
-    // hot-path purity + rng-flow, one BFS per shard root
+    // Reported sites, keyed per pass: a site reachable from several
+    // roots is reported once, from the first root that reaches it.
     std::set<std::tuple<std::string, std::size_t, std::string>> seen;
+
+    // Whether a finding at (file, line) reached from @p root survives:
+    // no `analyze: <tag>` marker covers the site or the root line, and
+    // no earlier root reported the same site and key.
+    auto admit = [&](const Root &root, const char *tag, std::size_t file,
+                     std::size_t line, std::string key) {
+        if (suppressions.covered(tag, file, line) ||
+            suppressions.covered(tag, root.key.file, root.line))
+            return false;
+        return seen.insert({files[file].path, line, std::move(key)})
+            .second;
+    };
+
+    // One BFS per root. Shard roots: hot-path purity, determinism-flow
+    // and rng-flow. Realtime roots: nothing blocking — locks, logging
+    // and by-name metric lookups arrive as impurities; sleeps, waits,
+    // file I/O, unbounded loops and by-name tracing as rtBlockers.
     for (const Root &root : roots) {
         const FunctionFacts &root_fn = linker.fn(root.key);
-        Reach reach = reachableFrom(root.key, linker);
-        const std::string context =
-            "the " + root.label + " shard body '" + root_fn.name +
-            "' at " + files[root.key.file].path + ":" +
-            std::to_string(root.line);
+        const Reach reach = reachableFrom(root.key, linker);
+        const std::string where =
+            files[root.key.file].path + ":" + std::to_string(root.line);
 
+        if (root.kind == Root::Kind::realtime) {
+            const std::string context = "the MINDFUL_RT_LOOP(\"" +
+                                        root.label +
+                                        "\") streaming loop at " + where;
+            for (const FnKey &node : reach.order) {
+                const FunctionFacts &fn = linker.fn(node);
+                auto report = [&](const std::string &kind,
+                                  std::size_t line,
+                                  const std::string &detail) {
+                    if (!admit(root, "rt-ok", node.file, line,
+                               "rt:" + detail))
+                        return;
+                    const std::string tail =
+                        kind == "by-name"
+                            ? "; by-name observability resolves its "
+                              "name under a lock — pre-resolve a "
+                              "MINDFUL_HOT_* handle at setup time "
+                              "(docs/static_analysis.md)"
+                            : "; nothing blocking may run on a "
+                              "streaming stage path "
+                              "(docs/static_analysis.md)";
+                    findings.push_back(
+                        {files[node.file].path, line, "realtime-loop",
+                         detail + " (" +
+                             callChain(reach, root.key, node, linker,
+                                       "in the loop body") +
+                             ") inside " + context + tail +
+                             "; annotate `// analyze: rt-ok(<reason>)`"
+                             " if intended"});
+                };
+                for (const Impurity &blocker : fn.rtBlockers)
+                    report(blocker.kind, blocker.line, blocker.detail);
+                for (const Impurity &impurity : fn.impurities) {
+                    if (impurity.kind == "lock" ||
+                        impurity.kind == "log")
+                        report("blocking-call", impurity.line,
+                               impurity.detail);
+                    else if (impurity.kind == "metric-lookup")
+                        report("by-name", impurity.line,
+                               impurity.detail);
+                }
+            }
+            continue;
+        }
+
+        const std::string context = "the " + root.label +
+                                    " shard body '" + root_fn.name +
+                                    "' at " + where;
         for (const FnKey &node : reach.order) {
             const FunctionFacts &fn = linker.fn(node);
+            auto chain = [&] {
+                return callChain(reach, root.key, node, linker,
+                                 "in the shard body");
+            };
             for (const Hazard &hazard : fn.hazards) {
-                if (suppressions.covered("determinism-ok", node.file,
-                                         hazard.line) ||
-                    suppressions.covered("determinism-ok",
-                                         root.key.file, root.line))
-                    continue;
-                std::tuple<std::string, std::size_t, std::string> key{
-                    files[node.file].path, hazard.line,
-                    "hazard:" + hazard.detail};
-                if (!seen.insert(key).second)
+                if (!admit(root, "determinism-ok", node.file,
+                           hazard.line, "hazard:" + hazard.detail))
                     continue;
                 findings.push_back(
                     {files[node.file].path, hazard.line,
                      "determinism-flow",
-                     hazard.detail + " (" +
-                         callChain(reach, root.key, node, linker) +
-                         ") inside " + context +
+                     hazard.detail + " (" + chain() + ") inside " +
+                         context +
                          "; shard outputs are byte-identical by "
                          "contract — hash order, pointer order and "
                          "clocks must not influence them "
@@ -2187,21 +2254,13 @@ semanticFindings(const std::vector<FileFacts> &files)
                          "intended"});
             }
             for (const Impurity &impurity : fn.impurities) {
-                if (suppressions.covered("hot-ok", node.file,
-                                         impurity.line) ||
-                    suppressions.covered("hot-ok", root.key.file,
-                                         root.line))
-                    continue;
-                std::tuple<std::string, std::size_t, std::string> key{
-                    files[node.file].path, impurity.line,
-                    impurity.detail};
-                if (!seen.insert(key).second)
+                if (!admit(root, "hot-ok", node.file, impurity.line,
+                           impurity.detail))
                     continue;
                 findings.push_back(
                     {files[node.file].path, impurity.line, "hot-path",
-                     impurity.detail + " (" +
-                         callChain(reach, root.key, node, linker) +
-                         ") inside " + context +
+                     impurity.detail + " (" + chain() + ") inside " +
+                         context +
                          "; shard code must stay allocation-, lock-, "
                          "log- and metric-lookup-free "
                          "(docs/parallelism.md); annotate `// "
@@ -2214,17 +2273,9 @@ semanticFindings(const std::vector<FileFacts> &files)
         if (root.byName) {
             for (const DrawSite &draw : root_fn.draws) {
                 if (draw.engine.empty() ||
-                    engineIsSafe(root_fn, draw.engine))
-                    continue;
-                if (suppressions.covered("rng-ok", root.key.file,
-                                         draw.line) ||
-                    suppressions.covered("rng-ok", root.key.file,
-                                         root.line))
-                    continue;
-                std::tuple<std::string, std::size_t, std::string> key{
-                    files[root.key.file].path, draw.line,
-                    "draw:" + draw.engine};
-                if (!seen.insert(key).second)
+                    engineIsSafe(root_fn, draw.engine) ||
+                    !admit(root, "rng-ok", root.key.file, draw.line,
+                           "draw:" + draw.engine))
                     continue;
                 findings.push_back(
                     {files[root.key.file].path, draw.line, "rng-flow",
@@ -2252,17 +2303,10 @@ semanticFindings(const std::vector<FileFacts> &files)
                     const std::string &engine = call.argIdents[j];
                     if (!it->second.count(j) || engine.empty() ||
                         !callee.params[j].isRng ||
-                        engineIsSafe(root_fn, engine))
-                        continue;
-                    if (suppressions.covered("rng-ok", root.key.file,
-                                             call.line) ||
-                        suppressions.covered("rng-ok", root.key.file,
-                                             root.line))
-                        continue;
-                    std::tuple<std::string, std::size_t, std::string>
-                        key{files[root.key.file].path, call.line,
-                            "flow:" + engine + ":" + call.callee};
-                    if (!seen.insert(key).second)
+                        engineIsSafe(root_fn, engine) ||
+                        !admit(root, "rng-ok", root.key.file,
+                               call.line,
+                               "flow:" + engine + ":" + call.callee))
                         continue;
                     findings.push_back(
                         {files[root.key.file].path, call.line,
@@ -2273,69 +2317,6 @@ semanticFindings(const std::vector<FileFacts> &files)
                              "Rng::fork, inside " + context +
                              "; fork a sub-stream per shard instead "
                              "(docs/parallelism.md)"});
-                }
-            }
-        }
-    }
-
-    // realtime-loop: one BFS per MINDFUL_RT_LOOP streaming root.
-    // Locks, logging and by-name metric lookups are already tracked
-    // as impurities; sleeps, waits, file I/O, unbounded loops and
-    // by-name tracing arrive as rtBlockers.
-    for (std::size_t f = 0; f < files.size(); ++f) {
-        for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
-            const FunctionFacts &root_fn = files[f].functions[k];
-            if (!root_fn.rtRoot)
-                continue;
-            const FnKey root_key{f, k};
-            Reach reach = reachableFrom(root_key, linker);
-            const std::string context =
-                "the MINDFUL_RT_LOOP(\"" + root_fn.rootLabel +
-                "\") streaming loop at " + files[f].path + ":" +
-                std::to_string(root_fn.rootLine);
-            for (const FnKey &node : reach.order) {
-                const FunctionFacts &fn = linker.fn(node);
-                auto report = [&](const std::string &kind,
-                                  std::size_t line,
-                                  const std::string &detail) {
-                    if (suppressions.covered("rt-ok", node.file,
-                                             line) ||
-                        suppressions.covered("rt-ok", f,
-                                             root_fn.rootLine))
-                        return;
-                    std::tuple<std::string, std::size_t, std::string>
-                        key{files[node.file].path, line,
-                            "rt:" + detail};
-                    if (!seen.insert(key).second)
-                        return;
-                    const std::string tail =
-                        kind == "by-name"
-                            ? "; by-name observability resolves its "
-                              "name under a lock — pre-resolve a "
-                              "MINDFUL_HOT_* handle at setup time "
-                              "(docs/static_analysis.md)"
-                            : "; nothing blocking may run on a "
-                              "streaming stage path "
-                              "(docs/static_analysis.md)";
-                    findings.push_back(
-                        {files[node.file].path, line, "realtime-loop",
-                         detail + " (" +
-                             callChain(reach, root_key, node, linker,
-                                       "in the loop body") +
-                             ") inside " + context + tail +
-                             "; annotate `// analyze: rt-ok(<reason>)`"
-                             " if intended"});
-                };
-                for (const Impurity &blocker : fn.rtBlockers)
-                    report(blocker.kind, blocker.line, blocker.detail);
-                for (const Impurity &impurity : fn.impurities) {
-                    if (impurity.kind == "lock" ||
-                        impurity.kind == "log")
-                        report("blocking-call", impurity.line,
-                               impurity.detail);
-                    else if (impurity.kind == "metric-lookup")
-                        report("by-name", impurity.line,
-                               impurity.detail);
                 }
             }
         }
@@ -2446,18 +2427,26 @@ semanticFindings(const std::vector<FileFacts> &files)
 
 // --- driver ---------------------------------------------------------------
 
+std::string
+rootLabel(const std::string &dir)
+{
+    const std::filesystem::path path =
+        std::filesystem::path(dir).lexically_normal();
+    if (path.is_absolute())
+        return ""; // no natural prefix
+    std::string label = path.generic_string();
+    while (!label.empty() && label.back() == '/')
+        label.pop_back();
+    return label == "." ? "" : label;
+}
+
 int
 runAnalyze(const AnalyzeOptions &options, std::ostream &out,
            std::ostream &err)
 {
     namespace fs = std::filesystem;
 
-    if (options.threads > 0)
-        exec::ThreadPool::setGlobalThreadCount(options.threads);
-
-    std::vector<RootSpec> roots = options.roots;
-    if (roots.empty() && !options.root.empty())
-        roots.push_back({options.root, ""});
+    const std::vector<RootSpec> &roots = options.roots;
     if (roots.empty()) {
         err << "mindful-analyze: no scan root given\n";
         return 2;
@@ -2488,54 +2477,23 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         }
     }
 
-    if (!options.cacheDir.empty()) {
-        std::error_code ec;
-        fs::create_directories(options.cacheDir, ec);
-        if (ec) {
-            err << options.cacheDir
-                << ": cannot create cache directory: " << ec.message()
-                << "\n";
-            return 2;
-        }
-    }
-
-    std::vector<FileFacts> facts(files.size());
-    std::vector<std::string> contents(files.size());
-    std::vector<std::string> errors(files.size());
-    auto parse_one = [&](std::size_t i) {
-        std::ifstream in(fs::path(files[i].dir) / files[i].rel,
+    // Phase 1, one TU at a time in file order.
+    std::vector<FileFacts> facts;
+    std::vector<std::string> contents;
+    facts.reserve(files.size());
+    contents.reserve(files.size());
+    for (const SourceRef &file : files) {
+        std::ifstream in(fs::path(file.dir) / file.rel,
                          std::ios::binary);
         if (!in) {
-            errors[i] = "cannot read file";
-            return;
+            err << file.path << ": cannot read file\n";
+            return 2;
         }
         std::ostringstream buffer;
         buffer << in.rdbuf();
-        contents[i] = buffer.str();
-        const std::string &content = contents[i];
-        const std::string key = factsCacheKey(files[i].path, content);
-        if (!options.cacheDir.empty() &&
-            loadCachedFacts(options.cacheDir, key, files[i].path,
-                            facts[i]))
-            return;
-        facts[i] = analyzeFile(scanSource(files[i].path, content));
-        if (!options.cacheDir.empty())
-            storeCachedFacts(options.cacheDir, key, facts[i]);
-    };
-    // One task per TU on the pool we analyze; every result lands in
-    // its own index slot, so assembly order is file order regardless
-    // of scheduling.
-    if (files.size() > 1)
-        // analyze: hot-ok(parse fan-out is setup I/O, not a kernel)
-        exec::parallelFor(files.size(), parse_one, "analyze.parse");
-    else if (files.size() == 1)
-        parse_one(0);
-
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        if (!errors[i].empty()) {
-            err << files[i].path << ": " << errors[i] << "\n";
-            return 2;
-        }
+        contents.push_back(buffer.str());
+        facts.push_back(
+            analyzeFile(scanSource(file.path, contents.back())));
     }
 
     std::vector<Finding> findings;
@@ -2557,59 +2515,9 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
                                   options.allowlistPath);
     }
 
-    if (options.semantic) {
-        auto semantic = semanticFindings(facts);
-        findings.insert(findings.end(), semantic.begin(),
-                        semantic.end());
-    }
-
+    auto semantic = semanticFindings(facts);
+    findings.insert(findings.end(), semantic.begin(), semantic.end());
     std::sort(findings.begin(), findings.end(), findingLess);
-
-    // Ratchet baseline: a key is line-number-free so unrelated edits
-    // above a finding do not churn it out of the baseline.
-    auto baselineKey = [](const Finding &finding) {
-        return finding.file + " [" + finding.check + "] " +
-               finding.message;
-    };
-
-    if (!options.writeBaselinePath.empty()) {
-        std::ofstream base(options.writeBaselinePath,
-                           std::ios::binary);
-        if (!base) {
-            err << options.writeBaselinePath
-                << ": cannot write baseline\n";
-            return 2;
-        }
-        std::vector<std::string> keys;
-        keys.reserve(findings.size());
-        for (const Finding &finding : findings)
-            keys.push_back(baselineKey(finding));
-        std::sort(keys.begin(), keys.end());
-        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-        for (const std::string &key : keys)
-            base << key << "\n";
-    }
-
-    if (!options.baselinePath.empty()) {
-        std::ifstream base(options.baselinePath);
-        if (!base) {
-            err << options.baselinePath << ": cannot read baseline\n";
-            return 2;
-        }
-        std::set<std::string> known;
-        std::string entry;
-        while (std::getline(base, entry)) {
-            if (!entry.empty() && entry.back() == '\r')
-                entry.pop_back();
-            if (!entry.empty())
-                known.insert(entry);
-        }
-        std::vector<Finding> fresh;
-        for (Finding &finding : findings)
-            if (!known.count(baselineKey(finding)))
-                fresh.push_back(std::move(finding));
-        findings = std::move(fresh);
-    }
 
     for (const Finding &finding : findings) {
         out << finding.file << ":" << finding.line << ": ["
@@ -2623,10 +2531,15 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
             return 2;
         }
         // Labeled roots already carry their prefix in each finding
-        // path; only the legacy single unlabeled root needs one.
-        const std::string prefix =
-            roots.size() == 1 && roots[0].label.empty() ? roots[0].dir
-                                                        : "";
+        // path; only a single unlabeled root (absolute, or ".") needs
+        // one, and "." needs none.
+        std::string prefix;
+        if (roots.size() == 1 && roots[0].label.empty()) {
+            prefix = fs::path(roots[0].dir).lexically_normal()
+                         .generic_string();
+            if (prefix == ".")
+                prefix.clear();
+        }
         std::map<std::string, std::size_t> path_index;
         for (std::size_t i = 0; i < files.size(); ++i)
             path_index.insert({files[i].path, i});
@@ -2654,8 +2567,6 @@ runAnalyze(const AnalyzeOptions &options, std::ostream &out,
         };
         writeSarif(findings, prefix, snippets, sarif);
     }
-    if (!options.writeBaselinePath.empty())
-        return 0;
     return findings.empty() ? 0 : 1;
 }
 

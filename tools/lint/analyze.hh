@@ -2,17 +2,19 @@
  * @file
  * mindful-analyze: two-phase semantic analysis over the MINDFUL tree.
  *
- * Phase 1 (per TU, cacheable, parallel): parse the pragmatic C++
+ * Phase 1 (per TU, serial in file order): parse the pragmatic C++
  * subset the project is written in — namespaces, classes, free and
  * member function definitions, local lambdas — into FunctionFacts:
  * the impurities a function commits (heap allocation, container
  * growth, string construction, locks, logging, by-name metric
  * lookups), the calls it makes, the RNG draws it performs and which
  * engines it derived via Rng::fork. Shard roots are the lambdas (or
- * named local functions) handed to exec::parallelFor/parallelReduce.
+ * named local functions) handed to exec::parallelFor/parallelReduce;
+ * realtime roots are the loops marked MINDFUL_RT_LOOP("stage").
  *
- * Phase 2 (whole program, serial): link FunctionFacts into a project
- * symbol table and call graph, then run the semantic checks:
+ * Phase 2 (whole program): link FunctionFacts into a project symbol
+ * table and call graph, walk each root's reachable set once, then run
+ * the semantic checks:
  *
  *  - hot-path: nothing reachable from a shard root may commit an
  *    impurity. Protects the dnn/gemm.cc and thermal/bioheat.cc inner
@@ -215,7 +217,7 @@ struct AtomicOp
     bool dereferenced = false;
 };
 
-/** Phase-1 output for one TU; serializable for the incremental cache. */
+/** Phase-1 output for one TU. */
 struct FileFacts
 {
     std::string path;
@@ -247,7 +249,7 @@ std::vector<Finding> semanticFindings(const std::vector<FileFacts> &files);
 /**
  * One source tree to scan. Findings in it are recorded as
  * `<label>/<relative path>` (or bare relative path when the label is
- * empty, the single-root legacy form).
+ * empty).
  */
 struct RootSpec
 {
@@ -255,33 +257,28 @@ struct RootSpec
     std::string label; //!< path prefix in findings ("" = none)
 };
 
-/** Options for the full driver (defaults match the ctest entry). */
+/**
+ * The finding-path label of a `--root` directory: its lexically
+ * normal form without a trailing slash, so "./src/" and "src/." give
+ * "src" and "." or "./" give "" (paths then start at "src/..." and
+ * route to the same checks). An absolute root has no natural prefix
+ * and gives "".
+ */
+std::string rootLabel(const std::string &dir);
+
+/** Options for the full driver. */
 struct AnalyzeOptions
 {
-    /** Legacy single root, label-less; used when @ref roots is empty. */
-    std::string root;
     /** Scan roots in scan order; findings merge into one report. */
     std::vector<RootSpec> roots;
     std::string allowlistPath; //!< unit-safety allowlist ("" = none)
     std::string sarifPath;     //!< SARIF 2.1.0 output ("" = none)
-    std::string cacheDir;      //!< parse-facts cache ("" = disabled)
-    unsigned threads = 0;      //!< worker threads (0 = pool default)
-    bool semantic = true;      //!< false = lexical checks only
-    /**
-     * Ratchet baseline ("" = none). Findings whose `file [check]
-     * message` key appears in the file are reported but do not fail
-     * the run; only new findings flip the exit code to 1.
-     */
-    std::string baselinePath;
-    /** Write the current findings as a sorted baseline and exit 0. */
-    std::string writeBaselinePath;
 };
 
 /**
- * The mindful-analyze driver: collect sources, parse (cached,
- * sharded over the mindful_exec pool), link, check, print findings
- * to @p out sorted by (file, line, check), optionally emit SARIF.
- * Output is byte-identical across thread counts and cache states.
+ * The mindful-analyze driver: collect sources, parse each TU in file
+ * order, link, check, print findings to @p out sorted by (file, line,
+ * check), optionally emit SARIF.
  *
  * @return 0 clean, 1 findings, 2 driver error (unreadable root, ...).
  */

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <ostream>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -806,53 +804,6 @@ findingLess(const Finding &a, const Finding &b)
     if (a.check != b.check)
         return a.check < b.check;
     return a.message < b.message;
-}
-
-int
-runLint(const std::string &root, const std::string &allowlist_path,
-        std::ostream &out)
-{
-    namespace fs = std::filesystem;
-
-    std::string walk_error;
-    std::vector<std::string> files = collectSources(root, walk_error);
-    if (!walk_error.empty()) {
-        out << root << ":0: [driver] " << walk_error << "\n";
-        return 1;
-    }
-
-    std::vector<Finding> findings;
-    for (const auto &relative : files) {
-        std::ifstream in(fs::path(root) / relative);
-        std::ostringstream content;
-        content << in.rdbuf();
-        SourceFile source = scanSource(relative, content.str());
-        auto file_findings = lexicalFindings(source);
-        findings.insert(findings.end(), file_findings.begin(),
-                        file_findings.end());
-    }
-
-    if (!allowlist_path.empty()) {
-        std::ifstream in(allowlist_path);
-        if (!in) {
-            out << allowlist_path
-                << ":0: [driver] cannot read allowlist\n";
-            return 1;
-        }
-        std::ostringstream content;
-        content << in.rdbuf();
-        auto entries =
-            parseAllowlist(content.str(), allowlist_path, findings);
-        findings = applyAllowlist(std::move(findings), entries,
-                                  allowlist_path);
-    }
-
-    std::sort(findings.begin(), findings.end(), findingLess);
-    for (const auto &finding : findings) {
-        out << finding.file << ":" << finding.line << ": ["
-            << finding.check << "] " << finding.message << "\n";
-    }
-    return findings.empty() ? 0 : 1;
 }
 
 } // namespace mindful::lint

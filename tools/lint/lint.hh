@@ -1,6 +1,7 @@
 /**
  * @file
- * mindful-lint: project-specific static analysis for the MINDFUL tree.
+ * The lexer and the per-file lexical checks of mindful-analyze
+ * (analyze.hh runs them on every TU alongside the semantic passes).
  *
  * Three checks enforce idioms the compiler cannot (docs/static_analysis.md):
  *
@@ -26,7 +27,6 @@
 #define MINDFUL_TOOLS_LINT_LINT_HH
 
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -63,7 +63,7 @@ struct SourceFile
     /**
      * Semantic-analyzer escape hatches, `analyze: <tag>(<reason>)`,
      * keyed by tag ("hot-ok", "unit-ok", "rng-ok", "atomic-ok",
-     * "determinism-ok") then line. Policed exactly like raw-ok: empty
+     * "determinism-ok", "rt-ok", "view-ok") then line. Policed exactly like raw-ok: empty
      * reasons and stale markers are findings (tools/lint/analyze.cc).
      */
     std::map<std::string, std::map<std::size_t, std::string>> analyzeOk;
@@ -151,16 +151,6 @@ std::vector<Finding> lexicalFindings(const SourceFile &source);
 
 /** Stable output order: (file, line, check, message). */
 bool findingLess(const Finding &a, const Finding &b);
-
-/**
- * Walk @p root (the src/ tree), run every lexical check, apply the
- * allowlist at @p allowlist_path (empty = none), print findings to
- * @p out sorted by (file, line, check).
- *
- * @return 0 when clean, 1 when any finding survives.
- */
-int runLint(const std::string &root, const std::string &allowlist_path,
-            std::ostream &out);
 
 } // namespace mindful::lint
 

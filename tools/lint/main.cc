@@ -3,57 +3,29 @@
  * mindful-analyze CLI. Usage:
  *
  *   mindful-analyze --root src [--root tools --root bench ...]
- *       [--allowlist tools/lint/allowlist.txt]
- *       [--sarif out.sarif] [--cache-dir .cache/analyze]
- *       [--threads N] [--no-semantic]
- *       [--baseline <file>] [--write-baseline <file>]
- *
- * `--write-baseline` records the current findings as a sorted ratchet
- * baseline (and exits 0); `--baseline` reports and fails only on
- * findings not in that file, so a new pass can land before every
- * pre-existing finding is fixed.
+ *       [--allowlist tools/lint/allowlist.txt] [--sarif out.sarif]
  *
  * `--root` repeats. Finding paths are prefixed with each relative
- * root's own cleaned name ("src/...", "tools/..."), so a run from the
- * repository top level reports repo-relative paths whether one root
- * or several are given. An absolute root has no natural prefix and
- * reports root-relative paths (the historical single-root output).
+ * root's lexically normal name ("src/...", "tools/..."; "." adds no
+ * prefix), so a run from the repository top level reports
+ * repo-relative paths whether one root or several are given. An
+ * absolute root has no natural prefix and reports root-relative paths.
  *
- * `--no-semantic` restricts the run to the PR-3 lexical checks (the
- * old mindful-lint behaviour). Exits 0 when the tree is clean, 1 when
- * any finding survives, 2 on a driver error. Findings print as
- * `file:line: [check] message` and are byte-identical across thread
- * counts and cache states.
+ * Every run applies the lexical and the semantic checks. Exits 0 when
+ * the tree is clean, 1 when any finding survives, 2 on a driver error.
+ * Findings print as `file:line: [check] message`.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "analyze.hh"
-#include "base/parse.hh"
 
 namespace {
 
 const char *kUsage =
     "usage: mindful-analyze --root <dir> [--root <dir> ...]\n"
-    "           [--allowlist <file>] [--sarif <file>]\n"
-    "           [--cache-dir <dir>] [--threads <n>] [--no-semantic]\n"
-    "           [--baseline <file>] [--write-baseline <file>]\n";
-
-/** Finding-path prefix for one --root argument ("" = no prefix). */
-std::string
-rootLabel(const std::string &dir)
-{
-    std::string label = dir;
-    while (label.rfind("./", 0) == 0)
-        label.erase(0, 2);
-    while (!label.empty() && label.back() == '/')
-        label.pop_back();
-    if (!label.empty() && label.front() == '/')
-        label.clear(); // absolute path: no natural prefix
-    return label;
-}
+    "           [--allowlist <file>] [--sarif <file>]\n";
 
 } // namespace
 
@@ -65,28 +37,11 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--root" && i + 1 < argc) {
             const std::string dir = argv[++i];
-            options.roots.push_back({dir, rootLabel(dir)});
+            options.roots.push_back({dir, mindful::lint::rootLabel(dir)});
         } else if (arg == "--allowlist" && i + 1 < argc) {
             options.allowlistPath = argv[++i];
         } else if (arg == "--sarif" && i + 1 < argc) {
             options.sarifPath = argv[++i];
-        } else if (arg == "--cache-dir" && i + 1 < argc) {
-            options.cacheDir = argv[++i];
-        } else if (arg == "--threads" && i + 1 < argc) {
-            std::optional<unsigned> value =
-                mindful::parseThreadCount(argv[++i]);
-            if (!value || *value == 0 || *value > 256) {
-                std::cerr << "mindful-analyze: --threads expects a "
-                             "count in [1, 256]\n";
-                return 2;
-            }
-            options.threads = *value;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            options.baselinePath = argv[++i];
-        } else if (arg == "--write-baseline" && i + 1 < argc) {
-            options.writeBaselinePath = argv[++i];
-        } else if (arg == "--no-semantic") {
-            options.semantic = false;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << kUsage;
             return 0;
