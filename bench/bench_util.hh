@@ -1,10 +1,13 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration bench binaries.
+ * Shared helpers for the bench binaries.
  *
- * Every binary under bench/ regenerates one table or figure of the
- * paper (DESIGN.md Sec. 4) and prints it in both human-readable and
+ * Most binaries under bench/ regenerate one table or figure of the
+ * paper (DESIGN.md Sec. 4) and print it in both human-readable and
  * CSV form. Pass --csv to print CSV only (for external plotting).
+ * The two timing harnesses (kernel_regression, shard_sweep) share one
+ * interleaved-rounds loop, timeRounds(), sized by --rounds and
+ * --batch-ms (roundOptions()).
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
@@ -24,9 +27,15 @@
 #ifndef MINDFUL_BENCH_BENCH_UTIL_HH
 #define MINDFUL_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <ctime>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,7 +115,7 @@ stopTrace(const ObsOptions &options)
 /**
  * Extract --trace-out FILE / --metrics-out FILE / --threads N (also
  * the --flag=VALUE spelling) and *remove them from argv* so
- * downstream parsers (e.g. google-benchmark) never see them. Sizes
+ * downstream flag scans never see them. Sizes
  * the process-wide thread pool when --threads is present (0 =
  * hardware concurrency). Does not start tracing; see parseObsOptions.
  */
@@ -207,6 +216,122 @@ class ObsGuard
   private:
     ObsOptions _options;
 };
+
+/**
+ * Value of `--flag N` on the command line, or @p fallback when the
+ * flag is absent. Fatal unless N is a positive integer.
+ */
+inline std::uint64_t
+flagValue(int argc, char **argv, const std::string &flag,
+          std::uint64_t fallback)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (argv[i] != flag)
+            continue;
+        const auto value =
+            i + 1 < argc ? parseUnsigned(argv[i + 1]) : std::nullopt;
+        if (!value || *value == 0)
+            MINDFUL_FATAL(flag, " requires a positive integer");
+        return *value;
+    }
+    return fallback;
+}
+
+/** Round count and batch length of a timing harness. */
+struct RoundOptions
+{
+    std::size_t rounds;
+    double batchMs;
+};
+
+/** `--rounds N` (default 5) and `--batch-ms T` (default 4). */
+inline RoundOptions
+roundOptions(int argc, char **argv)
+{
+    return {flagValue(argc, argv, "--rounds", 5),
+            static_cast<double>(flagValue(argc, argv, "--batch-ms", 4))};
+}
+
+/** Process CPU time in seconds: all threads, not stolen VM time. */
+inline double
+cpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+inline double
+wallSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/** Median and first and third quartile of a sample. */
+struct Quartiles
+{
+    double q1 = 0.0;
+    double median = 0.0;
+    double q3 = 0.0;
+};
+
+inline Quartiles
+quartiles(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return {values[n / 4], values[n / 2], values[n - 1 - n / 4]};
+}
+
+/** Per-call µs of each timed variant, one sample per round. */
+struct RoundSamples
+{
+    std::vector<std::vector<double>> cpuUs;
+    std::vector<std::vector<double>> wallUs;
+};
+
+/**
+ * Time @p variants in interleaved rounds. Each round runs every
+ * variant once as a batch of calls, sized from a warm call to take
+ * about options.batchMs; the order rotates per round so no variant
+ * always runs first, and drift hits them all alike. Samples are
+ * process CPU time and wall time per call.
+ */
+inline RoundSamples
+timeRounds(const std::vector<std::function<void()>> &variants,
+           const RoundOptions &options)
+{
+    const std::size_t count = variants.size();
+    std::vector<std::size_t> reps(count);
+    for (std::size_t j = 0; j < count; ++j) {
+        variants[j]();
+        const double start = wallSeconds();
+        variants[j]();
+        const double once_ms = 1e3 * (wallSeconds() - start);
+        reps[j] = static_cast<std::size_t>(
+            std::max(1.0, options.batchMs / std::max(once_ms, 1e-3)));
+    }
+
+    RoundSamples samples{std::vector<std::vector<double>>(count),
+                         std::vector<std::vector<double>>(count)};
+    for (std::size_t round = 0; round < options.rounds; ++round) {
+        for (std::size_t j = 0; j < count; ++j) {
+            const std::size_t at = (j + round) % count;
+            const double cpu0 = cpuSeconds();
+            const double wall0 = wallSeconds();
+            for (std::size_t r = 0; r < reps[at]; ++r)
+                variants[at]();
+            const double per_call = 1e6 / static_cast<double>(reps[at]);
+            samples.cpuUs[at].push_back((cpuSeconds() - cpu0) * per_call);
+            samples.wallUs[at].push_back((wallSeconds() - wall0) *
+                                         per_call);
+        }
+    }
+    return samples;
+}
 
 } // namespace mindful::bench
 

@@ -23,8 +23,8 @@
  * stress test asserts.
  *
  * `--json FILE` writes BENCH_obs.json (CI uploads it; the ≤100 ns
- * enabled-record watermark is report-only, mirroring the kernel
- * regression harness). Accepts the shared bench_util flags.
+ * enabled-record watermark is report-only). Accepts the shared
+ * bench_util flags.
  */
 
 #include <chrono>

@@ -64,7 +64,7 @@ class Conv2dLayer : public Layer
     /**
      * Retained golden reference: the original branchy scalar loop.
      * Exists for the equivalence tests and the kernel_regression
-     * speedup baseline; never use it on a hot path.
+     * dropout ratio; never use it on a hot path.
      */
     Tensor forwardNaive(const Tensor &input) const;
 

@@ -53,7 +53,8 @@ class DenseLayer : public Layer
 
     /**
      * Retained golden reference: the original scalar row loop, for
-     * the equivalence tests and kernel_regression baseline.
+     * the equivalence tests and the kernel_regression GEMV and
+     * dropout ratios.
      */
     Tensor forwardNaive(const Tensor &input) const;
 

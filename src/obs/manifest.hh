@@ -3,7 +3,7 @@
  * Run manifest: the provenance block stamped into every trace and
  * metrics export.
  *
- * A perf trajectory (BENCH_kernels.json, BENCH_obs.json) or an
+ * A perf trajectory (BENCH_obs.json, a perfbench result) or an
  * hour-long soak trace is only evidence if it says *what ran*: the
  * git revision, the build configuration, the compiler, the thread
  * count, and a hash of the command line that produced it. The

@@ -155,8 +155,9 @@ std::uint64_t queryKey(const DesignQuery &canonical);
 
 /**
  * FNV-1a digest of a result's value bytes — the bit-exactness probe
- * the determinism tests and `serve_throughput --csv` compare across
- * thread counts and cache states. Allocation-free.
+ * the determinism tests compare across thread counts and cache
+ * states, and perfbench's serve_zipf checks against a one-thread
+ * reference pass. Allocation-free.
  */
 std::uint64_t resultDigest(const QueryResult &result);
 

@@ -154,7 +154,7 @@ struct BioHeatResult
  *
  * The original lexicographic Gauss-Seidel sweep is retained as
  * solveReference/solveProfileReference — the golden reference for the
- * equivalence tests and the kernel_regression speedup baseline. Both
+ * equivalence tests and the kernel_regression bio-heat ratio. Both
  * orderings converge to the same fixed point of the discretized
  * system, so their fields agree to solver tolerance.
  */

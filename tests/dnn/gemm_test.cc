@@ -132,11 +132,13 @@ TEST(GemmConvTest, KernelLargerThanInputSamePadding)
 
 TEST(GemmConvTest, BitIdenticalAcrossThreadCounts)
 {
-    // Large enough (m*n*k >= 2^16 MACs) that biasGemm actually shards
-    // over the pool. Row sharding has no cross-shard reduction, so
-    // equality is exact, not approximate.
-    auto conv = makeConv(8, 16, 3, 3, 1, Padding::Same);
-    Tensor x = makeInput({8, 32, 32});
+    // 32 outputs x 4096 positions x 144 patch rows clears four
+    // kMinShardMacs, so biasGemm shards over the pool. Row sharding
+    // has no cross-shard reduction, so equality is exact, not
+    // approximate.
+    ASSERT_EQ(gemm::rowShards(32, std::uint64_t{32} * 4096 * 144), 4u);
+    auto conv = makeConv(16, 32, 3, 3, 1, Padding::Same);
+    Tensor x = makeInput({16, 64, 64});
 
     exec::ThreadPool::setGlobalThreadCount(1);
     Tensor serial = conv.forward(x);

@@ -7,8 +7,8 @@
  * accumulates its k products in ascending order in one chain, and
  * multiply/add stay unfused. These tests force every ISA compiled
  * into this binary and supported by this host (forceSimdIsa — the
- * in-process equivalent of the `MINDFUL_SIMD` override the CI
- * force-scalar run exercises) and require exact float equality
+ * in-process equivalent of the `MINDFUL_SIMD` override that the
+ * dnn_tests_force_scalar ctest sets) and require exact float equality
  * against the scalar kernel over ragged shapes (n % lane != 0,
  * k % lane != 0, row tails), GEMV (n == 1), strided/padded im2col
  * convolutions, the fused bias+ReLU epilogue, and thread counts —
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "base/cpu.hh"
@@ -44,10 +45,14 @@ supportedIsas()
     return isas;
 }
 
-/** Restore detection when a test that forces ISAs exits. */
+/**
+ * Restore the ISA active at construction when a test that forces ISAs
+ * exits, so a `MINDFUL_SIMD` override outlives every guarded test.
+ */
 struct IsaGuard
 {
-    ~IsaGuard() { forceSimdIsa(detectSimdIsa()); }
+    SimdIsa saved = activeSimdIsa();
+    ~IsaGuard() { forceSimdIsa(saved); }
 };
 
 std::vector<float>
@@ -324,6 +329,20 @@ TEST(SimdDispatch, DenseLayerBitIdenticalAcrossIsasAndThreads)
         }
         exec::ThreadPool::setGlobalThreadCount(0);
     }
+}
+
+// Defined last so it also sees whether every guarded test above
+// restored the override.
+TEST(SimdDispatch, EnvOverrideNamesTheActiveIsa)
+{
+    const char *env = std::getenv("MINDFUL_SIMD");
+    if (env == nullptr || *env == '\0') {
+        EXPECT_EQ(activeSimdIsa(), detectSimdIsa());
+        return;
+    }
+    SimdIsa named;
+    ASSERT_TRUE(parseSimdIsaName(env, named)) << env;
+    EXPECT_EQ(activeSimdIsa(), named) << "MINDFUL_SIMD=" << env;
 }
 
 } // namespace

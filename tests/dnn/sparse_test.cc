@@ -409,14 +409,17 @@ TEST(ConvDropout, AllChannelsDroppedYieldsBias)
 
 TEST(ConvDropout, BitIdenticalAcrossThreadCounts)
 {
-    // Big enough to shard (m*n*k >= 2^16 after pruning).
-    Conv2dLayer conv(8, 16, 3, 3, 1, Padding::Same);
+    // Half the 16 input channels survive: 32 outputs x 4096
+    // positions x 72 pruned patch rows still clears two
+    // kMinShardMacs, so the pruned GEMM shards over the pool.
+    ASSERT_EQ(gemm::rowShards(32, std::uint64_t{32} * 4096 * 72), 2u);
+    Conv2dLayer conv(16, 32, 3, 3, 1, Padding::Same);
     Rng rng(191);
     conv.initializeWeights(rng);
-    const auto mask = randomMask(8, 4, 193);
+    const auto mask = randomMask(16, 8, 193);
     ASSERT_TRUE(conv.setInputDropout(mask));
 
-    const Tensor x = randomTensor({8, 32, 32}, 197);
+    const Tensor x = randomTensor({16, 64, 64}, 197);
     exec::ThreadPool::setGlobalThreadCount(1);
     const Tensor serial = conv.forward(x);
     exec::ThreadPool::setGlobalThreadCount(8);

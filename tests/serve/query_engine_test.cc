@@ -30,7 +30,14 @@ makeQuery(WorkloadClass workload, int soc = 1,
     return query;
 }
 
-/** The bench's mixed-batch recipe, shrunk for test runtime. */
+/**
+ * Deterministic mixed batch that varies every query knob within 96
+ * entries: SoCs 1-8, all six workload classes, 1024-8192 channels,
+ * partitioning, the MAC node, QAM efficiency 0.25/0.5 and both comm
+ * scaling strategies. The pattern repeats every 96 entries, so a cold
+ * pass over 192 takes both the evaluation and the intra-batch hit
+ * path.
+ */
 std::vector<DesignQuery>
 mixedBatch(std::size_t count)
 {
@@ -45,10 +52,14 @@ mixedBatch(std::size_t count)
         DesignQuery query;
         query.socId = static_cast<int>(1 + i % 8);
         query.workload = kClasses[(i / 8) % 6];
-        query.channels = 1024 * (1 + (i / 48) % 4);
+        query.channels = 1024 * (1 + (i / 12) % 8);
         query.partitioned = (i % 2) == 1;
         query.node = (i % 3) == 0 ? ProcessNode::Node12nm
                                   : ProcessNode::Node45nm;
+        query.qamEfficiency = (i / 2) % 2 == 1 ? 0.5 : 0.25;
+        query.commStrategy = (i / 4) % 2 == 1
+                                 ? core::CommScalingStrategy::Naive
+                                 : core::CommScalingStrategy::HighMargin;
         batch.push_back(query);
     }
     return batch;
