@@ -3,11 +3,12 @@
  * Fast path against retained golden reference, for the kernels
  * perfbench does not time on their own: the seed-config bio-heat
  * solve (BioHeatSolver::solve vs solveReference), the Fig. 10 MLP
- * trunk GEMV (DenseLayer::forward vs forwardNaive) and three
- * channel-dropout plans — the column-pruned and CSR dense paths and
- * the channel-pruned conv (forward vs forwardNaive over the
- * mask-zeroed input). Every DNN entry golden-checks its output
- * against the reference before timing and fails on any mismatch.
+ * trunk GEMV (DenseLayer::forward vs forwardNaive) and the packed
+ * channel-dropout plan at three masks — the dense layer with half and
+ * an eighth of its inputs kept, and the conv with half its channels
+ * kept (forward vs forwardNaive over the mask-zeroed input). Every
+ * DNN entry golden-checks its output against the reference before
+ * timing and fails on any mismatch.
  *
  * Fast path and reference run interleaved on bench::timeRounds; the
  * table reports process CPU µs per call and the per-round speedup
@@ -47,7 +48,7 @@ makeInput(const dnn::Shape &shape)
 
 /**
  * Deterministic mask with exactly @p active of @p units set, shuffled
- * so the surviving columns are scattered (the CSR slabs stay ragged).
+ * so the surviving columns are scattered.
  */
 std::vector<std::uint8_t>
 dropoutMask(std::size_t units, std::size_t active, std::uint64_t seed)
@@ -86,10 +87,10 @@ formatQuartiles(const std::vector<double> &samples, int precision)
 
 /**
  * Fig. 10 MLP trunk at n = 512 (latent 1024 -> trunk 768). With
- * @p active < 1024 a channel-dropout mask is installed: 512 active
- * stays above kCsrDensityThreshold (column-pruned GEMM), 128 falls
- * below it (CSR slab kernel). The reference is forwardNaive over the
- * input with the dropped features zeroed.
+ * @p active < 1024 a channel-dropout mask is installed, and the GEMM
+ * runs over the packed surviving columns (512 or 128 of them). The
+ * reference is forwardNaive over the input with the dropped features
+ * zeroed.
  */
 bench::RoundSamples
 benchDense(const std::string &name, std::size_t active,
@@ -115,7 +116,7 @@ benchDense(const std::string &name, std::size_t active,
 }
 
 /**
- * Channel-pruned im2col conv at the Fig. 10 DN-CNN block-1 shape
+ * Packed-channel im2col conv at the Fig. 10 DN-CNN block-1 shape
  * (n = 512, alpha = 4: 66 -> 22 channels on 64 x 8 maps), half the
  * input planes dropped.
  */

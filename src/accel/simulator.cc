@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/special_math.hh"
-#include "dnn/dense.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
 
@@ -16,49 +15,6 @@ AcceleratorSimulator::AcceleratorSimulator(SimulatorConfig config)
     MINDFUL_ASSERT(_config.macUnits > 0,
                    "simulator needs at least one MAC unit");
 }
-
-namespace {
-
-/**
- * Execute a dense layer on a weight-stationary PE pool.
- *
- * Rows (MAC_op sequences) are assigned to PEs round-robin; each pass
- * runs up to `units` rows in parallel for `in` accumulation steps.
- * The arithmetic order per row matches DenseLayer::forward(), so the
- * result is bit-identical to the functional reference.
- */
-dnn::Tensor
-runDenseOnPes(const dnn::DenseLayer &layer, const dnn::Tensor &input,
-              std::uint64_t units, std::uint64_t &cycles)
-{
-    const std::size_t in = layer.inFeatures();
-    const std::size_t out = layer.outFeatures();
-    dnn::Tensor result(dnn::Shape{out});
-
-    const float *x = input.data();
-    const auto &weights = layer.weights();
-    const auto &biases = layer.biases();
-
-    std::size_t next_row = 0;
-    while (next_row < out) {
-        std::size_t batch =
-            std::min<std::size_t>(units, out - next_row);
-        // All PEs in the pass step through their MAC_seq in lockstep.
-        for (std::size_t pe = 0; pe < batch; ++pe) {
-            std::size_t row = next_row + pe;
-            const float *w = weights.data() + row * in;
-            float acc = biases[row];
-            for (std::size_t c = 0; c < in; ++c)
-                acc += w[c] * x[c];
-            result[row] = acc;
-        }
-        next_row += batch;
-        cycles += in; // one pass = MAC_seq cycles
-    }
-    return result;
-}
-
-} // namespace
 
 SimulationResult
 AcceleratorSimulator::run(const dnn::Network &network,
@@ -81,19 +37,13 @@ AcceleratorSimulator::run(const dnn::Network &network,
                                "layer." + layer.name());
             layer_span.arg("index", i).arg("macs", census.totalMacs());
 
-            if (const auto *dense =
-                    dynamic_cast<const dnn::DenseLayer *>(&layer)) {
-                activation = runDenseOnPes(*dense, activation,
-                                           _config.macUnits,
-                                           layer_cycles);
-            } else {
-                if (!census.empty()) {
-                    layer_cycles =
-                        ceilDiv(census.macOp, _config.macUnits) *
-                        census.macSeq;
-                }
-                activation = layer.forward(activation);
-            }
+            // Weight-stationary PEs each own a round-robin share of
+            // the #MAC_op sequences: ceil(#MAC_op / units) passes of
+            // MAC_seq steps.
+            if (!census.empty())
+                layer_cycles = ceilDiv(census.macOp, _config.macUnits) *
+                               census.macSeq;
+            activation = layer.forward(activation);
             layer_span.arg("cycles", layer_cycles);
         }
 

@@ -8,12 +8,13 @@
  * predicts — closing the loop between the equations and an actual
  * dataflow:
  *
- *  - Dense layers are executed PE-by-PE: each weight-stationary PE
- *    owns a round-robin share of the layer's #MAC_op rows and steps
- *    through its MAC_seq accumulations, exactly like the Fig. 9
- *    architecture (MAC + ReLU + weight ROM per PE).
- *  - Other MAC-bearing layers (convolutions) are timed from their
- *    census and evaluated functionally.
+ *  - Every MAC-bearing layer (dense, convolution) is timed from its
+ *    census on weight-stationary PEs, each owning a round-robin share
+ *    of the layer's #MAC_op sequences and stepping through their
+ *    MAC_seq accumulations like the Fig. 9 architecture (MAC + ReLU +
+ *    weight ROM per PE): ceil(#MAC_op / units) * MAC_seq cycles. Its
+ *    output comes from the layer's own forward(), so an installed
+ *    input-dropout mask applies.
  *  - MAC-free layers (pooling, activations, reshapes) execute in the
  *    dataflow FSM and take no PE cycles.
  *

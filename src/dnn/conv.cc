@@ -62,6 +62,7 @@ Conv2dLayer::materialize()
         _weights.assign(_outChannels * _inChannels * _kernelH * _kernelW,
                         0.0f);
         _biases.assign(_outChannels, 0.0f);
+        packDropout();
     }
 }
 
@@ -118,54 +119,25 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
     MINDFUL_ASSERT(materialized(), "conv weights not materialized; "
                    "call initializeWeights() before forward()");
     MINDFUL_ASSERT(out != nullptr, "conv output view is null");
-    if (_dropPath != DropoutPath::None) {
-        forwardIntoDropout(input, out, fuse_relu);
-        return;
-    }
     Shape out_shape = outputShape(input.shape());
+    const std::size_t in_h = input.dim(1);
+    const std::size_t in_w = input.dim(2);
     const std::size_t out_h = out_shape[1];
     const std::size_t out_w = out_shape[2];
     const std::size_t n = out_h * out_w;
-    const std::size_t k =
-        gemm::im2colRows(_inChannels, _kernelH, _kernelW);
     const auto epilogue =
         fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
 
-    // 1x1 stride-1 convolutions (pointwise channel mixing) already
-    // have the patch-matrix layout: B is just the input buffer.
-    if (_kernelH == 1 && _kernelW == 1 && _stride == 1) {
-        gemm::biasGemm(_outChannels, n, k, _weights.data(), input.data(),
-                       _biases.data(), out, epilogue);
-        return;
-    }
-
-    const ConvScratch scratch =
-        convScratch(k * n, gemm::im2colMaskWords(_kernelW, out_h, out_w));
-    gemm::im2col(input.data(), _inChannels, input.dim(1), input.dim(2),
-                 _kernelH, _kernelW, _stride,
-                 static_cast<std::size_t>(padBefore(_kernelH)),
-                 static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                 out_w, scratch.floats, scratch.masks);
-    gemm::biasGemm(_outChannels, n, k, _weights.data(), scratch.floats,
-                   _biases.data(), out, epilogue);
-}
-
-void
-Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
-                                bool fuse_relu) const
-{
-    Shape out_shape = outputShape(input.shape());
-    const std::size_t out_h = out_shape[1];
-    const std::size_t out_w = out_shape[2];
-    const std::size_t n = out_h * out_w;
-    const std::size_t ka = _activeChannels.size();
-    const auto epilogue =
-        fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
-
-    if (ka == 0) {
+    // A dropout plan swaps in the surviving channel planes, compacted
+    // below, and the weights packed to them; im2col and the GEMM then
+    // never touch the dropped channels.
+    const std::size_t channels =
+        _dropout ? _dropout->activeUnits() : _inChannels;
+    const float *weights = _dropout ? _dropout->weights() : _weights.data();
+    if (channels == 0) {
         // Every input channel dropped: each output plane is its bias
-        // (through the epilogue), exactly what the dense path yields
-        // on an all-zero input.
+        // (through the epilogue), exactly what the unmasked path
+        // yields on an all-zero input; biasGemm needs k > 0.
         for (std::size_t oc = 0; oc < _outChannels; ++oc) {
             const float v =
                 fuse_relu ? std::max(_biases[oc], 0.0f) : _biases[oc];
@@ -174,41 +146,32 @@ Conv2dLayer::forwardIntoDropout(const Tensor &input, float *out,
         return;
     }
 
-    // Compact the surviving channel planes; im2col (and the packed
-    // weights) then never touch the dropped ones. Skipped terms are
-    // exact zero products — see src/dnn/sparse.hh on why dropping
-    // them is still bit-exact for finite data. The compacted planes
-    // and the patch matrix share the thread's scratch buffer.
-    const std::size_t in_h = input.dim(1);
-    const std::size_t in_w = input.dim(2);
-    const std::size_t plane = in_h * in_w;
-    const std::size_t k = gemm::im2colRows(ka, _kernelH, _kernelW);
+    // 1x1 stride-1 convolutions (pointwise channel mixing) already
+    // have the patch-matrix layout: B is just the planes. Otherwise
+    // the compacted planes and the patch matrix share the thread's
+    // scratch buffer.
+    const std::size_t k = gemm::im2colRows(channels, _kernelH, _kernelW);
     const bool pointwise = _kernelH == 1 && _kernelW == 1 && _stride == 1;
+    const std::size_t compact = _dropout ? channels * in_h * in_w : 0;
     const ConvScratch scratch = convScratch(
-        ka * plane + (pointwise ? 0 : k * n),
+        compact + (pointwise ? 0 : k * n),
         pointwise ? 0 : gemm::im2colMaskWords(_kernelW, out_h, out_w));
-    float *compact = scratch.floats;
-    for (std::size_t j = 0; j < ka; ++j)
-        std::copy(input.data() + _activeChannels[j] * plane,
-                  input.data() + (_activeChannels[j] + 1) * plane,
-                  compact + j * plane);
-
-    const float *b_matrix = compact;
+    const float *planes = input.data();
+    if (_dropout) {
+        _dropout->gather(input.data(), in_h * in_w, scratch.floats);
+        planes = scratch.floats;
+    }
+    const float *b_matrix = planes;
     if (!pointwise) {
-        float *patches = compact + ka * plane;
-        gemm::im2col(compact, ka, in_h, in_w, _kernelH, _kernelW,
+        float *patches = scratch.floats + compact;
+        gemm::im2col(planes, channels, in_h, in_w, _kernelH, _kernelW,
                      _stride, static_cast<std::size_t>(padBefore(_kernelH)),
                      static_cast<std::size_t>(padBefore(_kernelW)), out_h,
                      out_w, patches, scratch.masks);
         b_matrix = patches;
     }
-
-    if (_dropPath == DropoutPath::Csr) {
-        _csr.multiply(n, b_matrix, _biases.data(), out, epilogue);
-        return;
-    }
-    gemm::biasGemm(_outChannels, n, k, _packedWeights.data(), b_matrix,
-                   _biases.data(), out, epilogue);
+    gemm::biasGemm(_outChannels, n, k, weights, b_matrix, _biases.data(),
+                   out, epilogue);
 }
 
 Tensor
@@ -312,7 +275,7 @@ Conv2dLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    rebuildDropoutPlan();
+    packDropout();
 }
 
 bool
@@ -321,68 +284,19 @@ Conv2dLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
     MINDFUL_ASSERT(mask.empty() || mask.size() == _inChannels,
                    "conv dropout mask needs ", _inChannels,
                    " entries, got ", mask.size());
-    const bool all_active =
-        std::all_of(mask.begin(), mask.end(),
-                    [](std::uint8_t v) { return v != 0; });
-    _channelMask = all_active ? std::vector<std::uint8_t>{} : mask;
-    rebuildDropoutPlan();
+    _dropout = DropoutPlan::fromMask(mask);
+    packDropout();
     return true;
 }
 
 void
-Conv2dLayer::rebuildDropoutPlan()
+Conv2dLayer::packDropout()
 {
-    _activeChannels.clear();
-    _packedWeights.clear();
-    _csr = sparse::SlabCsrMatrix{};
-    if (_channelMask.empty() || !materialized()) {
-        _dropPath = DropoutPath::None;
-        return;
-    }
-    for (std::size_t ic = 0; ic < _inChannels; ++ic)
-        if (_channelMask[ic] != 0)
-            _activeChannels.push_back(static_cast<std::uint32_t>(ic));
-
-    // Pack [oc][ic][kh][kw] down to the surviving channels: the im2col
-    // row order over the compacted input is exactly the packed column
+    // [oc][ic][kh][kw] packs to [oc][active ic][kh][kw]: the im2col row
+    // order over the compacted planes is exactly the packed column
     // order, so the packed matrix drops into the GEMM unchanged.
-    const std::size_t tap = _kernelH * _kernelW;
-    const std::size_t ka = _activeChannels.size();
-    _packedWeights.resize(_outChannels * ka * tap);
-    float *dst = _packedWeights.data();
-    for (std::size_t oc = 0; oc < _outChannels; ++oc) {
-        const float *wrow = _weights.data() + oc * _inChannels * tap;
-        for (const std::uint32_t ic : _activeChannels) {
-            const float *src = wrow + ic * tap;
-            dst = std::copy(src, src + tap, dst);
-        }
-    }
-
-    if (ka == 0) {
-        _dropPath = DropoutPath::Pruned; // bias-only fast path
-        return;
-    }
-
-    // Threshold on the *full* weight extent (nnz after masking over
-    // m * k), per the density the optimization study reasons about.
-    const std::size_t k_full =
-        gemm::im2colRows(_inChannels, _kernelH, _kernelW);
-    std::vector<std::uint8_t> col_mask(k_full, 0);
-    for (const std::uint32_t ic : _activeChannels)
-        std::fill(col_mask.begin() +
-                      static_cast<std::ptrdiff_t>(ic * tap),
-                  col_mask.begin() +
-                      static_cast<std::ptrdiff_t>((ic + 1) * tap),
-                  1);
-    const double density = sparse::maskedDensity(
-        _weights.data(), _outChannels, k_full, col_mask.data());
-    if (density <= sparse::kCsrDensityThreshold) {
-        _dropPath = DropoutPath::Csr;
-        _csr = sparse::SlabCsrMatrix::fromDense(
-            _packedWeights.data(), _outChannels, ka * tap, nullptr);
-    } else {
-        _dropPath = DropoutPath::Pruned;
-    }
+    if (_dropout && materialized())
+        _dropout->pack(_weights.data(), _outChannels, _kernelH * _kernelW);
 }
 
 DenseStage2dLayer::DenseStage2dLayer(std::size_t in_channels,
@@ -456,12 +370,6 @@ void
 DenseStage2dLayer::initializeWeights(Rng &rng)
 {
     _conv.initializeWeights(rng);
-}
-
-bool
-DenseStage2dLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    return _conv.setInputDropout(mask);
 }
 
 } // namespace mindful::dnn

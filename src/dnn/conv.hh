@@ -13,10 +13,11 @@
 #define MINDFUL_DNN_CONV_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "dnn/dropout.hh"
 #include "dnn/layer.hh"
-#include "dnn/sparse.hh"
 
 namespace mindful::dnn {
 
@@ -87,15 +88,11 @@ class Conv2dLayer : public Layer
 
     /**
      * Channel-level input dropout: @p mask has inChannels() entries.
-     * Active input-channel planes are compacted before im2col, then
-     * the GEMM runs on weights packed to the surviving channels —
-     * or on their CSR form when the post-dropout density of the full
-     * weight matrix falls below sparse::kCsrDensityThreshold.
+     * forwardInto() then compacts the surviving input planes and runs
+     * the GEMM over the weights packed to those channels
+     * (src/dnn/dropout.hh).
      */
     bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
-
-    /** Kernel the next forward() will take. */
-    DropoutPath dropoutPath() const { return _dropPath; }
 
     /** Weights laid out [out_ch][in_ch][kh][kw]. */
     std::vector<float> &weights() { return _weights; }
@@ -109,12 +106,8 @@ class Conv2dLayer : public Layer
     /** Top/left zero-padding offset for the current padding mode. */
     std::ptrdiff_t padBefore(std::size_t kernel) const;
 
-    /** Recompute the Pruned/Csr plan from _channelMask + _weights. */
-    void rebuildDropoutPlan();
-
-    /** forwardInto body for the active dropout plan. */
-    void forwardIntoDropout(const Tensor &input, float *out,
-                            bool fuse_relu) const;
+    /** Repack the dropout plan, if any, from the current weights. */
+    void packDropout();
 
     std::size_t _inChannels;
     std::size_t _outChannels;
@@ -125,18 +118,16 @@ class Conv2dLayer : public Layer
     std::vector<float> _weights;
     std::vector<float> _biases;
 
-    std::vector<std::uint8_t> _channelMask; //!< empty = no dropout
-    DropoutPath _dropPath = DropoutPath::None;
-    std::vector<std::uint32_t> _activeChannels;
-    std::vector<float> _packedWeights; //!< [oc][active ic][kh][kw]
-    sparse::SlabCsrMatrix _csr;        //!< over the packed weights
+    std::optional<DropoutPlan> _dropout; //!< none = every channel active
 };
 
 /**
  * One DenseNet stage: y = concat(x, relu(conv_same(x, growth))).
  *
  * Output channel count is in_channels + growth; spatial dimensions
- * are preserved ("same" padding, stride 1).
+ * are preserved ("same" padding, stride 1). The stage takes no input
+ * dropout (setInputDropout returns false): its passthrough half would
+ * still copy the dropped planes.
  */
 class DenseStage2dLayer : public Layer
 {
@@ -168,13 +159,6 @@ class DenseStage2dLayer : public Layer
     MacCensus census(const Shape &input) const override;
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
-
-    /**
-     * Forwards to the inner convolution. The passthrough concat copies
-     * the (zero-masked) input unchanged, so the stage output matches
-     * the reference over a masked input exactly.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
 
   private:
     std::size_t _inChannels;

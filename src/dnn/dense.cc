@@ -22,6 +22,7 @@ DenseLayer::materialize()
     if (!materialized()) {
         _weights.assign(_in * _out, 0.0f);
         _biases.assign(_out, 0.0f);
+        packDropout();
     }
 }
 
@@ -55,33 +56,22 @@ DenseLayer::forward(const Tensor &input) const
     // rows shard over the pool only past gemm::kMinShardMacs per
     // shard (every speech-MLP(256) layer runs as one); each row
     // accumulates in ascending k order, so the result is
-    // bit-identical to forwardNaive().
+    // bit-identical to forwardNaive(). A dropout plan swaps in the
+    // packed surviving columns and the matching inputs.
     Tensor out(Shape{_out});
-    switch (_dropPath) {
-    case DropoutPath::Pruned: {
-        // Surviving columns were packed at mask-install time; gather
-        // the matching inputs and run the dense kernel at reduced k.
-        const std::size_t ka = _pruned.activeCols();
-        if (ka == 0) {
-            std::copy(_biases.begin(), _biases.end(), out.data());
-            return out;
-        }
-        std::vector<float> gathered(ka);
-        _pruned.gather(input.data(), gathered.data());
-        gemm::biasGemm(_out, 1, ka, _pruned.packed(), gathered.data(),
+    if (!_dropout) {
+        gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
                        _biases.data(), out.data());
         return out;
     }
-    case DropoutPath::Csr:
-        // CSR column indices are absolute, so the raw input is the
-        // right-hand side — no gather.
-        _csr.multiply(1, input.data(), _biases.data(), out.data(),
-                      gemm::Epilogue::None);
+    const std::size_t ka = _dropout->activeUnits();
+    if (ka == 0) {
+        std::copy(_biases.begin(), _biases.end(), out.data());
         return out;
-    case DropoutPath::None:
-        break;
     }
-    gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
+    std::vector<float> gathered(ka);
+    _dropout->gather(input.data(), 1, gathered.data());
+    gemm::biasGemm(_out, 1, ka, _dropout->weights(), gathered.data(),
                    _biases.data(), out.data());
     return out;
 }
@@ -133,7 +123,7 @@ DenseLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    rebuildDropoutPlan();
+    packDropout();
 }
 
 bool
@@ -142,36 +132,16 @@ DenseLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
     MINDFUL_ASSERT(mask.empty() || mask.size() == _in,
                    "dense dropout mask needs ", _in, " entries, got ",
                    mask.size());
-    const bool all_active =
-        std::all_of(mask.begin(), mask.end(),
-                    [](std::uint8_t v) { return v != 0; });
-    _dropoutMask = all_active ? std::vector<std::uint8_t>{} : mask;
-    rebuildDropoutPlan();
+    _dropout = DropoutPlan::fromMask(mask);
+    packDropout();
     return true;
 }
 
 void
-DenseLayer::rebuildDropoutPlan()
+DenseLayer::packDropout()
 {
-    if (_dropoutMask.empty() || !materialized()) {
-        _dropPath = DropoutPath::None;
-        _pruned = sparse::PrunedColumns{};
-        _csr = sparse::SlabCsrMatrix{};
-        return;
-    }
-    const double density = sparse::maskedDensity(
-        _weights.data(), _out, _in, _dropoutMask.data());
-    if (density <= sparse::kCsrDensityThreshold) {
-        _dropPath = DropoutPath::Csr;
-        _csr = sparse::SlabCsrMatrix::fromDense(
-            _weights.data(), _out, _in, _dropoutMask.data());
-        _pruned = sparse::PrunedColumns{};
-    } else {
-        _dropPath = DropoutPath::Pruned;
-        _pruned = sparse::PrunedColumns::fromDense(
-            _weights.data(), _out, _in, _dropoutMask.data());
-        _csr = sparse::SlabCsrMatrix{};
-    }
+    if (_dropout && materialized())
+        _dropout->pack(_weights.data(), _out, 1);
 }
 
 } // namespace mindful::dnn

@@ -6,10 +6,11 @@
 #ifndef MINDFUL_DNN_DENSE_HH
 #define MINDFUL_DNN_DENSE_HH
 
+#include <optional>
 #include <vector>
 
+#include "dnn/dropout.hh"
 #include "dnn/layer.hh"
-#include "dnn/sparse.hh"
 
 namespace mindful::dnn {
 
@@ -64,14 +65,11 @@ class DenseLayer : public Layer
 
     /**
      * Feature-level input dropout: @p mask has inFeatures() entries.
-     * Picks Pruned or Csr from the post-dropout weight density
-     * (sparse::kCsrDensityThreshold) and rebuilds the compacted view;
-     * initializeWeights() rebuilds it again for the new weights.
+     * forward() then runs the GEMM over the packed surviving columns
+     * (src/dnn/dropout.hh); initializeWeights() repacks them for the
+     * new weights.
      */
     bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
-
-    /** Kernel the next forward() will take. */
-    DropoutPath dropoutPath() const { return _dropPath; }
 
     /** Row-major weights [out x in] (mutable for tests / loading). */
     std::vector<float> &weights() { return _weights; }
@@ -80,18 +78,15 @@ class DenseLayer : public Layer
     const std::vector<float> &biases() const { return _biases; }
 
   private:
-    /** Recompute the Pruned/Csr plan from _dropoutMask + _weights. */
-    void rebuildDropoutPlan();
+    /** Repack the dropout plan, if any, from the current weights. */
+    void packDropout();
 
     std::size_t _in;
     std::size_t _out;
     std::vector<float> _weights;
     std::vector<float> _biases;
 
-    std::vector<std::uint8_t> _dropoutMask; //!< empty = no dropout
-    DropoutPath _dropPath = DropoutPath::None;
-    sparse::PrunedColumns _pruned;
-    sparse::SlabCsrMatrix _csr;
+    std::optional<DropoutPlan> _dropout; //!< none = every input active
 };
 
 } // namespace mindful::dnn

@@ -32,9 +32,9 @@
  *
  * Sharding hands out whole kRowBlock-row blocks, and only when each
  * shard gets at least kMinShardMacs of work (rowShards). The rule is
- * the same for GEMV (n == 1), the column-tiled path and the sparse
- * kernel: a shard pays a pool hand-off and, past n == 1, re-streams
- * the whole B matrix, so every speech-decoder GEMM costs more CPU
+ * the same for GEMV (n == 1) and the column-tiled path: a shard pays
+ * a pool hand-off and, past n == 1, re-streams the whole B matrix,
+ * so every speech-decoder GEMM costs more CPU
  * split than whole. The floor keeps the MLP(256) and DN-CNN(256)
  * layers whole and splits only products as large as MLP(1024)'s
  * 25 M-MAC input layer (docs/performance.md, "Shard floor").
@@ -95,7 +95,7 @@ struct RowRange
 /**
  * Shard count for a product with @p m output rows and @p macs
  * multiply-adds under the kMinShardMacs floor; 1 means run inline.
- * The one shard rule of biasGemm and sparse::SlabCsrMatrix::multiply.
+ * The one shard rule of biasGemm.
  */
 std::size_t rowShards(std::size_t m, std::uint64_t macs);
 

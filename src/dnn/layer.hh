@@ -22,17 +22,6 @@
 
 namespace mindful::dnn {
 
-/**
- * Which kernel a layer's forward path uses once an input-dropout mask
- * is installed (paper Sec. 6.2, ChDr). Selected per layer from the
- * post-dropout weight density (sparse::kCsrDensityThreshold).
- */
-enum class DropoutPath : std::uint8_t {
-    None,   //!< no mask (or an all-active mask): dense kernels
-    Pruned, //!< surviving columns packed dense, GEMM at reduced k
-    Csr     //!< CSR-slab kernel over the masked weights
-};
-
 /** Base class of all network layers. */
 class Layer
 {
@@ -68,8 +57,8 @@ class Layer
      *
      * Contract: forward() over any input equals forward() without the
      * mask over the same input with the dropped units zeroed —
-     * bit-identically for finite data (see src/dnn/sparse.hh on the
-     * ±0 caveat).
+     * bit-identically for finite data (see DropoutPlan::pack in
+     * src/dnn/dropout.hh on the ±0 caveat).
      */
     virtual bool setInputDropout(const std::vector<std::uint8_t> &mask)
     {
