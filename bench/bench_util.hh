@@ -5,9 +5,9 @@
  * Most binaries under bench/ regenerate one table or figure of the
  * paper (DESIGN.md Sec. 4) and print it in both human-readable and
  * CSV form. Pass --csv to print CSV only (for external plotting).
- * The two timing harnesses (kernel_regression, shard_sweep) share one
- * interleaved-rounds loop, timeRounds(), sized by --rounds and
- * --batch-ms (roundOptions()).
+ * The timing harness (kernel_regression) runs on an interleaved-rounds
+ * loop, timeRounds(), sized by --rounds and --batch-ms
+ * (roundOptions()).
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
@@ -286,11 +286,10 @@ quartiles(std::vector<double> values)
     return {values[n / 4], values[n / 2], values[n - 1 - n / 4]};
 }
 
-/** Per-call µs of each timed variant, one sample per round. */
+/** Per-call CPU µs of each timed variant, one sample per round. */
 struct RoundSamples
 {
     std::vector<std::vector<double>> cpuUs;
-    std::vector<std::vector<double>> wallUs;
 };
 
 /**
@@ -298,7 +297,7 @@ struct RoundSamples
  * variant once as a batch of calls, sized from a warm call to take
  * about options.batchMs; the order rotates per round so no variant
  * always runs first, and drift hits them all alike. Samples are
- * process CPU time and wall time per call.
+ * process CPU time per call.
  */
 inline RoundSamples
 timeRounds(const std::vector<std::function<void()>> &variants,
@@ -315,19 +314,15 @@ timeRounds(const std::vector<std::function<void()>> &variants,
             std::max(1.0, options.batchMs / std::max(once_ms, 1e-3)));
     }
 
-    RoundSamples samples{std::vector<std::vector<double>>(count),
-                         std::vector<std::vector<double>>(count)};
+    RoundSamples samples{std::vector<std::vector<double>>(count)};
     for (std::size_t round = 0; round < options.rounds; ++round) {
         for (std::size_t j = 0; j < count; ++j) {
             const std::size_t at = (j + round) % count;
             const double cpu0 = cpuSeconds();
-            const double wall0 = wallSeconds();
             for (std::size_t r = 0; r < reps[at]; ++r)
                 variants[at]();
-            const double per_call = 1e6 / static_cast<double>(reps[at]);
-            samples.cpuUs[at].push_back((cpuSeconds() - cpu0) * per_call);
-            samples.wallUs[at].push_back((wallSeconds() - wall0) *
-                                         per_call);
+            samples.cpuUs[at].push_back((cpuSeconds() - cpu0) * 1e6 /
+                                        static_cast<double>(reps[at]));
         }
     }
     return samples;

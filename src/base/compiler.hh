@@ -95,6 +95,8 @@
  *                  acquire/release as the handoff requires.
  *  - seqlock:      reserved for the streaming pipeline's sequence
  *                  counters (acquire loads, release stores).
+ *  - ticket:       work-claim index: relaxed fetch_add hands every
+ *                  claimer a unique value; it publishes nothing.
  *
  * The macro expands to nothing — it is a marker for the analyzer's
  * lexer, which also flags unannotated atomics, memory_order_consume,

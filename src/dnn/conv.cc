@@ -23,9 +23,8 @@ struct ConvScratch
  * request this thread has made and never shrunk, so a steady-state
  * forward allocates and zero-fills nothing. Per thread because a const
  * layer may run on several threads at once; one thread never has two
- * conv forwards in flight (biasGemm's shards only read the buffers
- * while the caller waits), so one set per thread suffices. Callers
- * size it before handing it to biasGemm — never inside a shard body.
+ * conv forwards in flight (biasGemm runs on the calling thread), so
+ * one set per thread suffices.
  */
 ConvScratch
 convScratch(std::size_t floats, std::size_t mask_words)

@@ -52,10 +52,8 @@ DenseLayer::forward(const Tensor &input) const
     MINDFUL_ASSERT(materialized(), "dense layer weights not materialized; "
                    "call initializeWeights() before forward()");
     // y = W x + b is the n = 1 case of the shared GEMM kernel: the
-    // weight matrix is A [out x in], the input is B [in x 1]. Output
-    // rows shard over the pool only past gemm::kMinShardMacs per
-    // shard (every speech-MLP(256) layer runs as one); each row
-    // accumulates in ascending k order, so the result is
+    // weight matrix is A [out x in], the input is B [in x 1]. Each
+    // row accumulates in ascending k order, so the result is
     // bit-identical to forwardNaive(). A dropout plan swaps in the
     // packed surviving columns and the matching inputs.
     Tensor out(Shape{_out});

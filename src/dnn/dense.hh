@@ -46,9 +46,8 @@ class DenseLayer : public Layer
     Shape outputShape(const Shape &input) const override;
 
     /**
-     * Execute via the shared GEMM kernel (src/dnn/gemm.hh), sharding
-     * output rows over the pool under its shard floor. Bit-identical
-     * to forwardNaive() and across thread counts.
+     * Execute via the shared GEMM kernel (src/dnn/gemm.hh).
+     * Bit-identical to forwardNaive() and across thread counts.
      */
     Tensor forward(const Tensor &input) const override;
 

@@ -7,7 +7,6 @@
 #include "base/cpu.hh"
 #include "base/logging.hh"
 #include "dnn/gemm_kernels.hh"
-#include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
 
@@ -21,8 +20,7 @@ namespace {
  * each x[kk] load and fill the scalar pipeline — the accumulation
  * *order per row* is exactly the naive dense loop, so results are
  * unchanged, only the instruction-level parallelism improves. This
- * (plus running inline, see biasGemm) is what keeps the n == 1 path
- * from ever losing to forwardNaive.
+ * is what keeps the n == 1 path from ever losing to forwardNaive.
  */
 template <bool Relu>
 void
@@ -160,25 +158,6 @@ dispatchKernel()
 
 } // namespace detail
 
-std::size_t
-rowShards(std::size_t m, std::uint64_t macs)
-{
-    const std::uint64_t blocks = (m + kRowBlock - 1) / kRowBlock;
-    return static_cast<std::size_t>(std::max<std::uint64_t>(
-        1, std::min<std::uint64_t>(
-               {exec::kDefaultShards, blocks, macs / kMinShardMacs})));
-}
-
-RowRange
-rowShard(std::size_t m, std::size_t shards, std::size_t shard)
-{
-    const std::uint64_t blocks = (m + kRowBlock - 1) / kRowBlock;
-    const exec::ShardRange range = exec::shardRange(blocks, shards, shard);
-    return {static_cast<std::size_t>(range.begin) * kRowBlock,
-            std::min<std::size_t>(
-                static_cast<std::size_t>(range.end) * kRowBlock, m)};
-}
-
 void
 biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
          const float *b, const float *bias, float *c, Epilogue epilogue)
@@ -195,39 +174,8 @@ biasGemm(std::size_t m, std::size_t n, std::size_t k, const float *a,
         .arg("n", static_cast<std::uint64_t>(n))
         .arg("k", static_cast<std::uint64_t>(k));
 
-    const bool relu = epilogue == Epilogue::Relu;
-    const detail::RowRangeFn kernel = detail::dispatchKernel();
-    auto run = [&](std::size_t row_begin, std::size_t row_end) {
-        kernel(n, k, a, b, bias, c, row_begin, row_end, relu);
-    };
-
-    // Shard over output rows only: no shard touches another shard's C
-    // rows and there is no cross-shard reduction, so the decomposition
-    // (and the thread count) cannot affect the result.
-    const std::size_t shards = rowShards(m, macs);
-    if (shards <= 1) {
-        run(0, m);
-    } else {
-        // Shard instrumentation, resolved once outside the shard body:
-        // a TraceSite (interned name) and a pre-registered counter
-        // handle. Recording inside the body is lock- and
-        // allocation-free — mindful-analyze certifies HotSpan and
-        // CounterHandle::bump, so this needs no suppression.
-        static const obs::TraceSite shard_site =
-            obs::TraceCollector::global().site("dnn", "gemm.shard");
-        static const obs::CounterHandle shard_rows =
-            obs::MetricRegistry::global().counter("dnn.gemm.shard_rows");
-        exec::parallelFor(
-            shards,
-            [&](std::size_t shard) {
-                obs::HotSpan shard_span(shard_site);
-                const RowRange rows = rowShard(m, shards, shard);
-                shard_span.setArg(rows.end - rows.begin);
-                run(rows.begin, rows.end);
-                shard_rows.bump(rows.end - rows.begin);
-            },
-            "dnn.gemm.shard");
-    }
+    detail::dispatchKernel()(n, k, a, b, bias, c, 0, m,
+                             epilogue == Epilogue::Relu);
 
     MINDFUL_METRIC_COUNT("dnn.gemm.calls", 1);
     MINDFUL_METRIC_COUNT("dnn.gemm.macs", macs);

@@ -14,10 +14,10 @@
  *
  * Determinism contract (docs/performance.md): every output element
  * accumulates its k products **sequentially in ascending k order**
- * into one scalar, exactly like the retained naive loops, and work is
- * sharded over output rows only — no cross-shard reduction exists. The
- * result is therefore bit-identical to the naive reference and across
- * any `--threads` value.
+ * into one scalar, exactly like the retained naive loops, and the
+ * product runs serially on the calling thread. The result is
+ * therefore bit-identical to the naive reference and across any
+ * `--threads` value.
  *
  * Register blocking (n > 1) reorders nothing either: the AVX2 kernel
  * computes kRowBlock x kColBlock tiles — kRowBlock rows of A against
@@ -25,19 +25,15 @@
  * accumulators — so each B load feeds kRowBlock rows, and the k loop
  * stays innermost. Column tiles are the outer loop, so one
  * k x kColBlock strip of B stays cache-resident while every row block
- * of the shard consumes it. Rows past the last full block, and
- * columns past the last full tile, take the one-row code, which is
- * also all the scalar and NEON tiers run. Every element is still one
- * ascending-k chain, whichever code computes it.
+ * consumes it. Rows past the last full block, and columns past the
+ * last full tile, take the one-row code, which is also all the scalar
+ * and NEON tiers run. Every element is still one ascending-k chain,
+ * whichever code computes it.
  *
- * Sharding hands out whole kRowBlock-row blocks, and only when each
- * shard gets at least kMinShardMacs of work (rowShards). The rule is
- * the same for GEMV (n == 1) and the column-tiled path: a shard pays
- * a pool hand-off and, past n == 1, re-streams the whole B matrix,
- * so every speech-decoder GEMM costs more CPU
- * split than whole. The floor keeps the MLP(256) and DN-CNN(256)
- * layers whole and splits only products as large as MLP(1024)'s
- * 25 M-MAC input layer (docs/performance.md, "Shard floor").
+ * No product is split across threads: every speech-decoder layer at
+ * 256 channels is under 2 M multiply-adds (MLP L0, the largest, is
+ * 1.57 M), well below what a pool hand-off plus re-streaming B per
+ * shard would pay back (docs/performance.md).
  *
  * The row-range body is runtime-dispatched over SIMD tiers
  * (base/cpu.hh: scalar always, AVX2/NEON when compiled in and the
@@ -73,45 +69,15 @@ inline constexpr std::size_t kColBlock = 16;
  * Register-tile height of the AVX2 kernel (n > 1): kRowBlock rows of
  * C share every B load of a kColBlock-wide tile. Four rows keep eight
  * independent accumulator chains in flight, enough to cover the add
- * latency. Every path shards in whole blocks on every tier.
+ * latency.
  */
 inline constexpr std::size_t kRowBlock = 4;
 
 /**
- * Minimum MACs per shard: shards = min(exec::kDefaultShards,
- * ceil(m / kRowBlock), macs / kMinShardMacs). The value comes from
- * bench/shard_sweep's CPU + wall sweep over the speech-MLP dense and
- * DN-CNN conv shapes (docs/performance.md, "Shard floor").
- */
-inline constexpr std::uint64_t kMinShardMacs = 1u << 22;
-
-/** Half-open output-row range of one shard. */
-struct RowRange
-{
-    std::size_t begin;
-    std::size_t end;
-};
-
-/**
- * Shard count for a product with @p m output rows and @p macs
- * multiply-adds under the kMinShardMacs floor; 1 means run inline.
- * The one shard rule of biasGemm.
- */
-std::size_t rowShards(std::size_t m, std::uint64_t macs);
-
-/**
- * Rows of shard @p shard out of @p shards for an @p m-row product:
- * a near-even split of whole kRowBlock blocks, the last clipped to m.
- * Depends only on its arguments, so the decomposition is fixed.
- */
-RowRange rowShard(std::size_t m, std::size_t shards, std::size_t shard);
-
-/**
  * C = epilogue(A * B + bias), all matrices row-major and contiguous:
  * A is m x k, B is k x n, C is m x n, bias has m entries (may be
- * nullptr for none). Shards rows over exec::parallelFor in
- * kRowBlock blocks of at least kMinShardMacs each (rowShards);
- * records dnn.gemm.* metrics.
+ * nullptr for none). Runs serially on the calling thread; records
+ * dnn.gemm.* metrics.
  */
 void biasGemm(std::size_t m, std::size_t n, std::size_t k,
               const float *a, const float *b, const float *bias, float *c,

@@ -7,7 +7,7 @@
  * (src/dnn/CMakeLists.txt adds gemm_avx2.cc with `-mavx2` on x86-64
  * and gemm_neon.cc on AArch64, both with `-ffp-contract=off`).
  * `gemm::biasGemm` selects one of them per call from
- * `base::activeSimdIsa()` and shards rows over it.
+ * `base::activeSimdIsa()` and runs it over every row.
  *
  * Every kernel implements the same contract as the scalar reference
  * (gemm.cc): each output element accumulates its k products
@@ -31,9 +31,8 @@ namespace mindful::dnn::gemm::detail {
 /**
  * Produce C rows [row_begin, row_end) of
  * C[m x n] = epilogue(A[m x k] * B[k x n] + bias). Kernels branch
- * internally on n == 1 (GEMV layout) vs the column-tiled GEMM, whose
- * row ranges biasGemm aligns to kRowBlock (gemm.hh) so the AVX2
- * kernel's register tiles fill every shard but the last.
+ * internally on n == 1 (GEMV layout) vs the column-tiled GEMM.
+ * biasGemm passes the whole range [0, m); tests pass sub-ranges.
  */
 using RowRangeFn = void (*)(std::size_t n, std::size_t k,
                             const float *a, const float *b,

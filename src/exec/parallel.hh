@@ -12,11 +12,12 @@
  * bit-for-bit identical output; `--threads` is a pure performance
  * knob.
  *
- * Work smaller than a few thousand "inner iterations" per shard is
- * usually not worth shipping to the pool; both helpers run inline
- * (same shard order, same spans) when the pool has a single thread or
- * when already executing on a pool worker (which also makes nested
- * parallelism deadlock-free).
+ * parallelFor is a fork-join on the process-wide pool: the caller
+ * claims shards alongside the workers and returns once every shard
+ * finished. It runs inline (same shard order, same spans) for one
+ * shard, on a single-thread pool, on a pool worker, from a shard the
+ * caller itself is running, and while another thread's call holds the
+ * pool — so nested and concurrent calls never deadlock.
  */
 
 #ifndef MINDFUL_EXEC_PARALLEL_HH
@@ -63,7 +64,7 @@ ShardRange shardRange(std::uint64_t items, std::size_t shards,
  * one is rethrown on the caller after every shard finished (so which
  * exception propagates is also thread-count independent). Each shard
  * records a trace span named @p label (category "exec") when tracing
- * is enabled.
+ * is enabled. The only entry point to the pool (thread_pool.hh).
  */
 void parallelFor(std::size_t shards,
                  const std::function<void(std::size_t)> &body,

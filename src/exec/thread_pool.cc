@@ -1,7 +1,8 @@
 #include "exec/thread_pool.hh"
 
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "base/compiler.hh"
@@ -64,16 +65,56 @@ resolveThreadCount(unsigned requested)
     return hardware > 0 ? hardware : 1;
 }
 
-std::uint64_t
-nowMicros()
+/** One shard under its trace span; parallelFor's unit of work. */
+void
+runShard(const std::function<void(std::size_t)> &body, std::size_t shard,
+         const char *label)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    MINDFUL_TRACE_SPAN(span, "exec",
+                       label ? label : "parallel_for.shard");
+    span.arg("shard", static_cast<std::uint64_t>(shard));
+    body(shard);
 }
 
 } // namespace
+
+/**
+ * One parallelFor call, on the caller's stack. Shards are claimed
+ * through nextShard; the claimer of a shard alone writes its error
+ * slot, and the pool mutex orders every claimer's writes before the
+ * caller's reads once the last worker has left the job.
+ */
+struct ThreadPool::Job
+{
+    Job(const std::function<void(std::size_t)> &fn, std::size_t count,
+        const char *name)
+        : body(fn), shards(count), label(name), errors(count)
+    {
+    }
+
+    /** Run unclaimed shards until none is left. */
+    void
+    claimShards()
+    {
+        for (std::size_t shard =
+                 nextShard.fetch_add(1, std::memory_order_relaxed);
+             shard < shards;
+             shard = nextShard.fetch_add(1, std::memory_order_relaxed)) {
+            try {
+                runShard(body, shard, label);
+            } catch (...) {
+                errors[shard] = std::current_exception();
+            }
+        }
+    }
+
+    const std::function<void(std::size_t)> &body;
+    const std::size_t shards;
+    const char *const label;
+    MINDFUL_ATOMIC_ROLE(ticket)
+    std::atomic<std::size_t> nextShard{0};
+    std::vector<std::exception_ptr> errors;
+};
 
 ThreadPool::ThreadPool(unsigned threads) : _threadCount(threads)
 {
@@ -85,9 +126,9 @@ ThreadPool::ThreadPool(unsigned threads) : _threadCount(threads)
     // link against exec, so exec publishes it.
     obs::setManifestThreadCount(threads);
 #endif
-    _workers.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        _workers.emplace_back([this, i] { workerLoop(i); });
+    _workers.reserve(threads - 1);
+    for (unsigned i = 1; i < threads; ++i)
+        _workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -101,47 +142,6 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    MINDFUL_ASSERT(task != nullptr, "cannot submit an empty task");
-    {
-        LockGuard lock(_mutex);
-        MINDFUL_ASSERT(!_stopping,
-                       "cannot submit to a stopping thread pool");
-        _queue.push_back(std::move(task));
-        ++_tasksSubmitted;
-        if (_queue.size() > _queuePeak) {
-            _queuePeak = _queue.size();
-            MINDFUL_METRIC_GAUGE("exec.pool.queue_depth_peak",
-                                 static_cast<double>(_queuePeak));
-        }
-    }
-    MINDFUL_METRIC_COUNT("exec.pool.tasks", 1);
-    _wake.notifyOne();
-}
-
-std::uint64_t
-ThreadPool::tasksSubmitted() const
-{
-    LockGuard lock(_mutex);
-    return _tasksSubmitted;
-}
-
-std::size_t
-ThreadPool::queueDepthPeak() const
-{
-    LockGuard lock(_mutex);
-    return _queuePeak;
-}
-
-std::uint64_t
-ThreadPool::busyMicros() const
-{
-    LockGuard lock(_mutex);
-    return _busyMicros;
-}
-
 bool
 ThreadPool::onWorkerThread()
 {
@@ -149,7 +149,49 @@ ThreadPool::onWorkerThread()
 }
 
 void
-ThreadPool::workerLoop(unsigned)
+ThreadPool::forkJoin(std::size_t shards,
+                     const std::function<void(std::size_t)> &body,
+                     const char *label)
+{
+    Job job(body, shards, label);
+    // Inline path: one shard or no workers leaves nothing to share,
+    // and a worker runs a nested call itself so it never waits on the
+    // pool it occupies. A busy slot means either a nested call from a
+    // shard this thread claimed (its own job) or another thread's job;
+    // both run inline too. Inline, this thread claims every shard in
+    // ascending order, so results are identical.
+    bool pooled = shards > 1 && !_workers.empty() && !t_on_worker;
+    if (pooled) {
+        LockGuard lock(_mutex);
+        pooled = _job == nullptr;
+        if (pooled) {
+            _job = &job;
+            ++_generation;
+        }
+    }
+    if (pooled)
+        _wake.notifyAll();
+    job.claimShards();
+    if (pooled) {
+        // Every shard is claimed. The job lives on this stack, so hold
+        // the slot until every worker that joined it has left (a late
+        // waker joins, finds no shard and leaves), then free it.
+        LockGuard lock(_mutex);
+        while (_joined != 0)
+            _left.wait(_mutex);
+        _job = nullptr;
+    }
+    MINDFUL_METRIC_COUNT("exec.pool.tasks", shards);
+    // Every shard ran; rethrow the lowest-indexed failure so the
+    // surfaced exception does not depend on scheduling.
+    for (auto &error : job.errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
+void
+ThreadPool::workerLoop()
 {
     t_on_worker = true;
 #ifndef MINDFUL_OBS_DISABLED
@@ -157,28 +199,23 @@ ThreadPool::workerLoop(unsigned)
     // hot-path spans inside shard bodies never allocate.
     obs::TraceCollector::global().registerCurrentThread();
 #endif
+    std::uint64_t seen = 0;
     for (;;) {
-        std::function<void()> task;
+        Job *job = nullptr;
         {
             LockGuard lock(_mutex);
-            while (!_stopping && _queue.empty())
+            while (!_stopping && (_job == nullptr || _generation == seen))
                 _wake.wait(_mutex);
-            // Graceful shutdown: drain every queued task before
-            // exiting, so submitted work runs exactly once even
-            // mid-teardown.
-            if (_queue.empty())
+            if (_stopping)
                 return;
-            task = std::move(_queue.front());
-            _queue.pop_front();
+            job = _job;
+            seen = _generation;
+            ++_joined;
         }
-
-        std::uint64_t start = nowMicros();
-        task();
-        std::uint64_t elapsed = nowMicros() - start;
-        MINDFUL_METRIC_COUNT("exec.pool.busy_us", elapsed);
-
+        job->claimShards();
         LockGuard lock(_mutex);
-        _busyMicros += elapsed;
+        if (--_joined == 0)
+            _left.notifyOne();
     }
 }
 
@@ -202,8 +239,7 @@ ThreadPool::setGlobalThreadCount(unsigned threads)
     global.requested = threads;
     unsigned resolved = resolveThreadCount(threads);
     // Restart lazily on the next global() call. Callers must not
-    // reconfigure while parallel work is in flight (the pool drains
-    // its queue before the workers join, so nothing is lost).
+    // reconfigure while a parallelFor is in flight.
     if (global.pool && global.pool->threadCount() != resolved)
         global.pool.reset();
 }

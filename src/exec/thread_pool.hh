@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide worker pool for the parallel Monte-Carlo substrates.
+ * Process-wide fork-join pool behind exec::parallelFor.
  *
  * The pool follows the engineering discipline of the rest of the
  * repository: determinism first. It never decides *what* work runs or
@@ -12,18 +12,19 @@
  *    go parallel pay nothing;
  *  - the thread count is configuration (--threads, MINDFUL_THREADS,
  *    hardware_concurrency fallback), never part of any result;
- *  - shutdown is graceful: the destructor drains every queued task
- *    before joining, so submitted work always runs exactly once.
+ *  - parallelFor is the only way in. One call posts one job — the
+ *    body, the shard count, an atomic next-shard index and per-shard
+ *    exception slots — with one wake, and the caller claims shards
+ *    alongside the workers, so an N-thread pool runs N - 1 workers.
  *
- * Pool health is published through mindful_obs as the exec.pool.*
- * metrics (docs/observability.md).
+ * Pool width and shard totals are published through mindful_obs as
+ * the exec.pool.* metrics (docs/observability.md).
  */
 
 #ifndef MINDFUL_EXEC_THREAD_POOL_HH
 #define MINDFUL_EXEC_THREAD_POOL_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -32,32 +33,20 @@
 
 namespace mindful::exec {
 
-/** Fixed-size worker pool with a single FIFO work queue. */
+/** Fixed-size fork-join pool with one job slot. */
 class ThreadPool
 {
   public:
-    /** Start @p threads workers (must be >= 1). */
+    /** A pool of @p threads (>= 1): the caller plus threads - 1 workers. */
     explicit ThreadPool(unsigned threads);
 
-    /** Drains the queue, then joins every worker. */
+    /** Joins every worker; no job may be in flight. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Enqueue one task. Never blocks; tasks run in FIFO order. */
-    void submit(std::function<void()> task);
-
     unsigned threadCount() const { return _threadCount; }
-
-    /** Tasks submitted over the pool's lifetime. */
-    std::uint64_t tasksSubmitted() const;
-
-    /** Largest queue depth observed since construction. */
-    std::size_t queueDepthPeak() const;
-
-    /** Total wall-clock time workers spent inside tasks [us]. */
-    std::uint64_t busyMicros() const;
 
     /** True when called from one of this process's pool workers. */
     static bool onWorkerThread();
@@ -72,8 +61,8 @@ class ThreadPool
     /**
      * Configure the global pool's thread count; 0 restores the
      * automatic default. If the pool is already running with a
-     * different count it is drained, shut down, and lazily restarted
-     * — safe because shard decomposition never depends on the count.
+     * different count it is shut down and lazily restarted — safe
+     * because shard decomposition never depends on the count.
      */
     static void setGlobalThreadCount(unsigned threads);
 
@@ -81,19 +70,29 @@ class ThreadPool
     static unsigned globalThreadCount();
 
   private:
-    void workerLoop(unsigned worker_index);
+    struct Job;
+
+    friend void parallelFor(std::size_t shards,
+                            const std::function<void(std::size_t)> &body,
+                            const char *label);
+
+    /** parallelFor's body for shards > 0; see parallel.hh. */
+    void forkJoin(std::size_t shards,
+                  const std::function<void(std::size_t)> &body,
+                  const char *label);
+
+    void workerLoop();
 
     const unsigned _threadCount;
     std::vector<std::thread> _workers;
 
-    mutable Mutex _mutex;
-    ConditionVariable _wake;
-    std::deque<std::function<void()>> _queue MINDFUL_GUARDED_BY(_mutex);
+    Mutex _mutex;
+    ConditionVariable _wake; //!< a job was posted, or the pool stops
+    ConditionVariable _left; //!< the last worker left the job
+    Job *_job MINDFUL_GUARDED_BY(_mutex) = nullptr;
+    std::uint64_t _generation MINDFUL_GUARDED_BY(_mutex) = 0;
+    unsigned _joined MINDFUL_GUARDED_BY(_mutex) = 0; //!< workers in _job
     bool _stopping MINDFUL_GUARDED_BY(_mutex) = false;
-
-    std::uint64_t _tasksSubmitted MINDFUL_GUARDED_BY(_mutex) = 0;
-    std::size_t _queuePeak MINDFUL_GUARDED_BY(_mutex) = 0;
-    std::uint64_t _busyMicros MINDFUL_GUARDED_BY(_mutex) = 0;
 };
 
 } // namespace mindful::exec

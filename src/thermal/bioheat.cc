@@ -6,7 +6,6 @@
 #include <numbers>
 
 #include "base/logging.hh"
-#include "exec/parallel.hh"
 #include "obs/collector.hh"
 #include "obs/metrics.hh"
 
@@ -50,9 +49,6 @@ namespace {
 
 /** Sweeps between convergence-residual evaluations. */
 constexpr std::size_t kResidualSweepStride = 8;
-
-/** Minimum updated-cell count before a sweep shards over the pool. */
-constexpr std::size_t kParallelCellThreshold = 16384;
 
 /** Discretized problem shared by the red-black and legacy sweeps. */
 struct Discretization
@@ -193,9 +189,8 @@ recordSolveMetrics(const char *prefix, std::size_t sweeps,
  * flux source term. The i == 0 ghost-node row runs as its own kernel.
  *
  * A "red" (parity 0) cell's four neighbours are all "black" (parity
- * 1) and vice versa, so all cells of one color update independently —
- * rows shard over the pool and the result cannot depend on execution
- * order or thread count.
+ * 1) and vice versa, so all cells of one color update independently
+ * and the result cannot depend on the row order of a sweep.
  */
 class RedBlackSweep
 {
@@ -229,21 +224,11 @@ class RedBlackSweep
             // flux[j] == 0).
             _fluxTerm[j] = 2.0 * grid.flux[j] / grid.h;
         }
-
-        const std::size_t sweep_rows = grid.rows - 1;
-        const std::size_t cells = sweep_rows * (grid.cols - 1);
-        _shards = cells >= kParallelCellThreshold
-                      ? std::min<std::size_t>(exec::kDefaultShards,
-                                              sweep_rows)
-                      : 1;
     }
-
-    std::size_t shards() const { return _shards; }
 
     /**
      * One full sweep (red color then black). With Measure, returns
-     * {max |relaxed update|, max updated value}; both reduce by max,
-     * so the parallel reduction is exact and order-free.
+     * {max |relaxed update|, max updated value}.
      */
     template <bool Measure>
     std::array<double, 2>
@@ -259,40 +244,10 @@ class RedBlackSweep
     std::array<double, 2>
     colorSweep(int parity)
     {
-        const std::size_t sweep_rows = _grid.rows - 1;
-        if (_shards <= 1) {
-            std::array<double, 2> acc{0.0, 0.0};
-            for (std::size_t i = 0; i < sweep_rows; ++i)
-                updateRow<Measure>(i, parity, acc);
-            return acc;
-        }
-        // Shard instrumentation (resolved once; see
-        // docs/observability.md). site() is idempotent, so the two
-        // Measure instantiations share one interned id.
-        static const obs::TraceSite shard_site =
-            obs::TraceCollector::global().site("thermal", "sor.shard");
-        static const obs::CounterHandle shard_rows =
-            obs::MetricRegistry::global().counter(
-                "thermal.sor.shard_rows");
-        return exec::parallelReduce(
-            _shards, std::array<double, 2>{0.0, 0.0},
-            [&](std::size_t shard) {
-                obs::HotSpan shard_span(shard_site);
-                auto range =
-                    exec::shardRange(sweep_rows, _shards, shard);
-                shard_span.setArg(range.end - range.begin);
-                std::array<double, 2> acc{0.0, 0.0};
-                for (std::uint64_t i = range.begin; i < range.end; ++i)
-                    updateRow<Measure>(static_cast<std::size_t>(i),
-                                       parity, acc);
-                shard_rows.bump(range.end - range.begin);
-                return acc;
-            },
-            [](std::array<double, 2> a, std::array<double, 2> b) {
-                return std::array<double, 2>{std::max(a[0], b[0]),
-                                             std::max(a[1], b[1])};
-            },
-            "thermal.sor.sweep");
+        std::array<double, 2> acc{0.0, 0.0};
+        for (std::size_t i = 0; i + 1 < _grid.rows; ++i)
+            updateRow<Measure>(i, parity, acc);
+        return acc;
     }
 
     /** Update this row's cells of color @p parity ((i + j) % 2). */
@@ -348,7 +303,6 @@ class RedBlackSweep
     std::vector<double> _cw;
     std::vector<double> _invDenom;
     std::vector<double> _fluxTerm;
-    std::size_t _shards = 1;
 };
 
 } // namespace

@@ -146,11 +146,10 @@ struct BioHeatResult
  * stencil coefficients (symmetry axis, axisymmetric 1/r terms,
  * denominators) precomputed once and the top-surface flux row handled
  * by a specialized kernel — the inner loops are branch- and
- * division-free. Each color shards over rows via exec::parallelFor;
- * because updates within a color are independent, the result is
- * bit-identical for any `--threads` value *by construction* (no shard
- * ordering is even involved). The convergence residual is evaluated
- * every 8th sweep rather than per cell update.
+ * division-free. The sweep is serial: the default grid is a few
+ * thousand cells, too small for a pool hand-off to pay. The
+ * convergence residual is evaluated every 8th sweep rather than per
+ * cell update.
  *
  * The original lexicographic Gauss-Seidel sweep is retained as
  * solveReference/solveProfileReference — the golden reference for the

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "core/soc_catalog.hh"
@@ -117,6 +118,18 @@ TEST(ExperimentsTest, Fig6TableShape)
     EXPECT_EQ(table.columns(), 2u + fig6Channels().size());
 }
 
+// EXPERIMENTS.md Fig. 6: under high-margin scaling every SoC's
+// sensing-area fraction passes 0.85 by 64k channels.
+TEST(ExperimentsTest, Fig6HighMarginClaimHolds)
+{
+    const auto series =
+        commCentricSweep(CommScalingStrategy::HighMargin, {65536});
+    ASSERT_EQ(series.size(), 8u);
+    for (const auto &entry : series)
+        EXPECT_GT(entry.points.front().sensingAreaFraction, 0.85)
+            << entry.name;
+}
+
 TEST(ExperimentsTest, Fig7SweepAndTable)
 {
     auto channels = fig7Channels();
@@ -135,6 +148,28 @@ TEST(ExperimentsTest, Fig9TwelveDesigns)
     EXPECT_EQ(rows.front().design, 1);
     EXPECT_EQ(rows.back().design, 12);
     EXPECT_EQ(fig9Table().rows(), 12u);
+}
+
+// EXPERIMENTS.md Fig. 9: the PE share stays at 22.6-29.1% for
+// designs 1-5, rises 36.6% -> 79.9% over 6-9 and 86.4% -> 94.0% over
+// 10-12.
+TEST(ExperimentsTest, Fig9PeShareClaimsHold)
+{
+    const auto rows = fig9Rows();
+    ASSERT_EQ(rows.size(), 12u);
+    auto share = [&](int design) {
+        return rows[design - 1].estimate.peShare;
+    };
+    for (int design = 1; design <= 5; ++design) {
+        EXPECT_GE(share(design), 0.2255) << design;
+        EXPECT_LT(share(design), 0.2915) << design;
+    }
+    for (int design = 6; design < 12; ++design)
+        EXPECT_LT(share(design), share(design + 1)) << design;
+    EXPECT_NEAR(share(6), 0.366, 0.0005);
+    EXPECT_NEAR(share(9), 0.799, 0.0005);
+    EXPECT_NEAR(share(10), 0.864, 0.0005);
+    EXPECT_NEAR(share(12), 0.940, 0.0005);
 }
 
 TEST(ExperimentsTest, Fig10SweepBothModels)
@@ -227,6 +262,31 @@ TEST(ExperimentsTest, Fig12TablePerSoc)
     Table table = fig12Table(1);
     EXPECT_EQ(table.rows(), fig12Channels().size());
     EXPECT_EQ(table.columns(), 5u);
+}
+
+// EXPERIMENTS.md Fig. 12: the SoC 3 table, feasible model size as a
+// fraction of the unoptimized model (negative = infeasible).
+TEST(ExperimentsTest, Fig12Soc3ClaimsHold)
+{
+    const std::map<std::uint64_t, std::vector<double>> expected{
+        {2048, {0.111, 0.119, 0.515, 0.095}},
+        {4096, {0.022, 0.023, 0.091, -1.0}},
+        {8192, {0.003, 0.003, 0.012, -1.0}},
+    };
+    const auto series = optimizationSweep(3);
+    ASSERT_EQ(series.size(), expected.size());
+    for (const auto &entry : series) {
+        const std::vector<double> &want = expected.at(entry.channels);
+        ASSERT_EQ(entry.outcomes.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            const OptimizationOutcome &got = entry.outcomes[i];
+            EXPECT_EQ(got.feasible, want[i] >= 0.0)
+                << entry.channels << " bar " << i;
+            if (got.feasible)
+                EXPECT_NEAR(got.modelSizeFraction, want[i], 0.0005)
+                    << entry.channels << " bar " << i;
+        }
+    }
 }
 
 TEST(ExperimentsTest, ModelNamesRender)

@@ -7,7 +7,7 @@
  * installed produces *bit-identical* output to the dense reference
  * (forwardNaive) evaluated over the same input with the dropped
  * units zeroed — from half the inputs kept down to an eighth, under
- * random masks and across thread counts.
+ * random masks.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,7 @@
 #include "core/optimization.hh"
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
-#include "dnn/gemm.hh"
 #include "dnn/network.hh"
-#include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
 namespace {
@@ -235,27 +233,6 @@ TEST(ConvDropout, AllChannelsDroppedYieldsBias)
     for (std::size_t oc = 0; oc < 3; ++oc)
         for (std::size_t i = 0; i < 25; ++i)
             ASSERT_EQ(y[oc * 25 + i], conv.biases()[oc]) << oc;
-}
-
-TEST(ConvDropout, BitIdenticalAcrossThreadCounts)
-{
-    // Half the 16 input channels survive: 32 outputs x 4096
-    // positions x 72 packed patch rows still clears two
-    // kMinShardMacs, so the packed GEMM shards over the pool.
-    ASSERT_EQ(gemm::rowShards(32, std::uint64_t{32} * 4096 * 72), 2u);
-    Conv2dLayer conv(16, 32, 3, 3, 1, Padding::Same);
-    Rng rng(191);
-    conv.initializeWeights(rng);
-    const auto mask = randomMask(16, 8, 193);
-    ASSERT_TRUE(conv.setInputDropout(mask));
-
-    const Tensor x = randomTensor({16, 64, 64}, 197);
-    exec::ThreadPool::setGlobalThreadCount(1);
-    const Tensor serial = conv.forward(x);
-    exec::ThreadPool::setGlobalThreadCount(8);
-    const Tensor parallel = conv.forward(x);
-    exec::ThreadPool::setGlobalThreadCount(0);
-    expectIdentical(serial, parallel);
 }
 
 TEST(StageDropout, RefusesTheMask)

@@ -6,16 +6,14 @@
  * shared GEMM kernel (src/dnn/gemm.hh); the original loop nests are
  * retained as forwardNaive. The kernel accumulates each output
  * element sequentially in ascending k — the same order as the naive
- * loops — and shards only over output rows, so the contract is
- * *exact* float equality: to the naive reference AND across thread
- * counts. These tests pin that contract over the padding modes,
+ * loops — so the contract is *exact* float equality to the naive
+ * reference. These tests pin that contract over the padding modes,
  * strides, and kernel shapes the model zoo uses (and a few it
  * doesn't, e.g. even kernels).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -28,8 +26,6 @@
 #include "dnn/dense.hh"
 #include "dnn/gemm.hh"
 #include "dnn/gemm_kernels.hh"
-#include "exec/parallel.hh"
-#include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
 namespace {
@@ -73,6 +69,11 @@ TEST(GemmConvTest, SamePaddingMatchesNaiveExactly)
     // (n = 143 is not a multiple of the 16-wide register tile).
     Tensor x = makeInput({3, 13, 11});
     expectIdentical(conv.forward(x), conv.forwardNaive(x));
+
+    // A large product: 32 outputs x 4096 positions x 144 patch rows.
+    auto wide = makeConv(16, 32, 3, 3, 1, Padding::Same);
+    Tensor planes = makeInput({16, 64, 64});
+    expectIdentical(wide.forward(planes), wide.forwardNaive(planes));
 }
 
 TEST(GemmConvTest, ValidPaddingMatchesNaiveExactly)
@@ -128,26 +129,6 @@ TEST(GemmConvTest, KernelLargerThanInputSamePadding)
     auto conv = makeConv(1, 2, 5, 5, 1, Padding::Same);
     Tensor x = makeInput({1, 3, 3});
     expectIdentical(conv.forward(x), conv.forwardNaive(x));
-}
-
-TEST(GemmConvTest, BitIdenticalAcrossThreadCounts)
-{
-    // 32 outputs x 4096 positions x 144 patch rows clears four
-    // kMinShardMacs, so biasGemm shards over the pool. Row sharding
-    // has no cross-shard reduction, so equality is exact, not
-    // approximate.
-    ASSERT_EQ(gemm::rowShards(32, std::uint64_t{32} * 4096 * 144), 4u);
-    auto conv = makeConv(16, 32, 3, 3, 1, Padding::Same);
-    Tensor x = makeInput({16, 64, 64});
-
-    exec::ThreadPool::setGlobalThreadCount(1);
-    Tensor serial = conv.forward(x);
-    exec::ThreadPool::setGlobalThreadCount(8);
-    Tensor parallel = conv.forward(x);
-    exec::ThreadPool::setGlobalThreadCount(0);
-
-    expectIdentical(serial, parallel);
-    expectIdentical(serial, conv.forwardNaive(x));
 }
 
 /**
@@ -246,65 +227,18 @@ TEST(GemmConvTest, SingleCopyIm2colMatchesPerRowPacking)
 
 TEST(GemmDenseTest, MatchesNaiveExactly)
 {
-    DenseLayer layer(37, 29);
-    Rng rng(13);
-    layer.initializeWeights(rng);
-    for (std::size_t i = 0; i < layer.biases().size(); ++i)
-        layer.biases()[i] = 0.01f * static_cast<float>(i);
-    Tensor x = makeInput({37});
-    expectIdentical(layer.forward(x), layer.forwardNaive(x));
-}
-
-TEST(GemmDenseTest, BitIdenticalAcrossThreadCounts)
-{
-    // 512 x 512 runs as one shard; 1027 outputs x 8200 inputs clears
-    // two kMinShardMacs, so the GEMV shards whole row blocks, the last
-    // one three rows short.
-    ASSERT_EQ(gemm::rowShards(1027, std::uint64_t{8200} * 1027), 2u);
-    for (const auto [in, out] : {std::pair<std::size_t, std::size_t>{512, 512},
-                                 {8200, 1027}}) {
+    // 1027 outputs end three rows short of a whole row panel.
+    for (const auto [in, out] :
+         {std::pair<std::size_t, std::size_t>{37, 29},
+          {512, 512},
+          {8200, 1027}}) {
         DenseLayer layer(in, out);
-        Rng rng(17);
+        Rng rng(13);
         layer.initializeWeights(rng);
+        for (std::size_t i = 0; i < layer.biases().size(); ++i)
+            layer.biases()[i] = 0.01f * static_cast<float>(i);
         Tensor x = makeInput({in});
-        const Tensor naive = layer.forwardNaive(x);
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            exec::ThreadPool::setGlobalThreadCount(threads);
-            expectIdentical(layer.forward(x), naive);
-        }
-    }
-    exec::ThreadPool::setGlobalThreadCount(0);
-}
-
-TEST(GemmShardRule, FloorBlocksAndPoolCapBoundTheShardCount)
-{
-    const std::uint64_t floor = gemm::kMinShardMacs;
-    EXPECT_EQ(gemm::rowShards(4096, 0), 1u);
-    EXPECT_EQ(gemm::rowShards(4096, 2 * floor - 1), 1u);
-    EXPECT_EQ(gemm::rowShards(4096, 2 * floor), 2u);
-    EXPECT_EQ(gemm::rowShards(4096, 7 * floor), 7u);
-    EXPECT_EQ(gemm::rowShards(4096, 1000 * floor), exec::kDefaultShards);
-    // Never more shards than whole kRowBlock blocks.
-    EXPECT_EQ(gemm::rowShards(9, 1000 * floor), 3u);
-    EXPECT_EQ(gemm::rowShards(1, 1000 * floor), 1u);
-}
-
-TEST(GemmShardRule, ShardsTileTheRowsInWholeBlocks)
-{
-    for (const std::size_t m : {1u, 3u, 4u, 5u, 16u, 17u, 63u, 1027u}) {
-        const std::size_t blocks = (m + gemm::kRowBlock - 1) / gemm::kRowBlock;
-        for (std::size_t shards = 1;
-             shards <= std::min<std::size_t>(blocks, 16); ++shards) {
-            std::size_t next = 0;
-            for (std::size_t shard = 0; shard < shards; ++shard) {
-                const gemm::RowRange rows = gemm::rowShard(m, shards, shard);
-                ASSERT_EQ(rows.begin, next) << m << "/" << shards;
-                ASSERT_EQ(rows.begin % gemm::kRowBlock, 0u);
-                ASSERT_GT(rows.end, rows.begin);
-                next = rows.end;
-            }
-            ASSERT_EQ(next, m) << m << "/" << shards;
-        }
+        expectIdentical(layer.forward(x), layer.forwardNaive(x));
     }
 }
 

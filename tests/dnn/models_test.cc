@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dnn/models.hh"
-#include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
 namespace {
@@ -181,7 +180,7 @@ TEST(ConcurrentForward, SharedConstDnCnnMatchesOneThreadBitwise)
     // Network::forward is const and may run on several threads at
     // once: the conv layers' im2col scratch is per thread. Four
     // threads decode different windows through one shared network at
-    // the same time; each result must equal the 1-thread forward's.
+    // the same time; each result must equal a serial forward's.
     Network owned = buildSpeechDnCnn(128);
     Rng rng(21);
     owned.initializeWeights(rng);
@@ -196,11 +195,9 @@ TEST(ConcurrentForward, SharedConstDnCnnMatchesOneThreadBitwise)
                    0.05f;
         inputs.push_back(std::move(x));
     }
-    exec::ThreadPool::setGlobalThreadCount(1);
     std::vector<std::vector<std::uint32_t>> expected;
     for (const Tensor &x : inputs)
         expected.push_back(tensorBits(cnn.forward(x)));
-    exec::ThreadPool::setGlobalThreadCount(0);
 
     // Each thread walks every input, starting at its own, so the
     // threads hold different windows in flight at any moment.

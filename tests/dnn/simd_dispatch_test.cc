@@ -11,9 +11,9 @@
  * dnn_tests_force_scalar ctest sets) and require exact float equality
  * against the scalar kernel over ragged shapes (n % lane != 0,
  * k % lane != 0, row tails), GEMV (n == 1), strided/padded im2col
- * convolutions, the fused bias+ReLU epilogue, and thread counts —
- * plus a naive-loop reference over the register-tile edges (row
- * blocks, column tails) and the block-aligned sharded path.
+ * convolutions and the fused bias+ReLU epilogue — plus a naive-loop
+ * reference over the register-tile edges (row blocks, column tails)
+ * and two large products.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
 #include "dnn/gemm.hh"
-#include "exec/thread_pool.hh"
 
 namespace mindful::dnn {
 namespace {
@@ -176,9 +175,8 @@ TEST(SimdDispatch, RegisterTilesBitIdenticalToReference)
 {
     // m crosses the kRowBlock-row register tile (full blocks plus
     // every leftover-row count), n % 16 covers each column tail the
-    // kernels special-case, and the last two shapes clear
-    // kMinShardMacs so biasGemm shards whole row blocks over the pool
-    // — with leftover rows in the last shard.
+    // kernels special-case, and the last two shapes are large
+    // products with leftover rows past the last whole block.
     struct GemmShape
     {
         std::size_t m, n, k;
@@ -188,14 +186,8 @@ TEST(SimdDispatch, RegisterTilesBitIdenticalToReference)
          {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u, 16u, 17u, 31u})
         for (const std::size_t tail : {0u, 1u, 7u, 8u, 9u, 15u})
             shapes.push_back({m, 32 + tail, 11});
-    const GemmShape sharded[] = {{31, 512 + 15, 1030},
-                                 {17, 1024 + 9, 500}};
-    for (const GemmShape &s : sharded) {
-        ASSERT_GE(static_cast<std::uint64_t>(s.m) * s.n * s.k /
-                      gemm::kMinShardMacs,
-                  2u);
-        shapes.push_back(s);
-    }
+    shapes.push_back({31, 512 + 15, 1030});
+    shapes.push_back({17, 1024 + 9, 500});
 
     IsaGuard guard;
     for (const GemmShape &s : shapes) {
@@ -209,21 +201,16 @@ TEST(SimdDispatch, RegisterTilesBitIdenticalToReference)
                 relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
             for (const SimdIsa isa : supportedIsas()) {
                 forceSimdIsa(isa);
-                for (const unsigned threads : {1u, 2u, 8u}) {
-                    exec::ThreadPool::setGlobalThreadCount(threads);
-                    std::vector<float> out(s.m * s.n, -7.0f);
-                    gemm::biasGemm(s.m, s.n, s.k, a.data(), b.data(),
-                                   bias.data(), out.data(), epilogue);
-                    SCOPED_TRACE(testing::Message()
-                                 << "m=" << s.m << " n=" << s.n
-                                 << " k=" << s.k << " relu=" << relu
-                                 << " @" << threads << " threads");
-                    expectBitIdentical(reference, out, simdIsaName(isa));
-                }
+                std::vector<float> out(s.m * s.n, -7.0f);
+                gemm::biasGemm(s.m, s.n, s.k, a.data(), b.data(),
+                               bias.data(), out.data(), epilogue);
+                SCOPED_TRACE(testing::Message()
+                             << "m=" << s.m << " n=" << s.n
+                             << " k=" << s.k << " relu=" << relu);
+                expectBitIdentical(reference, out, simdIsaName(isa));
             }
         }
     }
-    exec::ThreadPool::setGlobalThreadCount(0);
 }
 
 TEST(SimdDispatch, FusedReluBitIdentical)
@@ -318,16 +305,11 @@ TEST(SimdDispatch, DenseLayerBitIdenticalAcrossIsasAndThreads)
     IsaGuard guard;
     for (const SimdIsa isa : supportedIsas()) {
         forceSimdIsa(isa);
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            exec::ThreadPool::setGlobalThreadCount(threads);
-            const Tensor out = layer.forward(x);
-            for (std::size_t i = 0; i < out.size(); ++i)
-                ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
-                          std::bit_cast<std::uint32_t>(naive[i]))
-                    << simdIsaName(isa) << " @" << threads
-                    << " threads, element " << i;
-        }
-        exec::ThreadPool::setGlobalThreadCount(0);
+        const Tensor out = layer.forward(x);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                      std::bit_cast<std::uint32_t>(naive[i]))
+                << simdIsaName(isa) << " element " << i;
     }
 }
 

@@ -7,12 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "comm/channel_sim.hh"
-#include "core/experiments.hh"
 #include "exec/thread_pool.hh"
 #include "ni/synthetic_cortex.hh"
 #include "signal/spike_sorter.hh"
@@ -54,40 +52,6 @@ TEST(DeterminismTest, OokBerIsThreadCountInvariant)
         return errors;
     };
     EXPECT_EQ(withThreads(1, measure), withThreads(8, measure));
-}
-
-TEST(DeterminismTest, Fig12CsvIsByteIdenticalAcrossThreadCounts)
-{
-    auto render = [] {
-        std::ostringstream os;
-        core::experiments::fig12Table(1).printCsv(os);
-        return os.str();
-    };
-    std::string csv1 = withThreads(1, render);
-    std::string csv8 = withThreads(8, render);
-    EXPECT_FALSE(csv1.empty());
-    EXPECT_EQ(csv1, csv8);
-}
-
-TEST(DeterminismTest, Fig11CsvIsByteIdenticalAcrossThreadCounts)
-{
-    auto render = [] {
-        std::ostringstream os;
-        core::experiments::fig11Table().printCsv(os);
-        return os.str();
-    };
-    EXPECT_EQ(withThreads(1, render), withThreads(8, render));
-}
-
-TEST(DeterminismTest, Fig9RowsAreThreadCountInvariant)
-{
-    auto render = [] {
-        std::vector<double> powers;
-        for (const auto &row : core::experiments::fig9Rows())
-            powers.push_back(row.estimate.layerPower.inMicrowatts());
-        return powers;
-    };
-    EXPECT_EQ(withThreads(1, render), withThreads(8, render));
 }
 
 TEST(DeterminismTest, SyntheticCortexIsThreadCountInvariant)

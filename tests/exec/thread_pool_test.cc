@@ -1,17 +1,18 @@
 /**
  * @file
- * ThreadPool unit tests: graceful shutdown under load, exception
- * propagation through parallelFor, and deadlock-free nested
- * parallelism on pool workers.
+ * ThreadPool unit tests: worker identity, exception propagation
+ * through parallelFor, deadlock-free nested parallelism, and
+ * concurrent callers on threads outside the pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
@@ -19,62 +20,33 @@
 namespace mindful::exec {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&] { ran.fetch_add(1); });
-        // Destructor drains the queue before joining.
-    }
-    EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, ShutdownWhileBusyDrainsQueue)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        // Slow tasks keep both workers busy so most of the queue is
-        // still pending when the destructor runs; every task must
-        // still execute exactly once.
-        for (int i = 0; i < 32; ++i) {
-            pool.submit([&] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                ran.fetch_add(1);
-            });
-        }
-    }
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPoolTest, CountsSubmissions)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    while (ran.load() < 10)
-        std::this_thread::yield();
-    EXPECT_EQ(pool.tasksSubmitted(), 10u);
-    EXPECT_GE(pool.queueDepthPeak(), 1u);
-}
-
 TEST(ThreadPoolTest, OnWorkerThreadDistinguishesCallers)
 {
     EXPECT_FALSE(ThreadPool::onWorkerThread());
-    ThreadPool pool(1);
-    std::atomic<bool> on_worker{false};
-    std::atomic<bool> done{false};
-    pool.submit([&] {
-        on_worker.store(ThreadPool::onWorkerThread());
-        done.store(true);
+    ThreadPool::setGlobalThreadCount(2);
+    // Each shard waits (up to a deadline, so a broken pool fails
+    // rather than hangs) until both have started, so the two run at
+    // once: one on the caller, one on the pool's single worker.
+    const std::thread::id caller = std::this_thread::get_id();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<int> started{0};
+    std::atomic<int> on_worker{0};
+    std::atomic<int> on_caller{0};
+    parallelFor(2, [&](std::size_t) {
+        started.fetch_add(1);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        if (ThreadPool::onWorkerThread())
+            on_worker.fetch_add(1);
+        if (std::this_thread::get_id() == caller)
+            on_caller.fetch_add(1);
     });
-    while (!done.load())
-        std::this_thread::yield();
-    EXPECT_TRUE(on_worker.load());
+    EXPECT_EQ(on_worker.load(), 1);
+    EXPECT_EQ(on_caller.load(), 1);
     EXPECT_FALSE(ThreadPool::onWorkerThread());
+    ThreadPool::setGlobalThreadCount(0);
 }
 
 TEST(ThreadPoolTest, GlobalThreadCountIsReconfigurable)
@@ -131,6 +103,44 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock)
         parallelFor(4, [&](std::size_t) { inner_runs.fetch_add(1); });
     });
     EXPECT_EQ(inner_runs.load(), 16);
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(ParallelForTest, ConcurrentExternalCallersEachRunTheirOwnShards)
+{
+    // Two threads outside the pool call parallelFor at once, round
+    // after round: one holds the job slot and the other runs inline,
+    // or they take turns. Either way each call runs every one of its
+    // shards exactly once and rethrows its own lowest failed shard.
+    ThreadPool::setGlobalThreadCount(4);
+    constexpr std::size_t kShards = 16;
+    constexpr int kRounds = 200;
+    std::atomic<int> failures{0};
+    auto caller = [&](std::size_t first_failure) {
+        for (int round = 0; round < kRounds; ++round) {
+            std::vector<std::atomic<int>> runs(kShards);
+            try {
+                parallelFor(kShards, [&](std::size_t shard) {
+                    runs[shard].fetch_add(1);
+                    if (shard == first_failure ||
+                        shard == first_failure + 3)
+                        throw std::runtime_error(std::to_string(shard));
+                });
+                failures.fetch_add(1);
+            } catch (const std::runtime_error &e) {
+                if (e.what() != std::to_string(first_failure))
+                    failures.fetch_add(1);
+            }
+            for (auto &r : runs)
+                if (r.load() != 1)
+                    failures.fetch_add(1);
+        }
+    };
+    std::thread a(caller, 2);
+    std::thread b(caller, 9);
+    a.join();
+    b.join();
+    EXPECT_EQ(failures.load(), 0);
     ThreadPool::setGlobalThreadCount(0);
 }
 

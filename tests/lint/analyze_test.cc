@@ -848,6 +848,27 @@ TEST(AnalyzeAtomics, SeqlockSequenceOrders)
     EXPECT_EQ(countCheck(findings, "atomics-discipline"), 1u);
 }
 
+TEST(AnalyzeAtomics, TicketClaimsRelaxedOnly)
+{
+    auto findings = analyze({{"exec/fixture.hh", R"fix(
+        struct Job {
+            MINDFUL_ATOMIC_ROLE(ticket)
+            std::atomic<std::size_t> _next{0};
+        };
+        std::size_t claim(Job &j)
+        {
+            return j._next.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::size_t claimPublishing(Job &j)
+        {
+            return j._next.fetch_add(1, std::memory_order_acq_rel);
+        }
+    )fix"}});
+    EXPECT_TRUE(hasFinding(findings, "atomics-discipline",
+                           "a ticket only hands out unique values"));
+    EXPECT_EQ(countCheck(findings, "atomics-discipline"), 1u);
+}
+
 TEST(AnalyzeAtomics, AtomicOkSuppressesWithReason)
 {
     auto findings = analyze({{"serve/fixture.cc", R"fix(

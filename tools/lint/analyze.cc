@@ -1823,8 +1823,8 @@ const std::set<std::string> &
 atomicRoles()
 {
     static const std::set<std::string> set{
-        "publish_ptr", "spsc_head",  "spsc_tail",
-        "stat_counter", "once_flag", "seqlock",
+        "publish_ptr", "spsc_head", "spsc_tail", "stat_counter",
+        "once_flag",   "seqlock",   "ticket",
     };
     return set;
 }
@@ -1897,7 +1897,8 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                          "' declares no publication protocol; "
                          "annotate MINDFUL_ATOMIC_ROLE(publish_ptr | "
                          "spsc_head | spsc_tail | stat_counter | "
-                         "once_flag | seqlock) (base/compiler.hh)");
+                         "once_flag | seqlock | ticket) "
+                         "(base/compiler.hh)");
                 continue;
             }
             if (!atomicRoles().count(decl.role)) {
@@ -1906,7 +1907,8 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                          "' on field '" + decl.name +
                          "'; the vocabulary is publish_ptr, "
                          "spsc_head, spsc_tail, stat_counter, "
-                         "once_flag, seqlock (base/compiler.hh)");
+                         "once_flag, seqlock, ticket "
+                         "(base/compiler.hh)");
                 continue;
             }
             auto [it, inserted] =
@@ -2103,6 +2105,15 @@ atomicsDisciplineFindings(const std::vector<FileFacts> &files,
                     emit(f, op.line,
                          "seqlock sequence bump on '" + op.field +
                              "' must publish (release or acq_rel)");
+                }
+            } else if (role == "ticket") {
+                if (!orderIn(op.orders, {"memory_order_relaxed"})) {
+                    emit(f, op.line,
+                         "." + op.op + "() on ticket '" + op.field +
+                             "' uses an ordering stronger than "
+                             "relaxed; a ticket only hands out unique "
+                             "values — what a claimer writes must be "
+                             "published by a lock or a publish role");
                 }
             }
         }
