@@ -1,14 +1,13 @@
 /**
  * @file
  * Fast path against retained golden reference, for the kernels
- * perfbench does not time on their own: the seed-config bio-heat
- * solve (BioHeatSolver::solve vs solveReference), the Fig. 10 MLP
- * trunk GEMV (DenseLayer::forward vs forwardNaive) and the packed
- * channel-dropout plan at three masks — the dense layer with half and
- * an eighth of its inputs kept, and the conv with half its channels
- * kept (forward vs forwardNaive over the mask-zeroed input). Every
- * DNN entry golden-checks its output against the reference before
- * timing and fails on any mismatch.
+ * perfbench does not time on their own: the Fig. 10 MLP trunk GEMV
+ * (DenseLayer::forward vs forwardNaive) and the packed channel-dropout
+ * plan at three masks — the dense layer with half and an eighth of its
+ * inputs kept, and the conv with half its channels kept (forward vs
+ * forwardNaive over the mask-zeroed input). Every entry golden-checks
+ * its output against the reference before timing and fails on any
+ * mismatch.
  *
  * Fast path and reference run interleaved on bench::timeRounds; the
  * table reports process CPU µs per call and the per-round speedup
@@ -30,7 +29,6 @@
 #include "bench_util.hh"
 #include "dnn/conv.hh"
 #include "dnn/dense.hh"
-#include "thermal/bioheat.hh"
 
 namespace {
 
@@ -145,18 +143,6 @@ benchConvDropout(const std::string &name,
                              options);
 }
 
-/** Red-black SOR against the lexicographic reference, seed config. */
-bench::RoundSamples
-benchBioHeat(const bench::RoundOptions &options)
-{
-    const thermal::BioHeatSolver solver({}, {});
-    const Power p = Power::milliwatts(57.6);
-    const Area a = Area::squareMillimetres(144.0);
-    return bench::timeRounds({[&] { solver.solve(p, a); },
-                              [&] { solver.solveReference(p, a); }},
-                             options);
-}
-
 } // namespace
 
 int
@@ -167,7 +153,6 @@ main(int argc, char **argv)
     const bench::RoundOptions options = bench::roundOptions(argc, argv);
 
     const std::pair<std::string, bench::RoundSamples> entries[] = {
-        {"bioheat_default", benchBioHeat(options)},
         {"dense_mlp_trunk", benchDense("dense_mlp_trunk", 1024, options)},
         {"dense_mlp_trunk_drop50",
          benchDense("dense_mlp_trunk_drop50", 512, options)},

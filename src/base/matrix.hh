@@ -2,7 +2,7 @@
  * @file
  * Small dense matrix algebra.
  *
- * The decoder baselines (Kalman, Wiener) and the model-fitting code
+ * The Kalman decoder baseline and the model-fitting code
  * need modest dense linear algebra: products, transposes, inverses
  * and least-squares solves on matrices with tens to a few hundred
  * rows. This is a deliberately simple row-major implementation with

@@ -9,9 +9,13 @@ std::optional<double>
 parseDouble(std::string_view text)
 {
     // std::from_chars rejects a leading '+'; std::stod accepted it,
-    // and existing catalogs may rely on that spelling.
-    if (!text.empty() && text.front() == '+')
+    // and existing catalogs may rely on that spelling. After a '+'
+    // from_chars would still read a '-', so "+-1.5" is rejected here.
+    if (!text.empty() && text.front() == '+') {
         text.remove_prefix(1);
+        if (!text.empty() && text.front() == '-')
+            return std::nullopt;
+    }
     if (text.empty())
         return std::nullopt;
     double value = 0.0;

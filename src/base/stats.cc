@@ -63,45 +63,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : _lo(lo), _width((hi - lo) / static_cast<double>(bins)),
-      _counts(bins, 0)
-{
-    MINDFUL_ASSERT(hi > lo, "Histogram range must be non-empty");
-    MINDFUL_ASSERT(bins > 0, "Histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    ++_total;
-    if (x < _lo) {
-        ++_underflow;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - _lo) / _width);
-    if (idx >= _counts.size()) {
-        ++_overflow;
-        return;
-    }
-    ++_counts[idx];
-}
-
-double
-Histogram::binCentre(std::size_t i) const
-{
-    return _lo + (static_cast<double>(i) + 0.5) * _width;
-}
-
-double
-Histogram::binFraction(std::size_t i) const
-{
-    return _total == 0
-               ? 0.0
-               : static_cast<double>(_counts.at(i)) /
-                     static_cast<double>(_total);
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins)
     : _lo(lo), _hi(hi), _counts(bins, 0)
 {

@@ -2,9 +2,10 @@
  * @file
  * Streaming statistics accumulators.
  *
- * Used by the Monte-Carlo channel simulator, the neural signal
- * generator tests, and the benchmark harnesses to summarize series
- * without storing them.
+ * The serial references for the obs metric handles: obs/handles.hh
+ * mirrors LogHistogram's bucket layout, and the handle tests compare
+ * a handle's snapshot against LogHistogram and RunningStats bit for
+ * bit.
  */
 
 #ifndef MINDFUL_BASE_STATS_HH
@@ -62,45 +63,6 @@ class RunningStats
     double _m2 = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-range linear histogram.
- *
- * Values below the range land in an underflow bucket, above it in an
- * overflow bucket, so totals are never silently lost.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first bin.
-     * @param hi upper edge of the last bin; must exceed @p lo.
-     * @param bins number of bins; must be positive.
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-
-    std::size_t bins() const { return _counts.size(); }
-    std::size_t binCount(std::size_t i) const { return _counts.at(i); }
-    std::size_t underflow() const { return _underflow; }
-    std::size_t overflow() const { return _overflow; }
-    std::size_t total() const { return _total; }
-
-    /** Centre value of bin @p i. */
-    double binCentre(std::size_t i) const;
-
-    /** Fraction of all samples (including under/overflow) in bin i. */
-    double binFraction(std::size_t i) const;
-
-  private:
-    double _lo;
-    double _width;
-    std::vector<std::size_t> _counts;
-    std::size_t _underflow = 0;
-    std::size_t _overflow = 0;
-    std::size_t _total = 0;
 };
 
 /**

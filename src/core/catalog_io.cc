@@ -2,12 +2,14 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <locale>
 #include <ostream>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "base/parse.hh"
+#include "ni/adc.hh"
 
 namespace mindful::core {
 
@@ -137,7 +139,13 @@ parseCatalog(std::istream &input)
         std::string value = trim(line.substr(eq + 1));
 
         if (key == "id") {
-            current.id = static_cast<int>(parseUnsigned(value, line_number));
+            const std::uint64_t id = parseUnsigned(value, line_number);
+            if (id > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max()))
+                MINDFUL_FATAL("catalog line ", line_number, ": id '",
+                              value, "' exceeds ",
+                              std::numeric_limits<int>::max());
+            current.id = static_cast<int>(id);
         } else if (key == "name") {
             current.name = value;
         } else if (key == "reference") {
@@ -162,8 +170,12 @@ parseCatalog(std::istream &input)
             current.samplingFrequency =
                 Frequency::kilohertz(parseDouble(value, line_number));
         } else if (key == "sample_bits") {
-            current.sampleBits = static_cast<unsigned>(
-                parseUnsigned(value, line_number));
+            const std::uint64_t bits = parseUnsigned(value, line_number);
+            if (bits < 1 || bits > ni::kMaxAdcBits)
+                MINDFUL_FATAL("catalog line ", line_number,
+                              ": sample_bits '", value,
+                              "' must lie in [1, ", ni::kMaxAdcBits, "]");
+            current.sampleBits = static_cast<unsigned>(bits);
         } else if (key == "wireless") {
             current.wireless = parseBool(value, line_number);
         } else if (key == "validated") {

@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "exec/thread_pool.hh"
 
@@ -69,32 +67,6 @@ ShardRange shardRange(std::uint64_t items, std::size_t shards,
 void parallelFor(std::size_t shards,
                  const std::function<void(std::size_t)> &body,
                  const char *label = nullptr);
-
-/**
- * Map every shard to a partial result, then fold the partials into
- * @p init in ascending shard order on the calling thread:
- *
- *     T acc = init;
- *     for (s = 0..shards) acc = combine(acc, map(s));
- *
- * Only the map step runs on the pool; the combine order is fixed, so
- * even non-associative combines (floating-point sums) reduce
- * identically on any thread count. T must be default-constructible.
- */
-template <typename T, typename MapFn, typename CombineFn>
-T
-parallelReduce(std::size_t shards, T init, MapFn &&map,
-               CombineFn &&combine, const char *label = nullptr)
-{
-    std::vector<T> partials(shards);
-    parallelFor(
-        shards, [&](std::size_t shard) { partials[shard] = map(shard); },
-        label);
-    T acc = std::move(init);
-    for (std::size_t shard = 0; shard < shards; ++shard)
-        acc = combine(std::move(acc), std::move(partials[shard]));
-    return acc;
-}
 
 } // namespace mindful::exec
 

@@ -10,8 +10,9 @@ namespace mindful::ni {
 AdcModel::AdcModel(unsigned bits, double full_scale_uv, Frequency sampling)
     : _bits(bits), _fullScale(full_scale_uv), _sampling(sampling)
 {
-    MINDFUL_ASSERT(bits >= 1 && bits <= 16,
-                   "ADC bitwidth must be in [1, 16], got ", bits);
+    MINDFUL_ASSERT(bits >= 1 && bits <= kMaxAdcBits,
+                   "ADC bitwidth must be in [1, ", kMaxAdcBits, "], got ",
+                   bits);
     MINDFUL_ASSERT(full_scale_uv > 0.0, "ADC full scale must be positive");
     MINDFUL_ASSERT(sampling.inHertz() > 0.0,
                    "ADC sampling frequency must be positive");

@@ -20,12 +20,15 @@
 
 namespace mindful::ni {
 
+/** Widest sample bitwidth d an AdcModel accepts (codes fit 16 bits). */
+inline constexpr unsigned kMaxAdcBits = 16;
+
 /** Mid-rise uniform quantizer with saturation. */
 class AdcModel
 {
   public:
     /**
-     * @param bits sample bitwidth d (1..16).
+     * @param bits sample bitwidth d (1..kMaxAdcBits).
      * @param full_scale_uv symmetric input range [-FS, +FS] in uV.
      * @param sampling per-channel sampling frequency f.
      */

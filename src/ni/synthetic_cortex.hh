@@ -100,7 +100,7 @@ struct Recording
 
     /**
      * Spike counts per non-overlapping bin of @p bin_steps samples:
-     * the feature the Kalman / Wiener decoders consume.
+     * the feature the Kalman decoder consumes.
      * @return [channel][bin] counts.
      */
     std::vector<std::vector<double>> binnedCounts(std::size_t bin_steps) const;

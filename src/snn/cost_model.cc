@@ -25,16 +25,6 @@ SnnCostModel::power(double synops_per_second, std::size_t neurons) const
            _params.leakPerNeuron * static_cast<double>(neurons);
 }
 
-Power
-SnnCostModel::power(const SpikingNetwork &network,
-                    const SnnRunStats &stats) const
-{
-    std::size_t neurons = 0;
-    for (std::size_t i = 0; i < network.layerCount(); ++i)
-        neurons += network.layer(i).neurons();
-    return power(stats.synapticOpsPerSecond(), neurons);
-}
-
 std::vector<dnn::MacCensus>
 SnnCostModel::expectedCensus(std::size_t inputs,
                              const std::vector<std::size_t> &layer_sizes,

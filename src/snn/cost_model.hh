@@ -19,9 +19,11 @@
 #ifndef MINDFUL_SNN_COST_MODEL_HH
 #define MINDFUL_SNN_COST_MODEL_HH
 
+#include <cstddef>
+#include <vector>
+
 #include "base/units.hh"
 #include "dnn/mac_census.hh"
-#include "snn/lif.hh"
 
 namespace mindful::snn {
 
@@ -45,10 +47,6 @@ class SnnCostModel
 
     /** Power for a measured activity level. */
     Power power(double synops_per_second, std::size_t neurons) const;
-
-    /** Power for a simulated window of a concrete network. */
-    Power power(const SpikingNetwork &network,
-                const SnnRunStats &stats) const;
 
     /**
      * Expected-activity census of one inference window: each layer

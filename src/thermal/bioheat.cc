@@ -1,7 +1,6 @@
 #include "thermal/bioheat.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -47,10 +46,7 @@ BioHeatSolver::oneDimensionalEstimate(PowerDensity flux) const
 
 namespace {
 
-/** Sweeps between convergence-residual evaluations. */
-constexpr std::size_t kResidualSweepStride = 8;
-
-/** Discretized problem shared by the red-black and legacy sweeps. */
+/** Discretized problem: grid, stencil constants and surface flux. */
 struct Discretization
 {
     std::size_t rows = 0;
@@ -165,145 +161,17 @@ summarize(const Discretization &grid, std::vector<double> temp,
 }
 
 void
-recordSolveMetrics(const char *prefix, std::size_t sweeps,
-                   double residual)
+recordSolveMetrics(std::size_t sweeps, double residual)
 {
     auto &registry = obs::MetricRegistry::global();
     if (!registry.enabled())
         return;
-    const std::string base(prefix);
-    registry.counter(base + ".solves").bump(1);
-    registry.counter(base + ".sweeps").bump(sweeps);
-    registry.gauge(base + ".residual").set(residual);
-    registry.histogram(base + ".sweeps_per_solve")
+    registry.counter("thermal.sor.solves").bump(1);
+    registry.counter("thermal.sor.sweeps").bump(sweeps);
+    registry.gauge("thermal.sor.residual").set(residual);
+    registry.histogram("thermal.sor.sweeps_per_solve")
         .observe(static_cast<double>(sweeps));
 }
-
-/**
- * Red-black SOR sweep engine over one temperature field.
- *
- * Construction hoists every branch the legacy sweep evaluated per
- * cell into per-column tables: east/west stencil coefficients (the
- * j == 0 symmetry column and the axisymmetric 1/r terms), reciprocal
- * denominators (no division in the inner loop), and the top-surface
- * flux source term. The i == 0 ghost-node row runs as its own kernel.
- *
- * A "red" (parity 0) cell's four neighbours are all "black" (parity
- * 1) and vice versa, so all cells of one color update independently
- * and the result cannot depend on the row order of a sweep.
- */
-class RedBlackSweep
-{
-  public:
-    RedBlackSweep(const Discretization &grid, std::vector<double> &temp)
-        : _grid(grid), _temp(temp), _ce(grid.cols, 1.0),
-          _cw(grid.cols, 1.0), _invDenom(grid.cols, 0.0),
-          _fluxTerm(grid.cols, 0.0)
-    {
-        for (std::size_t j = 0; j + 1 < grid.cols; ++j) {
-            double cp = 4.0;
-            if (j == 0) {
-                _cw[j] = 0.0;
-                if (grid.axi) {
-                    // Axis of symmetry: radial Laplacian becomes
-                    // 2 d2T/dr2 by L'Hopital.
-                    _ce[j] = 4.0;
-                    cp = 6.0;
-                } else {
-                    // Planar symmetry plane: mirror the east node.
-                    _ce[j] = 2.0;
-                }
-            } else if (grid.axi) {
-                double rj = static_cast<double>(j);
-                _ce[j] = 1.0 + 0.5 / rj;
-                _cw[j] = 1.0 - 0.5 / rj;
-            }
-            _invDenom[j] = 1.0 / (grid.kh2 * cp + grid.beta);
-            // Top surface: ghost node folds the surface flux into the
-            // south neighbour plus this source term (adiabatic where
-            // flux[j] == 0).
-            _fluxTerm[j] = 2.0 * grid.flux[j] / grid.h;
-        }
-    }
-
-    /**
-     * One full sweep (red color then black). With Measure, returns
-     * {max |relaxed update|, max updated value}.
-     */
-    template <bool Measure>
-    std::array<double, 2>
-    sweep()
-    {
-        auto red = colorSweep<Measure>(0);
-        auto black = colorSweep<Measure>(1);
-        return {std::max(red[0], black[0]), std::max(red[1], black[1])};
-    }
-
-  private:
-    template <bool Measure>
-    std::array<double, 2>
-    colorSweep(int parity)
-    {
-        std::array<double, 2> acc{0.0, 0.0};
-        for (std::size_t i = 0; i + 1 < _grid.rows; ++i)
-            updateRow<Measure>(i, parity, acc);
-        return acc;
-    }
-
-    /** Update this row's cells of color @p parity ((i + j) % 2). */
-    template <bool Measure>
-    void
-    updateRow(std::size_t i, int parity, std::array<double, 2> &acc)
-    {
-        double *row = _temp.data() + i * _grid.cols;
-        const double *south = row + _grid.cols;
-        const double omega = _grid.omega;
-        const double kh2 = _grid.kh2;
-        const std::size_t last = _grid.cols - 1; // pinned far column
-
-        auto step = [&](std::size_t j, double numer) {
-            double &cell = row[j];
-            const double next =
-                cell + omega * (numer * _invDenom[j] - cell);
-            if constexpr (Measure) {
-                acc[0] = std::max(acc[0], std::abs(next - cell));
-                acc[1] = std::max(acc[1], next);
-            }
-            cell = next;
-        };
-
-        std::size_t j =
-            (static_cast<std::size_t>(parity) + i) % 2 == 0 ? 0 : 1;
-        if (i == 0) {
-            if (j == 0) {
-                step(0, kh2 * (_ce[0] * row[1] + 2.0 * south[0]) +
-                            _fluxTerm[0]);
-                j = 2;
-            }
-            for (; j < last; j += 2)
-                step(j, kh2 * (_ce[j] * row[j + 1] +
-                               _cw[j] * row[j - 1] + 2.0 * south[j]) +
-                            _fluxTerm[j]);
-        } else {
-            const double *north = row - _grid.cols;
-            if (j == 0) {
-                step(0, kh2 * (_ce[0] * row[1] + north[0] + south[0]));
-                j = 2;
-            }
-            for (; j < last; j += 2)
-                step(j, kh2 * (_ce[j] * row[j + 1] +
-                               _cw[j] * row[j - 1] + north[j] +
-                               south[j]));
-        }
-    }
-
-    const Discretization &_grid;
-    std::vector<double> &_temp;
-    std::vector<double> _ce;
-    std::vector<double> _cw;
-    std::vector<double> _invDenom;
-    std::vector<double> _fluxTerm;
-};
 
 } // namespace
 
@@ -314,62 +182,12 @@ BioHeatSolver::solve(Power total, Area implant_area) const
 }
 
 BioHeatResult
-BioHeatSolver::solveReference(Power total, Area implant_area) const
-{
-    return solveProfileReference(total, implant_area, {1.0});
-}
-
-BioHeatResult
 BioHeatSolver::solveProfile(Power total, Area implant_area,
                             const std::vector<double> &profile) const
 {
     auto grid = discretize(_tissue, _config, total, implant_area, profile);
 
     MINDFUL_TRACE_SPAN(span, "thermal", "sor.solve");
-    span.arg("rows", static_cast<std::uint64_t>(grid.rows))
-        .arg("cols", static_cast<std::uint64_t>(grid.cols));
-
-    std::vector<double> temp(grid.rows * grid.cols, 0.0);
-    RedBlackSweep sweep(grid, temp);
-
-    std::size_t iter = 0;
-    double residual = 0.0;
-    bool converged = false;
-    while (iter < _config.maxIterations && !converged) {
-        // The residual costs an abs + two max per cell plus a
-        // reduction; evaluating it every kResidualSweepStride-th
-        // sweep keeps the steady-state kernels pure arithmetic. The
-        // (at most) 7 extra sweeps past convergence only tighten the
-        // answer.
-        const bool measure =
-            (iter + 1) % kResidualSweepStride == 0 ||
-            iter + 1 == _config.maxIterations;
-        if (measure) {
-            auto [res, peak] = sweep.sweep<true>();
-            residual = res;
-            converged = res <= _config.tolerance * peak;
-        } else {
-            sweep.sweep<false>();
-        }
-        ++iter;
-    }
-    if (!converged) {
-        MINDFUL_PANIC("bio-heat SOR failed to converge: residual ",
-                      residual, " after ", iter, " iterations");
-    }
-
-    recordSolveMetrics("thermal.sor", iter, residual);
-    return summarize(grid, std::move(temp), iter);
-}
-
-BioHeatResult
-BioHeatSolver::solveProfileReference(
-    Power total, Area implant_area,
-    const std::vector<double> &profile) const
-{
-    auto grid = discretize(_tissue, _config, total, implant_area, profile);
-
-    MINDFUL_TRACE_SPAN(span, "thermal", "sor.solve_reference");
     span.arg("rows", static_cast<std::uint64_t>(grid.rows))
         .arg("cols", static_cast<std::uint64_t>(grid.cols));
 
@@ -454,7 +272,7 @@ BioHeatSolver::solveProfileReference(
                       max_update, " after ", iter, " iterations");
     }
 
-    recordSolveMetrics("thermal.sor.reference", iter, max_update);
+    recordSolveMetrics(iter, max_update);
     return summarize(grid, std::move(temp), iter);
 }
 

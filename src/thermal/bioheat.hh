@@ -140,22 +140,10 @@ struct BioHeatResult
  * poorly); the far radial and bottom boundaries are held at the
  * baseline perfused-tissue temperature (dT = 0).
  *
- * The production sweep (solve/solveProfile) is red-black SOR: cells
- * are two-colored by (row + column) parity, each color updated as a
- * whole using only the other color's values, with the per-column
- * stencil coefficients (symmetry axis, axisymmetric 1/r terms,
- * denominators) precomputed once and the top-surface flux row handled
- * by a specialized kernel — the inner loops are branch- and
- * division-free. The sweep is serial: the default grid is a few
- * thousand cells, too small for a pool hand-off to pay. The
- * convergence residual is evaluated every 8th sweep rather than per
- * cell update.
- *
- * The original lexicographic Gauss-Seidel sweep is retained as
- * solveReference/solveProfileReference — the golden reference for the
- * equivalence tests and the kernel_regression bio-heat ratio. Both
- * orderings converge to the same fixed point of the discretized
- * system, so their fields agree to solver tolerance.
+ * The sweep is lexicographic Gauss-Seidel with over-relaxation,
+ * serial: the default grid is a few thousand cells, too small for a
+ * pool hand-off to pay. The convergence residual is the largest
+ * relaxed update of each sweep.
  */
 class BioHeatSolver
 {
@@ -180,14 +168,6 @@ class BioHeatSolver
      */
     BioHeatResult solveProfile(Power total, Area implant_area,
                                const std::vector<double> &profile) const;
-
-    /** Golden-reference (serial lexicographic SOR) variant of solve. */
-    BioHeatResult solveReference(Power total, Area implant_area) const;
-
-    /** Golden-reference variant of solveProfile. */
-    BioHeatResult
-    solveProfileReference(Power total, Area implant_area,
-                          const std::vector<double> &profile) const;
 
     /**
      * Closed-form 1-D estimate dT = q'' * delta / k used as a sanity

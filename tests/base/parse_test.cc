@@ -34,6 +34,9 @@ TEST(ParseDoubleTest, RejectsPartialAndEmptyInput)
     EXPECT_FALSE(parseDouble(" 1.5"));
     EXPECT_FALSE(parseDouble("1,5"));
     EXPECT_FALSE(parseDouble("--1"));
+    EXPECT_FALSE(parseDouble("+-1.5"));
+    EXPECT_FALSE(parseDouble("++1.5"));
+    EXPECT_FALSE(parseDouble("+"));
 }
 
 TEST(ParseDoubleTest, RejectsNonFiniteValues)

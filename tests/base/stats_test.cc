@@ -117,51 +117,6 @@ TEST(RunningStatsTest, GaussianStreamConverges)
     EXPECT_NEAR(stats.stddev(), 3.0, 0.05);
 }
 
-TEST(HistogramTest, BinningAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);   // bin 0
-    h.add(9.99);  // bin 9
-    h.add(-1.0);  // underflow
-    h.add(10.0);  // overflow (right edge exclusive)
-    h.add(25.0);  // overflow
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(HistogramTest, CentresAndFractions)
-{
-    Histogram h(0.0, 4.0, 4);
-    EXPECT_DOUBLE_EQ(h.binCentre(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCentre(3), 3.5);
-    h.add(1.5);
-    h.add(1.6);
-    h.add(3.0);
-    h.add(100.0);
-    EXPECT_DOUBLE_EQ(h.binFraction(1), 0.5);
-}
-
-TEST(HistogramTest, TotalIsConserved)
-{
-    Rng rng(3);
-    Histogram h(-3.0, 3.0, 24);
-    std::size_t samples = 10000;
-    for (std::size_t i = 0; i < samples; ++i)
-        h.add(rng.gaussian());
-    std::size_t binned = h.underflow() + h.overflow();
-    for (std::size_t b = 0; b < h.bins(); ++b)
-        binned += h.binCount(b);
-    EXPECT_EQ(binned, samples);
-}
-
-TEST(HistogramDeathTest, InvalidConstruction)
-{
-    EXPECT_DEATH(Histogram(1.0, 1.0, 4), "non-empty");
-}
-
 TEST(LogHistogramTest, BucketsGrowGeometrically)
 {
     LogHistogram h(1.0, 1000.0, 3); // edges 1, 10, 100, 1000

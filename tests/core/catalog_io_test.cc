@@ -223,6 +223,27 @@ TEST(CatalogIoDeathTest, BadFractionIsFatal)
                 "sensing_power_fraction");
 }
 
+TEST(CatalogIoDeathTest, IdAboveIntMaxIsFatal)
+{
+    // 2^32 + 1 used to wrap to SoC 1 through the int cast.
+    EXPECT_EXIT(parseCatalogString("[soc]\nid = 4294967297\n"),
+                ::testing::ExitedWithCode(1),
+                "line 2: id '4294967297' exceeds 2147483647");
+}
+
+TEST(CatalogIoDeathTest, SampleBitsOutsideAdcRangeIsFatal)
+{
+    // 0 used to reach the transceiver model and panic there; 2^32 + 10
+    // used to wrap to 10 through the unsigned cast.
+    for (const char *bits : {"0", "17", "4294967306"}) {
+        EXPECT_EXIT(parseCatalogString(std::string("[soc]\nsample_bits = ") +
+                                       bits + "\n"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("line 2: sample_bits '") + bits +
+                        "' must lie in \\[1, 16\\]");
+    }
+}
+
 TEST(CatalogIoDeathTest, MissingFileIsFatal)
 {
     EXPECT_EXIT(loadCatalog("/nonexistent/path/catalog.cfg"),

@@ -7,13 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "comm/channel_sim.hh"
 #include "exec/thread_pool.hh"
 #include "ni/synthetic_cortex.hh"
-#include "signal/spike_sorter.hh"
 
 namespace mindful {
 namespace {
@@ -68,32 +66,6 @@ TEST(DeterminismTest, SyntheticCortexIsThreadCountInvariant)
         return rec.samples;
     };
     EXPECT_EQ(withThreads(1, record), withThreads(8, record));
-}
-
-TEST(DeterminismTest, SpikeSorterTemplatesAreThreadCountInvariant)
-{
-    auto train = [] {
-        std::vector<signal::Snippet> snippets;
-        Rng rng(3);
-        for (int i = 0; i < 60; ++i) {
-            signal::Snippet s(16);
-            double amp = (i % 3) - 1.0;
-            for (std::size_t t = 0; t < s.size(); ++t)
-                s[t] = amp * static_cast<double>(t) +
-                       0.1 * rng.gaussian();
-            snippets.push_back(std::move(s));
-        }
-        signal::SpikeSorterConfig config;
-        config.units = 3;
-        signal::TemplateSpikeSorter sorter(config);
-        sorter.train(snippets);
-        std::vector<double> flat;
-        for (std::size_t u = 0; u < 3; ++u)
-            for (double v : sorter.templates()[u])
-                flat.push_back(v);
-        return flat;
-    };
-    EXPECT_EQ(withThreads(1, train), withThreads(8, train));
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * parallelFor / parallelReduce / shardRange property tests: the
- * shard decomposition and combine order are pure functions of the
- * shard count, never of the thread count.
+ * parallelFor / shardRange property tests: the shard decomposition
+ * is a pure function of the shard count, never of the thread count.
  */
 
 #include <gtest/gtest.h>
@@ -61,39 +60,6 @@ TEST(ParallelForTest, ZeroShardsIsANoop)
     bool ran = false;
     parallelFor(0, [&](std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
-}
-
-TEST(ParallelReduceTest, FoldsInShardOrder)
-{
-    for (unsigned threads : {1u, 8u}) {
-        ThreadPool::setGlobalThreadCount(threads);
-        // A non-commutative combine (string concatenation) exposes
-        // any ordering difference immediately.
-        std::string folded = parallelReduce<std::string>(
-            8, "",
-            [](std::size_t shard) { return std::to_string(shard); },
-            [](std::string acc, std::string part) {
-                return acc + part;
-            });
-        EXPECT_EQ(folded, "01234567");
-    }
-    ThreadPool::setGlobalThreadCount(0);
-}
-
-TEST(ParallelReduceTest, IntegerSumMatchesSequential)
-{
-    const std::uint64_t items = 12345;
-    auto sum = parallelReduce<std::uint64_t>(
-        kDefaultShards, 0,
-        [&](std::size_t shard) {
-            auto range = shardRange(items, kDefaultShards, shard);
-            std::uint64_t acc = 0;
-            for (std::uint64_t i = range.begin; i < range.end; ++i)
-                acc += i;
-            return acc;
-        },
-        [](std::uint64_t acc, std::uint64_t part) { return acc + part; });
-    EXPECT_EQ(sum, items * (items - 1) / 2);
 }
 
 } // namespace

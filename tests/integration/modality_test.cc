@@ -1,143 +1,17 @@
 /**
  * @file
- * Cross-modality integration tests: the optical (SPAD) front-end
- * feeding event streaming, and the electrode front-end feeding a
- * spiking network with measured event-driven cost.
+ * Modality integration test: the electrode front-end's measured
+ * spike raster against the analytical event-centric uplink model.
  */
 
 #include <gtest/gtest.h>
 
-#include "comm/packetizer.hh"
 #include "core/event_centric.hh"
 #include "core/soc_catalog.hh"
-#include "ni/spad_imager.hh"
 #include "ni/synthetic_cortex.hh"
-#include "snn/cost_model.hh"
 
 namespace mindful {
 namespace {
-
-/**
- * SPAD modality end-to-end: generate photon frames on the Gilhotra
- * imager, threshold into activity events, frame them, and check the
- * realized event rate against what the analytical event-centric
- * model assumes.
- */
-TEST(ModalityIntegrationTest, SpadFramesDriveEventStreaming)
-{
-    ni::SpadImagerConfig config;
-    config.pixels = 256;
-    config.frameRate = Frequency::kilohertz(1.0);
-    config.darkCountRateHz = 100.0;
-    config.peakPhotonRateHz = 30000.0;
-    config.activeFraction = 0.5;
-    config.seed = 11;
-    ni::SpadImager imager(config);
-    auto rec = imager.generate(4000); // 4 s
-
-    // Event = frame count above a photon threshold. Active pixels
-    // carry 0.1 + 30 * activity counts/frame, so a threshold of 22
-    // only fires on strong-activity frames while the 0.1/frame dark
-    // floor essentially never crosses it.
-    const std::uint16_t threshold = 22;
-    comm::Packetizer packetizer({10});
-    std::uint64_t events = 0;
-    std::uint64_t frame_bits = 0;
-    for (std::size_t t = 0; t < rec.frames; ++t) {
-        std::vector<std::uint32_t> payload;
-        for (std::uint64_t p = 0; p < rec.pixels; ++p) {
-            if (rec.count(p, t) >= threshold) {
-                // (pixel id, count) pair, both in 10-bit fields.
-                payload.push_back(static_cast<std::uint32_t>(p));
-                payload.push_back(
-                    std::min<std::uint32_t>(rec.count(p, t), 1023));
-                ++events;
-            }
-        }
-        if (!payload.empty()) {
-            frame_bits += packetizer
-                              .pack(static_cast<std::uint16_t>(t),
-                                    payload)
-                              .size() *
-                          8;
-        }
-    }
-    ASSERT_GT(events, 100u);
-
-    // Dark pixels must essentially never cross the threshold.
-    std::uint64_t dark_events = 0;
-    for (std::uint64_t p = 0; p < rec.pixels; ++p) {
-        if (imager.isActive(p))
-            continue;
-        for (std::size_t t = 0; t < rec.frames; ++t)
-            dark_events += rec.count(p, t) >= threshold;
-    }
-    EXPECT_LT(dark_events, events / 100 + 1);
-
-    // Realized uplink is a small fraction of raw streaming
-    // (256 px x 1 kHz x 10 b = 2.56 Mbps).
-    double duration = 4.0;
-    double realized_bps = static_cast<double>(frame_bits) / duration;
-    EXPECT_LT(realized_bps, 2.56e6 * 0.5);
-    EXPECT_GT(realized_bps, 0.0);
-}
-
-/**
- * Electrode modality into the SNN substrate: the synthetic cortex's
- * ground-truth raster drives a spiking network; the measured
- * synaptic-op rate must match the event-driven premise (ops scale
- * with input activity, not with array size) and price out below the
- * equivalent dense cost.
- */
-TEST(ModalityIntegrationTest, CortexRasterDrivesSpikingNetwork)
-{
-    ni::SyntheticCortexConfig config;
-    config.channels = 64;
-    config.activeFraction = 0.6;
-    config.maxRateHz = 60.0;
-    config.seed = 31;
-    ni::SyntheticCortex cortex(config);
-    auto rec = cortex.generate(16000); // 2 s @ 8 kHz
-
-    // Repackage the raster step-major for the SNN.
-    std::vector<std::vector<std::uint8_t>> raster(
-        rec.steps, std::vector<std::uint8_t>(64, 0));
-    std::uint64_t input_spikes = 0;
-    for (std::uint64_t ch = 0; ch < 64; ++ch) {
-        for (std::size_t t = 0; t < rec.steps; ++t) {
-            raster[t][ch] = rec.spikeAt(ch, t);
-            input_spikes += raster[t][ch];
-        }
-    }
-    ASSERT_GT(input_spikes, 500u);
-
-    Rng rng(5);
-    snn::SpikingNetwork net(64);
-    net.addLayer(32);
-    net.addLayer(8);
-    net.initializeWeights(rng, 2.0);
-    auto stats = net.run(raster, 1.0 / 8000.0);
-
-    // First-layer synops = input spikes x 32 neurons exactly, minus
-    // events skipped by refractory neurons.
-    EXPECT_LE(stats.synapticOps,
-              input_spikes * 32 + stats.outputSpikes * 8 + 8);
-    EXPECT_GT(stats.synapticOps, input_spikes * 16);
-
-    // Event-driven power on this measured activity sits below the
-    // dense per-step cost of the same topology; the *dynamic*
-    // (synaptic) component alone is far below it — at this toy scale
-    // the SNN total is dominated by the 40 neurons' static leak.
-    snn::SnnCostModel cost;
-    Power snn_power = cost.power(net, stats);
-    Power synaptic_only = cost.power(stats.synapticOpsPerSecond(), 0);
-    double dense_macs_per_second = (64.0 * 32.0 + 32.0 * 8.0) * 8000.0;
-    Power dense_power = Power::watts(
-        dense_macs_per_second *
-        accel::nangate45().energyPerMac().inJoules());
-    EXPECT_LT(snn_power.inWatts(), dense_power.inWatts());
-    EXPECT_LT(synaptic_only.inWatts(), dense_power.inWatts() / 5.0);
-}
 
 /**
  * The analytical event-centric model and a measured detection rate

@@ -1,8 +1,8 @@
 /**
  * @file
- * Kalman and Wiener decoder tests: model identification on known
+ * Kalman decoder tests: model identification on known
  * linear-Gaussian systems and end-to-end decoding of synthetic
- * cortical recordings (the paper's traditional-algorithm baselines).
+ * cortical recordings (the paper's traditional-algorithm baseline).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "ni/synthetic_cortex.hh"
 #include "signal/kalman.hh"
 #include "signal/metrics.hh"
-#include "signal/wiener.hh"
 
 namespace mindful::signal {
 namespace {
@@ -142,67 +141,6 @@ TEST(KalmanDecoderDeathTest, ObservationLengthChecked)
     EXPECT_DEATH(decoder.step({1.0, 2.0, 3.0}), "observation length");
 }
 
-TEST(WienerDecoderTest, RecoversStaticLinearMap)
-{
-    // x = W y exactly: one lag suffices.
-    Rng rng(41);
-    Matrix w{{0.5, -1.0, 2.0}, {1.0, 0.25, -0.5}};
-    Matrix obs(3, 3000);
-    for (std::size_t t = 0; t < 3000; ++t)
-        for (std::size_t i = 0; i < 3; ++i)
-            obs(i, t) = rng.gaussian();
-    Matrix states = w * obs;
-
-    WienerDecoder decoder(1);
-    decoder.train(states, obs);
-    Matrix decoded = decoder.decode(obs);
-    EXPECT_LT(decoded.maxAbsDiff(states), 1e-6);
-}
-
-TEST(WienerDecoderTest, LagsCaptureDelayedDependence)
-{
-    // x_t depends on y_{t-2}; a 3-lag decoder can represent it, a
-    // 1-lag decoder cannot.
-    Rng rng(43);
-    std::size_t steps = 4000;
-    Matrix obs(1, steps);
-    for (std::size_t t = 0; t < steps; ++t)
-        obs(0, t) = rng.gaussian();
-    Matrix states(1, steps);
-    for (std::size_t t = 2; t < steps; ++t)
-        states(0, t) = 1.5 * obs(0, t - 2);
-
-    WienerDecoder lagged(3);
-    lagged.train(states, obs);
-    WienerDecoder instant(1);
-    instant.train(states, obs);
-
-    std::vector<double> truth(steps), with_lags(steps), without(steps);
-    Matrix d3 = lagged.decode(obs);
-    Matrix d1 = instant.decode(obs);
-    for (std::size_t t = 0; t < steps; ++t) {
-        truth[t] = states(0, t);
-        with_lags[t] = d3(0, t);
-        without[t] = d1(0, t);
-    }
-    EXPECT_GT(pearsonCorrelation(with_lags, truth), 0.99);
-    EXPECT_LT(std::abs(pearsonCorrelation(without, truth)), 0.2);
-}
-
-TEST(WienerDecoderTest, BiasTermLearned)
-{
-    Matrix obs(1, 500);
-    Matrix states(1, 500);
-    for (std::size_t t = 0; t < 500; ++t) {
-        obs(0, t) = 0.0;
-        states(0, t) = 3.25;
-    }
-    WienerDecoder decoder(2);
-    decoder.train(states, obs);
-    auto estimate = decoder.step({0.0});
-    EXPECT_NEAR(estimate[0], 3.25, 1e-6);
-}
-
 TEST(DecoderBaselineTest, KalmanDecodesSyntheticCortexIntent)
 {
     // The canonical BCI pipeline: binned spike counts -> intent.
@@ -236,42 +174,6 @@ TEST(DecoderBaselineTest, KalmanDecodesSyntheticCortexIntent)
     double corr =
         meanRowCorrelation(decoded, slice(intent, split, bins));
     EXPECT_GT(corr, 0.55) << "Kalman decode correlation too low";
-}
-
-TEST(DecoderBaselineTest, WienerComparableToKalmanOnCortex)
-{
-    ni::SyntheticCortexConfig config;
-    config.channels = 48;
-    config.activeFraction = 0.75;
-    config.maxRateHz = 80.0;
-    config.intentTimeConstant = 0.6;
-    config.seed = 53;
-    ni::SyntheticCortex cortex(config);
-    // The lagged design matrix has ~200 columns; give the regression
-    // a comfortably larger training set (30 s -> ~400 training bins).
-    auto rec = cortex.generate(240000);
-
-    const std::size_t bin = 400;
-    auto counts = rec.binnedCounts(bin);
-    auto intent = rec.binnedIntent(bin);
-    const std::size_t bins = counts[0].size();
-    const std::size_t split = bins * 2 / 3;
-
-    auto slice = [](const std::vector<std::vector<double>> &rows,
-                    std::size_t from, std::size_t to) {
-        Matrix m(rows.size(), to - from);
-        for (std::size_t r = 0; r < rows.size(); ++r)
-            for (std::size_t c = from; c < to; ++c)
-                m(r, c - from) = rows[r][c];
-        return m;
-    };
-
-    WienerDecoder decoder(4, 1e-2);
-    decoder.train(slice(intent, 0, split), slice(counts, 0, split));
-    Matrix decoded = decoder.decode(slice(counts, split, bins));
-    double corr =
-        meanRowCorrelation(decoded, slice(intent, split, bins));
-    EXPECT_GT(corr, 0.45) << "Wiener decode correlation too low";
 }
 
 TEST(MetricsTest, PearsonAnchors)

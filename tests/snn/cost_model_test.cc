@@ -34,26 +34,6 @@ TEST(SnnCostModelTest, ZeroActivityLeavesOnlyLeak)
                 1e-12);
 }
 
-TEST(SnnCostModelTest, PowerFromSimulatedRun)
-{
-    Rng rng(5);
-    SpikingNetwork net(32);
-    net.addLayer(16);
-    net.initializeWeights(rng, 1.5);
-
-    std::vector<std::vector<std::uint8_t>> raster(
-        200, std::vector<std::uint8_t>(32, 0));
-    for (auto &frame : raster)
-        for (auto &s : frame)
-            s = rng.bernoulli(0.1);
-
-    auto stats = net.run(raster, 1e-3);
-    SnnCostModel model;
-    Power p = model.power(net, stats);
-    Power manual = model.power(stats.synapticOpsPerSecond(), 16);
-    EXPECT_NEAR(p.inWatts(), manual.inWatts(), 1e-15);
-}
-
 TEST(SnnCostModelTest, ExpectedCensusShape)
 {
     auto census = SnnCostModel::expectedCensus(128, {64, 32}, 0.1, 25);

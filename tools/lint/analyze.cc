@@ -87,7 +87,7 @@ notCalls()
         "value", "has_value", "fill",
         // vetted project infrastructure (asserts/tracing are gated or
         // compiled out; the pool entry points are what we guard)
-        "parallelFor", "parallelReduce", "shardRange", "fork",
+        "parallelFor", "shardRange", "fork",
         "MINDFUL_ASSERT", "MINDFUL_DEBUG_ASSERT", "MINDFUL_TRACE_SPAN",
         "MINDFUL_TRACE_SCOPE",
         // hot-tier record macros (obs/collector.hh, obs/handles.hh):
@@ -436,9 +436,9 @@ class Parser
 
     /**
      * Function-body analysis: carve out named local lambdas and the
-     * lambdas handed to parallelFor/parallelReduce (each becomes its
-     * own FunctionFacts), then flat-scan the rest for impurities,
-     * calls, draws and fork-derived engines.
+     * lambdas handed to parallelFor (each becomes its own
+     * FunctionFacts), then flat-scan the rest for impurities, calls,
+     * draws and fork-derived engines.
      */
     void
     analyzeBody(FunctionFacts &fn, std::size_t begin, std::size_t end)
@@ -469,12 +469,11 @@ class Parser
                 _out.functions.push_back(std::move(local));
                 carved.emplace_back(i, lambda.bodyEnd + 1);
                 i = lambda.bodyEnd;
-            } else if ((t == "parallelFor" || t == "parallelReduce") &&
-                       tok(i + 1) == "(") {
+            } else if (t == "parallelFor" && tok(i + 1) == "(") {
                 std::size_t close = matchParen(_t, i + 1);
                 if (close > end)
                     continue;
-                scanParallelArgs(t, _t[i].line, i + 2, close, carved);
+                scanParallelArgs(_t[i].line, i + 2, close, carved);
                 i = i + 1; // keep scanning inside the call (non-lambda
                            // args belong to the enclosing function)
             } else if (t == "MINDFUL_RT_LOOP" && tok(i + 1) == "(") {
@@ -590,8 +589,8 @@ class Parser
     }
 
     void
-    scanParallelArgs(const std::string &label, std::size_t call_line,
-                     std::size_t begin, std::size_t end,
+    scanParallelArgs(std::size_t call_line, std::size_t begin,
+                     std::size_t end,
                      std::vector<std::pair<std::size_t, std::size_t>>
                          &carved)
     {
@@ -609,7 +608,7 @@ class Parser
                             std::to_string(_t[arg_start].line) + ">";
                 root.line = _t[arg_start].line;
                 root.shardRoot = true;
-                root.rootLabel = label;
+                root.rootLabel = "parallelFor";
                 root.rootLine = call_line;
                 if (lambda.paramsBegin != kNpos)
                     parseParams(lambda.paramsBegin, lambda.paramsEnd,
@@ -620,7 +619,7 @@ class Parser
             } else if (stop == arg_start + 1 &&
                        isIdentTok(tok(arg_start))) {
                 _out.rootRefs.push_back(
-                    {tok(arg_start), _t[arg_start].line, label});
+                    {tok(arg_start), _t[arg_start].line});
             }
         };
         for (std::size_t k = begin; k < end; ++k) {
@@ -1589,8 +1588,8 @@ class Linker
 };
 
 /**
- * One reachability root: a shard body handed to parallelFor /
- * parallelReduce, or a loop carved out of a MINDFUL_RT_LOOP marker.
+ * One reachability root: a shard body handed to parallelFor, or a
+ * loop carved out of a MINDFUL_RT_LOOP marker.
  * Shard roots get the hot-path, determinism-flow and rng-flow checks;
  * realtime roots get the realtime-loop checks.
  */
@@ -1603,7 +1602,7 @@ struct Root
     };
     Kind kind = Kind::shard;
     FnKey key;
-    std::string label;    //!< "parallelFor" / "parallelReduce" / stage
+    std::string label;    //!< "parallelFor" / stage
     std::size_t line = 0; //!< call line, or the RT marker line
     bool byName = false;  //!< handed by name (lexical check is blind)
 };
@@ -1624,8 +1623,8 @@ collectRoots(const std::vector<FileFacts> &files, const Linker &linker)
             // by-name roots resolve within their own file only
             for (const FnKey &key : linker.resolve(f, ref.name)) {
                 if (key.file == f)
-                    roots.push_back({Root::Kind::shard, key, ref.label,
-                                     ref.line, true});
+                    roots.push_back({Root::Kind::shard, key,
+                                     "parallelFor", ref.line, true});
             }
         }
     }

@@ -9,7 +9,7 @@
  * growth, string construction, locks, logging, by-name metric
  * lookups), the calls it makes, the RNG draws it performs and which
  * engines it derived via Rng::fork. Shard roots are the lambdas (or
- * named local functions) handed to exec::parallelFor/parallelReduce;
+ * named local functions) handed to exec::parallelFor;
  * realtime roots are the loops marked MINDFUL_RT_LOOP("stage").
  *
  * Phase 2 (whole program): link FunctionFacts into a project symbol
@@ -156,9 +156,9 @@ struct FunctionFacts
     /** Defined at namespace scope with an unqualified name. */
     bool freeFunction = false;
 
-    /** Lambda handed directly to parallelFor/parallelReduce. */
+    /** Lambda handed directly to parallelFor. */
     bool shardRoot = false;
-    std::string rootLabel; //!< "parallelFor" / "parallelReduce"
+    std::string rootLabel; //!< "parallelFor", or the RT stage name
     std::size_t rootLine = 0;
 
     /** Loop carved out of a MINDFUL_RT_LOOP("stage") marker. */
@@ -192,7 +192,6 @@ struct RootRef
 {
     std::string name;
     std::size_t line = 0;
-    std::string label; //!< "parallelFor" / "parallelReduce"
 };
 
 /** One std::atomic field declaration and its (possibly absent) role. */

@@ -569,23 +569,11 @@ checkRngDiscipline(const SourceFile &source)
             continue;
         }
 
-        if (t != "parallelFor" && t != "parallelReduce")
+        if (t != "parallelFor")
             continue;
 
-        // Find the call's argument span: first '(' after optional
-        // template arguments, through its matching ')'.
-        std::size_t j = i + 1;
-        if (j < tokens.size() && tokens[j].text == "<") {
-            int angle = 0;
-            for (; j < tokens.size(); ++j) {
-                if (tokens[j].text == "<")
-                    ++angle;
-                else if (tokens[j].text == ">" && --angle == 0) {
-                    ++j;
-                    break;
-                }
-            }
-        }
+        // The call's argument span: its '(' through the matching ')'.
+        const std::size_t j = i + 1;
         if (j >= tokens.size() || tokens[j].text != "(")
             continue; // declaration or mention, not a call
         int depth = 0;

@@ -14,9 +14,8 @@
  *  - logging-idiom: no direct std::cout / std::cerr / stdio output
  *    outside base/logging.cc, base/table.cc and the obs exporters.
  *  - rng-discipline: no rand()/std::random_device anywhere in src/,
- *    and no sharing one Rng engine across exec::parallelFor /
- *    parallelReduce shards — shard lambdas must derive their stream
- *    via Rng::fork().
+ *    and no sharing one Rng engine across exec::parallelFor shards —
+ *    shard lambdas must derive their stream via Rng::fork().
  *
  * The checker is tokenizer-based on purpose: no libclang dependency,
  * so it builds and runs everywhere the project does. Findings print

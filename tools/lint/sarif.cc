@@ -70,9 +70,8 @@ ruleDescription(const std::string &check)
          "The unit-safety allowlist must stay well-formed and "
          "ratcheting: clean files leave the list."},
         {"hot-path",
-         "Code reachable from an exec::parallelFor/parallelReduce "
-         "shard body must not allocate, lock, log or do by-name "
-         "metric lookups."},
+         "Code reachable from an exec::parallelFor shard body must "
+         "not allocate, lock, log or do by-name metric lookups."},
         {"unit-algebra",
          "Unwrapped unit accessors of different dimensions must not "
          "mix, and power-density limits must flow through "
