@@ -1,13 +1,9 @@
 /**
  * @file
- * Fast path against retained golden reference, for the kernels
- * perfbench does not time on their own: the Fig. 10 MLP trunk GEMV
- * (DenseLayer::forward vs forwardNaive) and the packed channel-dropout
- * plan at three masks — the dense layer with half and an eighth of its
- * inputs kept, and the conv with half its channels kept (forward vs
- * forwardNaive over the mask-zeroed input). Every entry golden-checks
- * its output against the reference before timing and fails on any
- * mismatch.
+ * Fast path against retained golden reference, for the kernel
+ * perfbench does not time on its own: the Fig. 10 MLP trunk GEMV
+ * (DenseLayer::forward vs forwardNaive). The output is golden-checked
+ * against the reference before timing, and any mismatch fails.
  *
  * Fast path and reference run interleaved on bench::timeRounds; the
  * table reports process CPU µs per call and the per-round speedup
@@ -18,16 +14,12 @@
  * Defaults (5 rounds of 4 ms batches) finish in about a second.
  */
 
-#include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "base/random.hh"
 #include "bench_util.hh"
-#include "dnn/conv.hh"
 #include "dnn/dense.hh"
 
 namespace {
@@ -42,25 +34,6 @@ makeInput(const dnn::Shape &shape)
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
     return x;
-}
-
-/**
- * Deterministic mask with exactly @p active of @p units set, shuffled
- * so the surviving columns are scattered.
- */
-std::vector<std::uint8_t>
-dropoutMask(std::size_t units, std::size_t active, std::uint64_t seed)
-{
-    std::vector<std::uint8_t> mask(units, 0);
-    for (std::size_t i = 0; i < active; ++i)
-        mask[i] = 1;
-    Rng rng(seed);
-    for (std::size_t i = units - 1; i > 0; --i) {
-        const auto j = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(i)));
-        std::swap(mask[i], mask[j]);
-    }
-    return mask;
 }
 
 void
@@ -83,63 +56,17 @@ formatQuartiles(const std::vector<double> &samples, int precision)
            Table::formatNumber(q.q3, precision) + "]";
 }
 
-/**
- * Fig. 10 MLP trunk at n = 512 (latent 1024 -> trunk 768). With
- * @p active < 1024 a channel-dropout mask is installed, and the GEMM
- * runs over the packed surviving columns (512 or 128 of them). The
- * reference is forwardNaive over the input with the dropped features
- * zeroed.
- */
+/** Fig. 10 MLP trunk at n = 512 (latent 1024 -> trunk 768). */
 bench::RoundSamples
-benchDense(const std::string &name, std::size_t active,
-           const bench::RoundOptions &options)
+benchDense(const std::string &name, const bench::RoundOptions &options)
 {
-    constexpr std::size_t kIn = 1024;
-    dnn::DenseLayer layer(kIn, 768);
+    dnn::DenseLayer layer(1024, 768);
     Rng rng(37);
     layer.initializeWeights(rng);
-    const dnn::Tensor x = makeInput({kIn});
-    dnn::Tensor masked = x;
-    if (active < kIn) {
-        const auto mask = dropoutMask(kIn, active, 43);
-        layer.setInputDropout(mask);
-        for (std::size_t i = 0; i < kIn; ++i)
-            if (mask[i] == 0)
-                masked[i] = 0.0f;
-    }
-    requireIdentical(name, layer.forward(x), layer.forwardNaive(masked));
+    const dnn::Tensor x = makeInput({1024});
+    requireIdentical(name, layer.forward(x), layer.forwardNaive(x));
     return bench::timeRounds({[&] { layer.forward(x); },
-                              [&] { layer.forwardNaive(masked); }},
-                             options);
-}
-
-/**
- * Packed-channel im2col conv at the Fig. 10 DN-CNN block-1 shape
- * (n = 512, alpha = 4: 66 -> 22 channels on 64 x 8 maps), half the
- * input planes dropped.
- */
-bench::RoundSamples
-benchConvDropout(const std::string &name,
-                 const bench::RoundOptions &options)
-{
-    constexpr std::size_t kIn = 66;
-    const dnn::Shape shape{kIn, 64, 8};
-    dnn::Conv2dLayer conv(kIn, 22, 3, 3, 1, dnn::Padding::Same);
-    Rng rng(31);
-    conv.initializeWeights(rng);
-    const auto mask = dropoutMask(kIn, kIn / 2, 47);
-    conv.setInputDropout(mask);
-
-    const dnn::Tensor x = makeInput(shape);
-    dnn::Tensor masked = x;
-    const std::size_t plane = shape[1] * shape[2];
-    for (std::size_t ic = 0; ic < kIn; ++ic)
-        if (mask[ic] == 0)
-            std::fill(masked.data() + ic * plane,
-                      masked.data() + (ic + 1) * plane, 0.0f);
-    requireIdentical(name, conv.forward(x), conv.forwardNaive(masked));
-    return bench::timeRounds({[&] { conv.forward(x); },
-                              [&] { conv.forwardNaive(masked); }},
+                              [&] { layer.forwardNaive(x); }},
                              options);
 }
 
@@ -152,28 +79,19 @@ main(int argc, char **argv)
     const bool csv = bench::csvOnly(argc, argv);
     const bench::RoundOptions options = bench::roundOptions(argc, argv);
 
-    const std::pair<std::string, bench::RoundSamples> entries[] = {
-        {"dense_mlp_trunk", benchDense("dense_mlp_trunk", 1024, options)},
-        {"dense_mlp_trunk_drop50",
-         benchDense("dense_mlp_trunk_drop50", 512, options)},
-        {"dense_mlp_trunk_drop88",
-         benchDense("dense_mlp_trunk_drop88", 128, options)},
-        {"conv_dncnn_block1_drop50",
-         benchConvDropout("conv_dncnn_block1_drop50", options)},
-    };
+    const std::string name = "dense_mlp_trunk";
+    const bench::RoundSamples s = benchDense(name, options);
 
     Table table("Fast path vs retained reference: CPU us per call, "
                 "median [q1, q3] over " +
                 std::to_string(options.rounds) + " rounds");
     table.setHeader({"kernel", "fast_us", "reference_us", "speedup"});
-    for (const auto &[name, s] : entries) {
-        std::vector<double> speedup;
-        for (std::size_t r = 0; r < options.rounds; ++r)
-            speedup.push_back(s.cpuUs[1][r] / s.cpuUs[0][r]);
-        table.addRow({name, formatQuartiles(s.cpuUs[0], 1),
-                      formatQuartiles(s.cpuUs[1], 1),
-                      formatQuartiles(speedup, 2)});
-    }
+    std::vector<double> speedup;
+    for (std::size_t r = 0; r < options.rounds; ++r)
+        speedup.push_back(s.cpuUs[1][r] / s.cpuUs[0][r]);
+    table.addRow({name, formatQuartiles(s.cpuUs[0], 1),
+                  formatQuartiles(s.cpuUs[1], 1),
+                  formatQuartiles(speedup, 2)});
     bench::emit(table, csv);
     return 0;
 }

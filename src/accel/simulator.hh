@@ -13,8 +13,7 @@
  *    of the layer's #MAC_op sequences and stepping through their
  *    MAC_seq accumulations like the Fig. 9 architecture (MAC + ReLU +
  *    weight ROM per PE): ceil(#MAC_op / units) * MAC_seq cycles. Its
- *    output comes from the layer's own forward(), so an installed
- *    input-dropout mask applies.
+ *    output comes from the layer's own forward().
  *  - MAC-free layers (pooling, activations, reshapes) execute in the
  *    dataflow FSM and take no PE cycles.
  *

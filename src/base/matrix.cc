@@ -195,17 +195,6 @@ Matrix::solve(const Matrix &b) const
     return x;
 }
 
-Matrix
-Matrix::leastSquares(const Matrix &b, double lambda) const
-{
-    MINDFUL_ASSERT(b._rows == _rows, "leastSquares rhs row count mismatch");
-    Matrix at = transpose();
-    Matrix normal = at * (*this);
-    for (std::size_t i = 0; i < normal.rows(); ++i)
-        normal(i, i) += lambda;
-    return normal.solve(at * b);
-}
-
 double
 Matrix::norm() const
 {

@@ -4,8 +4,8 @@
  *
  * The Kalman decoder baseline and the model-fitting code
  * need modest dense linear algebra: products, transposes, inverses
- * and least-squares solves on matrices with tens to a few hundred
- * rows. This is a deliberately simple row-major implementation with
+ * and linear solves on matrices with tens to a few hundred rows. This
+ * is a deliberately simple row-major implementation with
  * partial-pivoting Gauss-Jordan elimination — no external BLAS.
  */
 
@@ -61,12 +61,6 @@ class Matrix
 
     /** Solve A x = b for x (b may have multiple columns). */
     Matrix solve(const Matrix &b) const;
-
-    /**
-     * Least-squares solve min ||A x - b||_2 via normal equations with
-     * Tikhonov damping: x = (A^T A + lambda I)^-1 A^T b.
-     */
-    Matrix leastSquares(const Matrix &b, double lambda = 1e-9) const;
 
     /** Frobenius norm. */
     double norm() const;

@@ -63,13 +63,6 @@ class Rng
         return std::normal_distribution<double>(mean, stddev)(_engine);
     }
 
-    /** Poisson draw with the given mean. */
-    std::uint32_t
-    poisson(double mean)
-    {
-        return std::poisson_distribution<std::uint32_t>(mean)(_engine);
-    }
-
     /** Bernoulli draw with probability p of true. */
     bool
     bernoulli(double p)

@@ -86,29 +86,4 @@ OptimizationStudy::evaluate(std::uint64_t channels,
     return outcome;
 }
 
-std::vector<std::uint8_t>
-channelDropoutMask(std::uint64_t channels, std::uint64_t active)
-{
-    MINDFUL_ASSERT(active <= channels, "active channel count ", active,
-                   " exceeds total ", channels);
-    std::vector<std::uint8_t> mask(channels, 0);
-    std::fill(mask.begin(),
-              mask.begin() + static_cast<std::ptrdiff_t>(active), 1);
-    return mask;
-}
-
-std::vector<std::uint8_t>
-expandChannelMask(const std::vector<std::uint8_t> &mask,
-                  std::size_t features_per_channel)
-{
-    MINDFUL_ASSERT(features_per_channel > 0,
-                   "features per channel must be positive");
-    std::vector<std::uint8_t> expanded;
-    expanded.reserve(mask.size() * features_per_channel);
-    for (const std::uint8_t v : mask)
-        expanded.insert(expanded.end(), features_per_channel,
-                        v != 0 ? 1 : 0);
-    return expanded;
-}
-
 } // namespace mindful::core

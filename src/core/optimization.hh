@@ -26,10 +26,12 @@
 
 namespace mindful::core {
 
-/** Which optimizations are active (applied cumulatively in Fig. 12). */
+/**
+ * Which optimizations are active (applied cumulatively in Fig. 12).
+ * Channel dropout is always on: evaluate() always searches n'.
+ */
 struct OptimizationSteps
 {
-    bool channelDropout = true; //!< always on in the Fig. 12 bars
     bool layerReduction = false;
     bool technologyScaling = false;
     bool channelDensity = false;
@@ -84,26 +86,6 @@ class OptimizationStudy
     ImplantModel _implant;
     DnnCostMemo _memo;
 };
-
-/**
- * Deterministic channel-dropout mask: the first @p active of
- * @p channels entries are 1, the rest 0 — the same "keep the best n'
- * channels" convention the analytic study uses when it rebuilds a
- * smaller model at n'. Feed to dnn::Network::setInputDropout to run
- * dropout as executed sparsity on the full-width model instead.
- */
-std::vector<std::uint8_t> channelDropoutMask(std::uint64_t channels,
-                                             std::uint64_t active);
-
-/**
- * Expand a per-channel mask to a per-feature mask for flattened
- * channel-major inputs (e.g. the speech MLP's channels x window
- * layout): each channel entry is repeated @p features_per_channel
- * times.
- */
-std::vector<std::uint8_t>
-expandChannelMask(const std::vector<std::uint8_t> &mask,
-                  std::size_t features_per_channel);
 
 } // namespace mindful::core
 

@@ -14,7 +14,7 @@ namespace {
 /** Views of the calling thread's conv scratch. */
 struct ConvScratch
 {
-    float *floats;         //!< im2col patch matrix, compacted planes
+    float *floats;         //!< im2col patch matrix
     std::uint32_t *masks;  //!< im2col column masks
 };
 
@@ -61,7 +61,6 @@ Conv2dLayer::materialize()
         _weights.assign(_outChannels * _inChannels * _kernelH * _kernelW,
                         0.0f);
         _biases.assign(_outChannels, 0.0f);
-        packDropout();
     }
 }
 
@@ -127,50 +126,24 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
     const auto epilogue =
         fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
 
-    // A dropout plan swaps in the surviving channel planes, compacted
-    // below, and the weights packed to them; im2col and the GEMM then
-    // never touch the dropped channels.
-    const std::size_t channels =
-        _dropout ? _dropout->activeUnits() : _inChannels;
-    const float *weights = _dropout ? _dropout->weights() : _weights.data();
-    if (channels == 0) {
-        // Every input channel dropped: each output plane is its bias
-        // (through the epilogue), exactly what the unmasked path
-        // yields on an all-zero input; biasGemm needs k > 0.
-        for (std::size_t oc = 0; oc < _outChannels; ++oc) {
-            const float v =
-                fuse_relu ? std::max(_biases[oc], 0.0f) : _biases[oc];
-            std::fill(out + oc * n, out + (oc + 1) * n, v);
-        }
-        return;
-    }
-
     // 1x1 stride-1 convolutions (pointwise channel mixing) already
-    // have the patch-matrix layout: B is just the planes. Otherwise
-    // the compacted planes and the patch matrix share the thread's
-    // scratch buffer.
-    const std::size_t k = gemm::im2colRows(channels, _kernelH, _kernelW);
+    // have the patch-matrix layout: B is just the input planes, and no
+    // scratch is needed. Otherwise im2col fills the thread's scratch.
+    const std::size_t k = gemm::im2colRows(_inChannels, _kernelH, _kernelW);
     const bool pointwise = _kernelH == 1 && _kernelW == 1 && _stride == 1;
-    const std::size_t compact = _dropout ? channels * in_h * in_w : 0;
-    const ConvScratch scratch = convScratch(
-        compact + (pointwise ? 0 : k * n),
-        pointwise ? 0 : gemm::im2colMaskWords(_kernelW, out_h, out_w));
-    const float *planes = input.data();
-    if (_dropout) {
-        _dropout->gather(input.data(), in_h * in_w, scratch.floats);
-        planes = scratch.floats;
-    }
-    const float *b_matrix = planes;
+    const float *b_matrix = input.data();
     if (!pointwise) {
-        float *patches = scratch.floats + compact;
-        gemm::im2col(planes, channels, in_h, in_w, _kernelH, _kernelW,
-                     _stride, static_cast<std::size_t>(padBefore(_kernelH)),
+        const ConvScratch scratch = convScratch(
+            k * n, gemm::im2colMaskWords(_kernelW, out_h, out_w));
+        gemm::im2col(input.data(), _inChannels, in_h, in_w, _kernelH,
+                     _kernelW, _stride,
+                     static_cast<std::size_t>(padBefore(_kernelH)),
                      static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                     out_w, patches, scratch.masks);
-        b_matrix = patches;
+                     out_w, scratch.floats, scratch.masks);
+        b_matrix = scratch.floats;
     }
-    gemm::biasGemm(_outChannels, n, k, weights, b_matrix, _biases.data(),
-                   out, epilogue);
+    gemm::biasGemm(_outChannels, n, k, _weights.data(), b_matrix,
+                   _biases.data(), out, epilogue);
 }
 
 Tensor
@@ -274,28 +247,6 @@ Conv2dLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    packDropout();
-}
-
-bool
-Conv2dLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    MINDFUL_ASSERT(mask.empty() || mask.size() == _inChannels,
-                   "conv dropout mask needs ", _inChannels,
-                   " entries, got ", mask.size());
-    _dropout = DropoutPlan::fromMask(mask);
-    packDropout();
-    return true;
-}
-
-void
-Conv2dLayer::packDropout()
-{
-    // [oc][ic][kh][kw] packs to [oc][active ic][kh][kw]: the im2col row
-    // order over the compacted planes is exactly the packed column
-    // order, so the packed matrix drops into the GEMM unchanged.
-    if (_dropout && materialized())
-        _dropout->pack(_weights.data(), _outChannels, _kernelH * _kernelW);
 }
 
 DenseStage2dLayer::DenseStage2dLayer(std::size_t in_channels,

@@ -13,10 +13,8 @@
 #define MINDFUL_DNN_CONV_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "dnn/dropout.hh"
 #include "dnn/layer.hh"
 
 namespace mindful::dnn {
@@ -64,8 +62,7 @@ class Conv2dLayer : public Layer
 
     /**
      * Retained golden reference: the original branchy scalar loop.
-     * Exists for the equivalence tests and the kernel_regression
-     * dropout ratio; never use it on a hot path.
+     * Exists for the equivalence tests; never use it on a hot path.
      */
     Tensor forwardNaive(const Tensor &input) const;
 
@@ -86,14 +83,6 @@ class Conv2dLayer : public Layer
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
 
-    /**
-     * Channel-level input dropout: @p mask has inChannels() entries.
-     * forwardInto() then compacts the surviving input planes and runs
-     * the GEMM over the weights packed to those channels
-     * (src/dnn/dropout.hh).
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
-
     /** Weights laid out [out_ch][in_ch][kh][kw]. */
     std::vector<float> &weights() { return _weights; }
     const std::vector<float> &weights() const { return _weights; }
@@ -106,9 +95,6 @@ class Conv2dLayer : public Layer
     /** Top/left zero-padding offset for the current padding mode. */
     std::ptrdiff_t padBefore(std::size_t kernel) const;
 
-    /** Repack the dropout plan, if any, from the current weights. */
-    void packDropout();
-
     std::size_t _inChannels;
     std::size_t _outChannels;
     std::size_t _kernelH;
@@ -117,17 +103,13 @@ class Conv2dLayer : public Layer
     Padding _padding;
     std::vector<float> _weights;
     std::vector<float> _biases;
-
-    std::optional<DropoutPlan> _dropout; //!< none = every channel active
 };
 
 /**
  * One DenseNet stage: y = concat(x, relu(conv_same(x, growth))).
  *
  * Output channel count is in_channels + growth; spatial dimensions
- * are preserved ("same" padding, stride 1). The stage takes no input
- * dropout (setInputDropout returns false): its passthrough half would
- * still copy the dropped planes.
+ * are preserved ("same" padding, stride 1).
  */
 class DenseStage2dLayer : public Layer
 {

@@ -1,6 +1,5 @@
 #include "dnn/dense.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -22,7 +21,6 @@ DenseLayer::materialize()
     if (!materialized()) {
         _weights.assign(_in * _out, 0.0f);
         _biases.assign(_out, 0.0f);
-        packDropout();
     }
 }
 
@@ -54,22 +52,9 @@ DenseLayer::forward(const Tensor &input) const
     // y = W x + b is the n = 1 case of the shared GEMM kernel: the
     // weight matrix is A [out x in], the input is B [in x 1]. Each
     // row accumulates in ascending k order, so the result is
-    // bit-identical to forwardNaive(). A dropout plan swaps in the
-    // packed surviving columns and the matching inputs.
+    // bit-identical to forwardNaive().
     Tensor out(Shape{_out});
-    if (!_dropout) {
-        gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
-                       _biases.data(), out.data());
-        return out;
-    }
-    const std::size_t ka = _dropout->activeUnits();
-    if (ka == 0) {
-        std::copy(_biases.begin(), _biases.end(), out.data());
-        return out;
-    }
-    std::vector<float> gathered(ka);
-    _dropout->gather(input.data(), 1, gathered.data());
-    gemm::biasGemm(_out, 1, ka, _dropout->weights(), gathered.data(),
+    gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
                    _biases.data(), out.data());
     return out;
 }
@@ -121,25 +106,6 @@ DenseLayer::initializeWeights(Rng &rng)
         w = static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
-    packDropout();
-}
-
-bool
-DenseLayer::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    MINDFUL_ASSERT(mask.empty() || mask.size() == _in,
-                   "dense dropout mask needs ", _in, " entries, got ",
-                   mask.size());
-    _dropout = DropoutPlan::fromMask(mask);
-    packDropout();
-    return true;
-}
-
-void
-DenseLayer::packDropout()
-{
-    if (_dropout && materialized())
-        _dropout->pack(_weights.data(), _out, 1);
 }
 
 } // namespace mindful::dnn

@@ -6,10 +6,8 @@
 #ifndef MINDFUL_DNN_DENSE_HH
 #define MINDFUL_DNN_DENSE_HH
 
-#include <optional>
 #include <vector>
 
-#include "dnn/dropout.hh"
 #include "dnn/layer.hh"
 
 namespace mindful::dnn {
@@ -53,22 +51,13 @@ class DenseLayer : public Layer
 
     /**
      * Retained golden reference: the original scalar row loop, for
-     * the equivalence tests and the kernel_regression GEMV and
-     * dropout ratios.
+     * the equivalence tests and the kernel_regression GEMV ratio.
      */
     Tensor forwardNaive(const Tensor &input) const;
 
     MacCensus census(const Shape &input) const override;
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
-
-    /**
-     * Feature-level input dropout: @p mask has inFeatures() entries.
-     * forward() then runs the GEMM over the packed surviving columns
-     * (src/dnn/dropout.hh); initializeWeights() repacks them for the
-     * new weights.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask) override;
 
     /** Row-major weights [out x in] (mutable for tests / loading). */
     std::vector<float> &weights() { return _weights; }
@@ -77,15 +66,10 @@ class DenseLayer : public Layer
     const std::vector<float> &biases() const { return _biases; }
 
   private:
-    /** Repack the dropout plan, if any, from the current weights. */
-    void packDropout();
-
     std::size_t _in;
     std::size_t _out;
     std::vector<float> _weights;
     std::vector<float> _biases;
-
-    std::optional<DropoutPlan> _dropout; //!< none = every input active
 };
 
 } // namespace mindful::dnn

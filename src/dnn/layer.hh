@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "base/random.hh"
 #include "dnn/mac_census.hh"
@@ -45,26 +44,6 @@ class Layer
 
     /** Randomize weights (no-op for parameterless layers). */
     virtual void initializeWeights(Rng &rng) { (void)rng; }
-
-    /**
-     * Install an input-dropout mask (Sec. 6.2 channel dropout as
-     * *executed* sparsity instead of a rebuilt smaller model). One
-     * entry per dropout unit of the layer's input — features for
-     * DenseLayer, channels for Conv2dLayer; non-zero = active. An
-     * all-active or empty mask clears dropout. Returns false (the
-     * default) from layers that do not support input dropout; the
-     * mask is then ignored.
-     *
-     * Contract: forward() over any input equals forward() without the
-     * mask over the same input with the dropped units zeroed —
-     * bit-identically for finite data (see DropoutPlan::pack in
-     * src/dnn/dropout.hh on the ±0 caveat).
-     */
-    virtual bool setInputDropout(const std::vector<std::uint8_t> &mask)
-    {
-        (void)mask;
-        return false;
-    }
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

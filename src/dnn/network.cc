@@ -121,14 +121,6 @@ Network::initializeWeights(Rng &rng)
         layer->initializeWeights(rng);
 }
 
-bool
-Network::setInputDropout(const std::vector<std::uint8_t> &mask)
-{
-    MINDFUL_ASSERT(!_layers.empty(),
-                   "setInputDropout on an empty network");
-    return _layers.front()->setInputDropout(mask);
-}
-
 std::string
 Network::summary() const
 {

@@ -79,13 +79,6 @@ class Network
     /** Randomize every layer's weights. */
     void initializeWeights(Rng &rng);
 
-    /**
-     * Install an input-dropout mask on the first layer (the layer
-     * that consumes NI channels — Sec. 6.2 channel dropout). Returns
-     * false when that layer does not support input dropout.
-     */
-    bool setInputDropout(const std::vector<std::uint8_t> &mask);
-
     /** Multi-line human-readable structure dump. */
     std::string summary() const;
 

@@ -9,7 +9,6 @@
 
 #include "accel/lower_bound.hh"
 #include "accel/simulator.hh"
-#include "core/optimization.hh"
 #include "dnn/activation.hh"
 #include "dnn/dense.hh"
 #include "dnn/models.hh"
@@ -154,29 +153,6 @@ TEST(SimulatorTest, RunsTheRealSpeechMlp)
     EXPECT_FLOAT_EQ(result.output.maxAbsDiff(reference), 0.0f);
     EXPECT_EQ(result.macsExecuted, net.totalMacs());
     EXPECT_GT(result.utilization, 0.5);
-}
-
-TEST(SimulatorTest, HonoursAnInstalledDropoutMask)
-{
-    // 16 of 64 channels kept, expanded over the MLP's 12-sample
-    // window: the simulated output must be the masked forward, and
-    // the PE schedule is still the census one.
-    auto net = dnn::buildSpeechMlp(64);
-    Rng rng(13);
-    net.initializeWeights(rng);
-    auto input = makeInput(dnn::elementCount(net.inputShape()));
-
-    AcceleratorSimulator sim({64, nangate45()});
-    const std::uint64_t unmasked_cycles = sim.run(net, input).cycles;
-    ASSERT_TRUE(net.setInputDropout(
-        core::expandChannelMask(core::channelDropoutMask(64, 16), 12)));
-
-    auto result = sim.run(net, input);
-    dnn::Tensor reference = net.forward(input);
-    ASSERT_EQ(result.output.shape(), reference.shape());
-    for (std::size_t i = 0; i < reference.size(); ++i)
-        ASSERT_EQ(result.output[i], reference[i]) << "element " << i;
-    EXPECT_EQ(result.cycles, unmasked_cycles);
 }
 
 TEST(SimulatorDeathTest, ZeroPesPanics)

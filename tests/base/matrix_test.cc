@@ -126,25 +126,6 @@ TEST_P(MatrixSolveRoundTrip, SolveMatchesDirectProduct)
 INSTANTIATE_TEST_SUITE_P(Sizes, MatrixSolveRoundTrip,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 32));
 
-TEST(MatrixTest, LeastSquaresRecoversExactSolution)
-{
-    // Overdetermined but consistent system.
-    Matrix a{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
-    Matrix x_true{{2.0}, {-3.0}};
-    Matrix b = a * x_true;
-    Matrix x = a.leastSquares(b);
-    EXPECT_LT(x.maxAbsDiff(x_true), 1e-6);
-}
-
-TEST(MatrixTest, LeastSquaresMinimizesResidual)
-{
-    // Inconsistent system: best fit of y = c over {1, 2, 3} is 2.
-    Matrix a{{1.0}, {1.0}, {1.0}};
-    Matrix b{{1.0}, {2.0}, {3.0}};
-    Matrix x = a.leastSquares(b);
-    EXPECT_NEAR(x(0, 0), 2.0, 1e-9);
-}
-
 TEST(MatrixTest, NormAndVectorHelpers)
 {
     Matrix v = Matrix::columnVector({3.0, 4.0});

@@ -78,16 +78,6 @@ TEST(RngTest, UniformIntInclusiveBounds)
     EXPECT_TRUE(saw_hi);
 }
 
-TEST(RngTest, PoissonMeanMatches)
-{
-    Rng rng(8);
-    double sum = 0.0;
-    const int draws = 20000;
-    for (int i = 0; i < draws; ++i)
-        sum += rng.poisson(4.0);
-    EXPECT_NEAR(sum / draws, 4.0, 0.1);
-}
-
 TEST(RngTest, BernoulliProbability)
 {
     Rng rng(9);

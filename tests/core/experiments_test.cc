@@ -282,9 +282,10 @@ TEST(ExperimentsTest, Fig12Soc3ClaimsHold)
             const OptimizationOutcome &got = entry.outcomes[i];
             EXPECT_EQ(got.feasible, want[i] >= 0.0)
                 << entry.channels << " bar " << i;
-            if (got.feasible)
+            if (got.feasible) {
                 EXPECT_NEAR(got.modelSizeFraction, want[i], 0.0005)
                     << entry.channels << " bar " << i;
+            }
         }
     }
 }

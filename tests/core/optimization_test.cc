@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/simulator.hh"
+#include "base/random.hh"
+#include "core/dnn_cost.hh"
 #include "core/experiments.hh"
 #include "core/optimization.hh"
 #include "core/soc_catalog.hh"
@@ -135,6 +138,43 @@ TEST(OptimizationTest, Fig12SweepHasFullShape)
     }
     EXPECT_EQ(sweep[0].channels, 2048u);
     EXPECT_EQ(sweep[2].channels, 8192u);
+}
+
+TEST(OptimizationTest, ChDrDecoderExecutesAtItsCensus)
+{
+    // Fig. 12's ChDr bar at SoC 3, n = 8192 (0.3% model size): the
+    // speech MLP rebuilt at the study's n' runs on the PE simulator,
+    // its output is the model's own forward, and it executes exactly
+    // the census the study sized it by.
+    const auto sweep = experiments::optimizationSweep(3);
+    ASSERT_EQ(sweep.back().channels, 8192u);
+    const OptimizationOutcome &chdr = sweep.back().outcomes.front();
+    ASSERT_TRUE(chdr.feasible);
+    ASSERT_LT(chdr.activeChannels, chdr.channels);
+
+    const ModelBuilder build = speechModelBuilder(SpeechModel::Mlp);
+    dnn::Network net = build(chdr.activeChannels);
+    Rng rng(41);
+    net.initializeWeights(rng);
+    dnn::Tensor input(net.inputShape());
+    for (std::size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+    const accel::SimulationResult result =
+        accel::AcceleratorSimulator({}).run(net, input);
+    const dnn::Tensor reference = net.forward(input);
+    ASSERT_EQ(result.output.shape(), reference.shape());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+        ASSERT_EQ(result.output[i], reference[i]) << "element " << i;
+
+    std::uint64_t census_macs = 0;
+    for (const dnn::MacCensus &layer : dnnFacts(net).census)
+        census_macs += layer.macOp * layer.macSeq;
+    EXPECT_EQ(result.macsExecuted, census_macs);
+
+    EXPECT_EQ(static_cast<double>(net.totalWeights()) /
+                  static_cast<double>(build(chdr.channels).totalWeights()),
+              chdr.modelSizeFraction);
 }
 
 } // namespace

@@ -74,6 +74,11 @@ TEST(GemmConvTest, SamePaddingMatchesNaiveExactly)
     auto wide = makeConv(16, 32, 3, 3, 1, Padding::Same);
     Tensor planes = makeInput({16, 64, 64});
     expectIdentical(wide.forward(planes), wide.forwardNaive(planes));
+
+    // DN-CNN(256)'s stem: one 256-channel x 16-sample window plane.
+    auto stem = makeConv(1, 16, 3, 3, 1, Padding::Same);
+    Tensor window = makeInput({1, 256, 16});
+    expectIdentical(stem.forward(window), stem.forwardNaive(window));
 }
 
 TEST(GemmConvTest, ValidPaddingMatchesNaiveExactly)
@@ -95,6 +100,11 @@ TEST(GemmConvTest, StridedValidPaddingMatchesNaiveExactly)
     auto conv = makeConv(2, 4, 4, 4, 3, Padding::Valid);
     Tensor x = makeInput({2, 16, 13});
     expectIdentical(conv.forward(x), conv.forwardNaive(x));
+
+    // A rectangular kernel whose stride leaves a ragged last column.
+    auto rect = makeConv(6, 4, 3, 2, 2, Padding::Valid);
+    Tensor y = makeInput({6, 13, 11});
+    expectIdentical(rect.forward(y), rect.forwardNaive(y));
 }
 
 TEST(GemmConvTest, EvenKernelMatchesNaiveExactly)
@@ -122,6 +132,10 @@ TEST(GemmConvTest, PointwiseConvMatchesNaiveExactly)
     auto conv = makeConv(6, 9, 1, 1, 1, Padding::Same);
     Tensor x = makeInput({6, 14, 10});
     expectIdentical(conv.forward(x), conv.forwardNaive(x));
+
+    auto valid = makeConv(12, 7, 1, 1, 1, Padding::Valid);
+    Tensor y = makeInput({12, 8, 9});
+    expectIdentical(valid.forward(y), valid.forwardNaive(y));
 }
 
 TEST(GemmConvTest, KernelLargerThanInputSamePadding)
@@ -228,7 +242,7 @@ TEST(GemmConvTest, SingleCopyIm2colMatchesPerRowPacking)
 TEST(GemmDenseTest, MatchesNaiveExactly)
 {
     // 1027 outputs end three rows short of a whole row panel.
-    for (const auto [in, out] :
+    for (const auto &[in, out] :
          {std::pair<std::size_t, std::size_t>{37, 29},
           {512, 512},
           {8200, 1027}}) {

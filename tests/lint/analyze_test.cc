@@ -1198,9 +1198,11 @@ TEST(AnalyzeRealtime, LockReachableThroughUniqueCrossFileCallee)
     ASSERT_EQ(countCheck(findings, "realtime-loop"), 1u);
     EXPECT_TRUE(
         hasFinding(findings, "realtime-loop", "calls fflush()"));
-    for (const Finding &finding : findings)
-        if (finding.check == "realtime-loop")
+    for (const Finding &finding : findings) {
+        if (finding.check == "realtime-loop") {
             EXPECT_EQ(finding.file, "obs/helper.cc");
+        }
+    }
 }
 
 TEST(AnalyzeRealtime, OpaqueCalleeFallbackTwoDefsInDifferentFiles)
@@ -1408,9 +1410,11 @@ TEST(AnalyzeViews, EscapeByMutableReferenceArgument)
                            "(view-escape-by-arg)"));
     EXPECT_TRUE(hasFinding(findings, "view-invalidation",
                            "appendFrame()"));
-    for (const Finding &finding : findings)
-        if (finding.check == "view-invalidation")
+    for (const Finding &finding : findings) {
+        if (finding.check == "view-invalidation") {
             EXPECT_EQ(finding.file, "dnn/user.cc");
+        }
+    }
 }
 
 TEST(AnalyzeViews, ByValueCalleeCannotInvalidateTheCaller)

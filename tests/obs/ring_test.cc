@@ -58,8 +58,9 @@ TEST(TraceRingTest, WraparoundConservesEveryEvent)
     PodEvent out;
     auto drain = [&] {
         while (ring.tryPop(out)) {
-            if (!first)
+            if (!first) {
                 EXPECT_GT(out.argBits[0], prev);
+            }
             prev = out.argBits[0];
             first = false;
             ++popped;
@@ -93,8 +94,9 @@ TEST(TraceRingTest, ConcurrentHandoffConservation)
         PodEvent out;
         for (;;) {
             if (ring.tryPop(out)) {
-                if (!first)
+                if (!first) {
                     EXPECT_GT(out.argBits[0], prev);
+                }
                 prev = out.argBits[0];
                 first = false;
                 ++popped;
@@ -104,8 +106,9 @@ TEST(TraceRingTest, ConcurrentHandoffConservation)
                 // Final sweep after the producer quiesced.
                 if (!ring.tryPop(out))
                     break;
-                if (!first)
+                if (!first) {
                     EXPECT_GT(out.argBits[0], prev);
+                }
                 prev = out.argBits[0];
                 first = false;
                 ++popped;

@@ -99,16 +99,6 @@ notCalls()
     return set;
 }
 
-const std::unordered_set<std::string> &
-drawMethods()
-{
-    static const std::unordered_set<std::string> set{
-        "gaussian", "uniform", "uniformInt", "bernoulli", "poisson",
-        "bits",
-    };
-    return set;
-}
-
 /** Containers whose construction implies heap allocation. */
 const std::unordered_set<std::string> &
 heapContainers()
@@ -730,7 +720,7 @@ class Parser
         }
 
         // draws
-        if (after_dot && before_paren && drawMethods().count(t)) {
+        if (after_dot && before_paren && isRngDrawMethod(t)) {
             std::string engine;
             std::size_t obj = tok(i - 1) == "." ? i - 2 : i - 3;
             if (obj < _t.size() && isIdentTok(tok(obj)))
@@ -1150,6 +1140,8 @@ unitAlgebraFindings(const SourceFile &src)
         bool grouping = false; //!< plain parens (not a call)
     };
     std::vector<Slot> stack(1);
+    // Forget the innermost slot's operand and operator; keep its kind.
+    auto reset = [&] { stack.back() = Slot{{}, {}, stack.back().grouping}; };
 
     auto combine = [&](const Operand &rhs, std::size_t line) {
         Slot &slot = stack.back();
@@ -1210,7 +1202,7 @@ unitAlgebraFindings(const SourceFile &src)
             // ==, !=, <=, >= keep the comparison; plain `=` resets.
             if (stack.back().op != "<" &&
                 !(i > 0 && (t[i - 1].text == "=" || t[i - 1].text == "!")))
-                stack.back() = Slot{.grouping = stack.back().grouping};
+                reset();
             if (tk == "=" && i > 0 &&
                 (t[i - 1].text == "=" || t[i - 1].text == "!"))
                 stack.back().op = "<";
@@ -1232,7 +1224,7 @@ unitAlgebraFindings(const SourceFile &src)
         } else {
             // `,`, `;`, braces, `*`, `/`, `&&`, unknown idents, ...:
             // the expression's unit story is no longer provable.
-            stack.back() = Slot{.grouping = stack.back().grouping};
+            reset();
         }
     }
 

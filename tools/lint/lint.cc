@@ -543,6 +543,15 @@ checkLoggingIdiom(const SourceFile &source)
 
 // --- rng-discipline -------------------------------------------------------
 
+bool
+isRngDrawMethod(const std::string &name)
+{
+    static const std::unordered_set<std::string> methods{
+        "gaussian", "uniform", "uniformInt", "bernoulli", "bits",
+    };
+    return methods.count(name) != 0;
+}
+
 std::vector<Finding>
 checkRngDiscipline(const SourceFile &source)
 {
@@ -588,15 +597,11 @@ checkRngDiscipline(const SourceFile &source)
         bool forks = false;
         bool draws = false;
         std::string draw_name;
-        static const std::unordered_set<std::string> draw_methods{
-            "gaussian", "uniform", "uniformInt", "bernoulli",
-            "poisson",  "bits",
-        };
         for (std::size_t k = j; k < end; ++k) {
             const std::string &inner = tokens[k].text;
             if (inner == "fork") {
                 forks = true;
-            } else if (draw_methods.count(inner) && k > 0 &&
+            } else if (isRngDrawMethod(inner) && k > 0 &&
                        tokens[k - 1].text == "." &&
                        k + 1 < tokens.size() &&
                        tokens[k + 1].text == "(") {

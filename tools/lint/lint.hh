@@ -93,6 +93,12 @@ std::vector<Finding> checkLoggingIdiom(const SourceFile &source);
 /** rng-discipline over one file. */
 std::vector<Finding> checkRngDiscipline(const SourceFile &source);
 
+/**
+ * Whether @p name is an Rng draw method (`.name(` advances the
+ * engine): the rng-discipline and rng-flow checks share this list.
+ */
+bool isRngDrawMethod(const std::string &name);
+
 /** Whether @p word (lowercase) names a physical dimension or unit. */
 bool isDimensionWord(const std::string &word);
 

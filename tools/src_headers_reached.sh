@@ -9,8 +9,7 @@ set -eu
 
 # Headers kept anyway, one per line: the header, then the reason.
 # An entry whose header is reached (or gone) is stale and fails too.
-exceptions='signal/channel_ranking.hh ROADMAP item 4 decides whether the streamed loop adopts it
-base/stats.hh serial reference the obs metric-handle tests compare against'
+exceptions='base/stats.hh serial reference the obs metric-handle tests compare against'
 
 reached() {
     grep -rlF --include='*.hh' --include='*.cc' --include='*.cpp' \
