@@ -10,7 +10,9 @@
  * only on the MAC technology and the deadline. None of this depends
  * on the implant, so a figure sweep over SoCs, optimization ladders
  * and channel scans sizes each distinct point once through a
- * DnnCostMemo it owns.
+ * DnnCostMemo it owns, and a serve::QueryEngine sizes each distinct
+ * (decoder, n') of its misses once through one memo per decoder
+ * family, each behind its own lock.
  */
 
 #ifndef MINDFUL_CORE_DNN_COST_HH
@@ -58,8 +60,9 @@ accel::AcceleratorBound prefixBound(std::span<const dnn::MacCensus> census,
 /**
  * dnnFacts and prefixBound memoized per active-channel count for one
  * model family. A sweep owns one for the length of one table build
- * and lends it to every model it evaluates; the memo is not
- * synchronized, so a sweep that shares it must run serially.
+ * and lends it to every model it evaluates. The memo is not
+ * synchronized: a sweep that shares it runs serially, and a
+ * serve::QueryEngine holds each of its memos under a mutex.
  */
 class DnnCostMemo
 {
@@ -75,6 +78,15 @@ class DnnCostMemo
                                   std::size_t layers,
                                   const accel::MacUnitParams &mac,
                                   Time deadline);
+
+    /** Distinct active-channel counts sized so far. */
+    std::size_t size() const { return _entries.size(); }
+
+    /** Whether @p active_channels is already sized. */
+    bool contains(std::uint64_t active_channels) const
+    {
+        return _entries.contains(active_channels);
+    }
 
   private:
     struct Bound

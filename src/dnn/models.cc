@@ -94,11 +94,24 @@ buildSpeechDnCnn(std::uint64_t channels, const DnCnnSpec &spec)
 
     // Cap the channel axis at spatialCap rows so downstream conv cost
     // scales through growth/depth rather than raw map height.
-    const std::size_t stem_pool = std::max<std::size_t>(
-        1, static_cast<std::size_t>(channels) / spec.spatialCap);
-    if (stem_pool > 1)
+    std::size_t rows = static_cast<std::size_t>(channels);
+    std::size_t cols = spec.windowSamples;
+    const std::size_t stem_pool =
+        std::max<std::size_t>(1, rows / spec.spatialCap);
+    if (stem_pool > 1) {
         net.emplace<Pool2dLayer>(PoolKind::Max, stem_pool, 1);
-    net.emplace<Pool2dLayer>(PoolKind::Max, 2, 2);
+        rows /= stem_pool;
+    }
+    // A 2 x 2 pool, clamped to the map: below 4 channels a pool can
+    // meet a one-row map. From 4 channels on every window is 2 x 2.
+    auto halve = [&](PoolKind kind) {
+        const std::size_t kh = std::min<std::size_t>(2, rows);
+        const std::size_t kw = std::min<std::size_t>(2, cols);
+        net.emplace<Pool2dLayer>(kind, kh, kw);
+        rows /= kh;
+        cols /= kw;
+    };
+    halve(PoolKind::Max);
 
     // Dense block 1.
     std::size_t feature_channels = growth;
@@ -107,7 +120,7 @@ buildSpeechDnCnn(std::uint64_t channels, const DnCnnSpec &spec)
         feature_channels += growth;
     }
 
-    net.emplace<Pool2dLayer>(PoolKind::Average, 2, 2);
+    halve(PoolKind::Average);
 
     // Dense block 2.
     for (std::size_t s = 0; s < stages; ++s) {

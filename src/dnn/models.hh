@@ -98,7 +98,9 @@ Network buildSpeechMlp(std::uint64_t channels, const MlpSpec &spec = {});
  * Structure: stem conv -> pools -> two DenseNet blocks -> global
  * average pool -> dense classifier. All intermediate feature maps
  * are much larger than the NI channel count, which is why DNN
- * partitioning does not help this model (Fig. 11).
+ * partitioning does not help this model (Fig. 11). Every n >= 1
+ * builds: below 4 channels a 2 x 2 pool that meets a one-row map
+ * shrinks to 1 x 2.
  */
 Network buildSpeechDnCnn(std::uint64_t channels, const DnCnnSpec &spec = {});
 

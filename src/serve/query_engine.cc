@@ -3,7 +3,6 @@
 #include "accel/mac_unit.hh"
 #include "comm/modulation.hh"
 #include "core/comm_centric.hh"
-#include "core/comp_centric.hh"
 #include "core/event_centric.hh"
 #include "core/experiments.hh"
 #include "core/scaling.hh"
@@ -167,37 +166,40 @@ evaluateEventStreaming(const core::ImplantModel &implant,
     return result;
 }
 
+/** The decoder a compute-centric workload class runs. */
+core::ModelBuilder
+decoderBuilder(WorkloadClass workload)
+{
+    switch (workload) {
+    case WorkloadClass::DnnMlp:
+        return core::experiments::speechModelBuilder(
+            core::experiments::SpeechModel::Mlp);
+    case WorkloadClass::DnnCnn:
+        return core::experiments::speechModelBuilder(
+            core::experiments::SpeechModel::DnCnn);
+    default: {
+        const core::KalmanWorkloadSpec spec;
+        return [spec](std::uint64_t channels) {
+            return core::buildKalmanWorkload(channels, spec);
+        };
+    }
+    }
+}
+
+} // namespace
+
 QueryResult
-evaluateCompCentric(const core::ImplantModel &implant,
-                    const DesignQuery &query)
+QueryEngine::evaluateCompCentric(const core::ImplantModel &implant,
+                                 const DesignQuery &query)
 {
     core::CompCentricConfig config;
     config.mac = macFor(query.node);
-
-    core::ModelBuilder builder;
-    switch (query.workload) {
-    case WorkloadClass::DnnMlp:
-        builder = core::experiments::speechModelBuilder(
-            core::experiments::SpeechModel::Mlp);
-        break;
-    case WorkloadClass::DnnCnn:
-        builder = core::experiments::speechModelBuilder(
-            core::experiments::SpeechModel::DnCnn);
-        break;
-    default: {
-        // Kalman: one predict/update per feature bin.
-        const core::KalmanWorkloadSpec spec;
-        config.applicationRate = Frequency::hertz(spec.binRateHz);
-        builder = [spec](std::uint64_t channels) {
-            return core::buildKalmanWorkload(channels, spec);
-        };
-        break;
-    }
-    }
-
-    const core::CompCentricModel model(implant, builder, config);
+    // Kalman: one predict/update per feature bin.
+    if (query.workload == WorkloadClass::Kalman)
+        config.applicationRate =
+            Frequency::hertz(core::KalmanWorkloadSpec{}.binRateHz);
     const core::CompCentricPoint point =
-        model.evaluate(query.channels, query.partitioned);
+        evaluateDecoder(implant, query, config);
 
     QueryResult result;
     result.budgetSafe = point.budgetUtilization <= 1.0;
@@ -224,15 +226,18 @@ evaluateCompCentric(const core::ImplantModel &implant,
     return result;
 }
 
-} // namespace
-
 QueryEngine::QueryEngine(std::size_t cache_capacity)
     : _cache(cache_capacity),
+      _mlp(decoderBuilder(WorkloadClass::DnnMlp)),
+      _cnn(decoderBuilder(WorkloadClass::DnnCnn)),
+      _kalman(decoderBuilder(WorkloadClass::Kalman)),
       _queries(obs::MetricRegistry::global().counter("serve.queries")),
       _hits(obs::MetricRegistry::global().counter("serve.cache.hits")),
       _misses(
           obs::MetricRegistry::global().counter("serve.cache.misses")),
-      _drops(obs::MetricRegistry::global().counter("serve.cache.drops"))
+      _drops(obs::MetricRegistry::global().counter("serve.cache.drops")),
+      _builds(
+          obs::MetricRegistry::global().counter("serve.decoder.builds"))
 {
 }
 
@@ -262,8 +267,39 @@ QueryEngine::evaluate(const DesignQuery &canonical, std::uint64_t key)
     return *published;
 }
 
+core::CompCentricPoint
+QueryEngine::evaluateDecoder(const core::ImplantModel &implant,
+                             const DesignQuery &canonical,
+                             const core::CompCentricConfig &config)
+{
+    DecoderMemo &decoder = canonical.workload == WorkloadClass::DnnMlp
+                               ? _mlp
+                           : canonical.workload == WorkloadClass::DnnCnn
+                               ? _cnn
+                               : _kalman;
+    {
+        LockGuard lock(decoder.mutex);
+        const std::size_t sized = decoder.memo.size();
+        if (sized < kDecoderMemoCapacity ||
+            decoder.memo.contains(canonical.channels)) {
+            const core::CompCentricModel model(implant, decoder.memo,
+                                               config);
+            const core::CompCentricPoint point =
+                model.evaluate(canonical.channels, canonical.partitioned);
+            if (decoder.memo.size() != sized)
+                _builds.bump();
+            return point;
+        }
+    }
+    // The memo is full: build and size this n' afresh.
+    _builds.bump();
+    const core::CompCentricModel model(
+        implant, decoderBuilder(canonical.workload), config);
+    return model.evaluate(canonical.channels, canonical.partitioned);
+}
+
 QueryResult
-QueryEngine::evaluateUncached(const DesignQuery &canonical) const
+QueryEngine::evaluateUncached(const DesignQuery &canonical)
 {
     QueryResult invalid;
     invalid.workload = canonical.workload;

@@ -3,23 +3,30 @@
  * The mindful_serve query engine: batched, memo-cached evaluation of
  * design-space requests against the MINDFUL analytic models.
  *
- * One engine owns one MemoCache and a set of pre-resolved counters
+ * One engine owns one MemoCache, one core::DnnCostMemo per decoder
+ * family (MLP, DN-CNN, Kalman) and a set of pre-resolved counters
  * (serve.queries / serve.cache.hits / serve.cache.misses /
- * serve.cache.drops). evaluate() answers one DesignQuery — from the
- * cache when an equivalent request was answered before, else through
- * the core/accel/thermal analytic path for its workload class.
- * evaluateBatch() (batch.cc) shards a request vector over
- * exec::parallelFor under the repo's determinism contract: fixed
- * kDefaultShards decomposition, indexed writes, results bit-identical
- * for any --threads value and any cache state (docs/serving.md).
+ * serve.cache.drops / serve.decoder.builds). evaluate() answers one
+ * DesignQuery — from the cache when an equivalent request was
+ * answered before, else through the core/accel/thermal analytic path
+ * for its workload class. A decoder miss sizes its network through
+ * its family's memo, under that memo's lock, so each distinct
+ * (family, n') is built and solved once per engine. evaluateBatch()
+ * (batch.cc) shards a request vector over exec::parallelFor under the
+ * repo's determinism contract: fixed kDefaultShards decomposition,
+ * indexed writes, results bit-identical for any --threads value and
+ * any cache or memo state (docs/serving.md).
  */
 
 #ifndef MINDFUL_SERVE_QUERY_ENGINE_HH
 #define MINDFUL_SERVE_QUERY_ENGINE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "base/compiler.hh"
+#include "core/comp_centric.hh"
 #include "obs/handles.hh"
 #include "serve/cache.hh"
 #include "serve/query.hh"
@@ -30,6 +37,16 @@ namespace mindful::serve {
 class QueryEngine
 {
   public:
+    /**
+     * Distinct n' each decoder memo sizes. An entry holds the census,
+     * the cut volumes and up to four accelerator bounds (full and cut,
+     * per node). Measured heap per entry near kMaxQueryChannels: MLP
+     * 2.1 KB, DN-CNN 2.8 KB, Kalman 1.1 KB, so three full memos hold
+     * about 6 MB. A miss whose n' finds its memo full sizes the
+     * decoder without it.
+     */
+    static constexpr std::size_t kDecoderMemoCapacity = 1024;
+
     explicit QueryEngine(
         std::size_t cache_capacity = MemoCache::kDefaultCapacity);
 
@@ -65,18 +82,48 @@ class QueryEngine
     std::uint64_t cacheHitsTotal() const { return _hits.total(); }
     std::uint64_t cacheMissesTotal() const { return _misses.total(); }
     std::uint64_t cacheDropsTotal() const { return _drops.total(); }
+    std::uint64_t decoderBuildsTotal() const { return _builds.total(); }
 
   private:
+    /** One decoder family's memo, behind its own lock. */
+    struct DecoderMemo
+    {
+        explicit DecoderMemo(core::ModelBuilder builder)
+            : memo(std::move(builder))
+        {
+        }
+
+        Mutex mutex;
+        core::DnnCostMemo memo MINDFUL_GUARDED_BY(mutex);
+    };
+
     /** The uncached analytic evaluation for one canonical request. */
-    QueryResult evaluateUncached(const DesignQuery &canonical) const;
+    QueryResult evaluateUncached(const DesignQuery &canonical);
+
+    /** A decoder class's verdict: MLP, DN-CNN or Kalman. */
+    QueryResult evaluateCompCentric(const core::ImplantModel &implant,
+                                    const DesignQuery &query);
+
+    /**
+     * Evaluate a decoder class's design point through the class's
+     * memo under its lock, or afresh when the memo is full.
+     */
+    core::CompCentricPoint
+    evaluateDecoder(const core::ImplantModel &implant,
+                    const DesignQuery &canonical,
+                    const core::CompCentricConfig &config);
 
     MemoCache _cache;
+    DecoderMemo _mlp;
+    DecoderMemo _cnn;
+    DecoderMemo _kalman;
 
     // Resolved once at construction; bumped lock-free afterwards.
     obs::CounterHandle _queries;
     obs::CounterHandle _hits;
     obs::CounterHandle _misses;
     obs::CounterHandle _drops;
+    obs::CounterHandle _builds;
 };
 
 } // namespace mindful::serve

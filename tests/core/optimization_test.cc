@@ -140,19 +140,21 @@ TEST(OptimizationTest, Fig12SweepHasFullShape)
     EXPECT_EQ(sweep[2].channels, 8192u);
 }
 
-TEST(OptimizationTest, ChDrDecoderExecutesAtItsCensus)
+/**
+ * Fig. 12's ChDr bar at SoC 3, n = 8192: the decoder rebuilt at the
+ * study's n' runs on the PE simulator, its output is the model's own
+ * forward, and it executes exactly the census the study sized it by.
+ */
+void
+expectChDrDecoderExecutesAtItsCensus(SpeechModel model)
 {
-    // Fig. 12's ChDr bar at SoC 3, n = 8192 (0.3% model size): the
-    // speech MLP rebuilt at the study's n' runs on the PE simulator,
-    // its output is the model's own forward, and it executes exactly
-    // the census the study sized it by.
-    const auto sweep = experiments::optimizationSweep(3);
+    const auto sweep = experiments::optimizationSweep(3, model);
     ASSERT_EQ(sweep.back().channels, 8192u);
     const OptimizationOutcome &chdr = sweep.back().outcomes.front();
     ASSERT_TRUE(chdr.feasible);
     ASSERT_LT(chdr.activeChannels, chdr.channels);
 
-    const ModelBuilder build = speechModelBuilder(SpeechModel::Mlp);
+    const ModelBuilder build = speechModelBuilder(model);
     dnn::Network net = build(chdr.activeChannels);
     Rng rng(41);
     net.initializeWeights(rng);
@@ -175,6 +177,20 @@ TEST(OptimizationTest, ChDrDecoderExecutesAtItsCensus)
     EXPECT_EQ(static_cast<double>(net.totalWeights()) /
                   static_cast<double>(build(chdr.channels).totalWeights()),
               chdr.modelSizeFraction);
+}
+
+TEST(OptimizationTest, ChDrDecoderExecutesAtItsCensus)
+{
+    // MLP: n' = 459 (0.3% model size). DN-CNN: n' = 159 (0.26%); its
+    // sweep also probes n' below 4, where the pools shrink to the map.
+    {
+        SCOPED_TRACE("MLP");
+        expectChDrDecoderExecutesAtItsCensus(SpeechModel::Mlp);
+    }
+    {
+        SCOPED_TRACE("DN-CNN");
+        expectChDrDecoderExecutesAtItsCensus(SpeechModel::DnCnn);
+    }
 }
 
 } // namespace

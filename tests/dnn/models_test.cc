@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -173,6 +174,58 @@ tensorBits(const Tensor &t)
     for (std::size_t i = 0; i < t.size(); ++i)
         bits[i] = std::bit_cast<std::uint32_t>(t[i]);
     return bits;
+}
+
+TEST(SpeechDnCnnTest, EveryChannelCountFromOneBuildsAndRuns)
+{
+    // Below 4 channels a pool can meet a one-row map, and it shrinks
+    // to 1 x 2 there; from 4 channels on both pools are 2 x 2, as at
+    // every figure's scale. Each build's census must agree with its
+    // layers, grow with n, and describe the shapes forward() produces.
+    std::uint64_t previous_macs = 0;
+    for (std::uint64_t n = 1; n <= 8; ++n) {
+        SCOPED_TRACE(n);
+        Network cnn = buildSpeechDnCnn(n);
+        const std::vector<MacCensus> census = cnn.census();
+        ASSERT_EQ(census.size(), cnn.layerCount());
+        std::uint64_t macs = 0;
+        std::size_t pools = 0;
+        for (std::size_t i = 0; i < cnn.layerCount(); ++i) {
+            const MacCensus layer = cnn.layer(i).census(cnn.shapeBefore(i));
+            EXPECT_EQ(census[i].macOp, layer.macOp) << "layer " << i;
+            EXPECT_EQ(census[i].macSeq, layer.macSeq) << "layer " << i;
+            macs += census[i].totalMacs();
+            const std::string name = cnn.layer(i).name();
+            if (name.find("-pool ") != std::string::npos &&
+                name.find("global") == std::string::npos) {
+                ++pools;
+                const bool one_row = cnn.shapeBefore(i)[1] == 1;
+                EXPECT_EQ(name.substr(name.size() - 3),
+                          one_row ? "1x2" : "2x2");
+                EXPECT_TRUE(n < 4 || !one_row);
+            }
+        }
+        EXPECT_EQ(pools, 2u);
+        EXPECT_EQ(macs, cnn.totalMacs());
+        EXPECT_GT(macs, previous_macs);
+        previous_macs = macs;
+
+        Rng rng(n);
+        cnn.initializeWeights(rng);
+        Tensor x(cnn.inputShape());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        Tensor y = x;
+        for (std::size_t i = 0; i < cnn.layerCount(); ++i) {
+            y = cnn.layer(i).forward(y);
+            ASSERT_EQ(y.shape(), cnn.shapeAfter(i)) << "layer " << i;
+        }
+        EXPECT_EQ(tensorBits(y), tensorBits(cnn.forward(x)));
+        float sum = 0.0f;
+        for (std::size_t i = 0; i < y.size(); ++i)
+            sum += y[i];
+        EXPECT_NEAR(sum, 1.0f, 1e-5);
+    }
 }
 
 TEST(ConcurrentForward, SharedConstDnCnnMatchesOneThreadBitwise)

@@ -2,8 +2,9 @@
  * @file
  * QueryEngine tests: canonicalization key-sharing, in-band error
  * statuses, memo-cache hit semantics, per-workload evaluation
- * sanity, and the batch determinism contract across thread counts
- * and cache states.
+ * sanity, the batch determinism contract across thread counts
+ * and cache states, and the decoder memos: the same answers as the
+ * memo-less path, one build per distinct decoder.
  */
 
 #include <cmath>
@@ -232,6 +233,26 @@ TEST(QueryEngineTest, DnnWorkloadsFillComputeFields)
     EXPECT_GT(result.computePowerMw, 0.0);
 }
 
+TEST(QueryEngineTest, DecodersBelowFourChannelsEvaluate)
+{
+    // The DN-CNN's 2 x 2 pools shrink to a one-row map below 4
+    // channels instead of ending the process.
+    QueryEngine engine;
+    for (WorkloadClass workload : {WorkloadClass::DnnMlp,
+                                   WorkloadClass::DnnCnn,
+                                   WorkloadClass::Kalman}) {
+        for (std::uint64_t channels = 1; channels <= 3; ++channels) {
+            DesignQuery query = makeQuery(workload, 3, channels);
+            query.partitioned = channels == 2;
+            const QueryResult result = engine.evaluate(query);
+            EXPECT_EQ(result.status, QueryStatus::Ok)
+                << static_cast<int>(workload) << " at " << channels;
+            EXPECT_EQ(result.activeChannels, channels);
+            EXPECT_GT(result.computePowerMw, 0.0);
+        }
+    }
+}
+
 TEST(QueryEngineTest, WiderThermalEnvelopeRaisesTheBudget)
 {
     QueryEngine engine;
@@ -354,6 +375,180 @@ TEST(QueryEngineTest, BatchCountsHitsAndMisses)
     // Fully warm: every query hits.
     EXPECT_EQ(engine.cacheHitsTotal() - h0 - cold_hits, batch.size());
     EXPECT_EQ(engine.cacheMissesTotal() - m0, cold_misses);
+}
+
+// --- Decoder memos -----------------------------------------------------
+
+constexpr WorkloadClass kDecoderClasses[] = {
+    WorkloadClass::DnnMlp, WorkloadClass::DnnCnn, WorkloadClass::Kalman};
+
+/** Repeated n': every class at kSharedChannels, over all 8 SoCs,
+ *  both nodes, partitioned and not. */
+constexpr std::uint64_t kSharedChannels[] = {1, 3, 4, 1000, 2048, 8192};
+
+std::vector<DesignQuery>
+sharedDecoderQueries()
+{
+    std::vector<DesignQuery> queries;
+    for (WorkloadClass workload : kDecoderClasses)
+        for (std::uint64_t channels : kSharedChannels)
+            for (int soc = 1; soc <= 8; ++soc)
+                for (ProcessNode node :
+                     {ProcessNode::Node45nm, ProcessNode::Node12nm})
+                    for (bool partitioned : {false, true}) {
+                        DesignQuery query =
+                            makeQuery(workload, soc, channels);
+                        query.node = node;
+                        query.partitioned = partitioned;
+                        query.commStrategy =
+                            soc % 2 ? core::CommScalingStrategy::Naive
+                                    : core::CommScalingStrategy::HighMargin;
+                        queries.push_back(query);
+                    }
+    return queries;
+}
+
+/** The uncached evaluation of @p query, the cache bypassed. */
+QueryResult
+evaluateMiss(QueryEngine &engine, const DesignQuery &query)
+{
+    const DesignQuery canonical = canonicalize(query);
+    return engine.evaluate(canonical, queryKey(canonical));
+}
+
+/**
+ * An engine whose three decoder memos are full of n' no test asks
+ * for: every query it answers takes the memo-less path.
+ */
+QueryEngine &
+memoLessEngine()
+{
+    static QueryEngine full;
+    static const bool filled = [] {
+        for (WorkloadClass workload : kDecoderClasses)
+            for (std::uint64_t i = 0; i < QueryEngine::kDecoderMemoCapacity;
+                 ++i)
+                full.evaluate(makeQuery(workload, 1, 100000 + i));
+        return true;
+    }();
+    (void)filled;
+    return full;
+}
+
+TEST(DecoderMemoTest, MemoChangesNoAnswer)
+{
+    QueryEngine &reference = memoLessEngine();
+    QueryEngine engine;
+    const std::vector<DesignQuery> queries = sharedDecoderQueries();
+
+    // Cold: the first query of each (class, n') fills its memo, the
+    // other 31 spellings read it. Warm: the miss path again, in
+    // reverse order, with every memo entry and bound in place.
+    std::vector<std::uint64_t> cold;
+    for (const DesignQuery &query : queries)
+        cold.push_back(resultDigest(engine.evaluate(query)));
+    for (std::size_t i = queries.size(); i-- > 0;) {
+        const std::uint64_t builds0 = reference.decoderBuildsTotal();
+        const QueryResult expected = evaluateMiss(reference, queries[i]);
+        ASSERT_EQ(reference.decoderBuildsTotal() - builds0, 1u)
+            << "the reference must build afresh";
+        ASSERT_EQ(expected.status, QueryStatus::Ok);
+        EXPECT_EQ(cold[i], resultDigest(expected)) << "cold, query " << i;
+        EXPECT_EQ(resultDigest(evaluateMiss(engine, queries[i])),
+                  resultDigest(expected))
+            << "warm, query " << i;
+    }
+}
+
+TEST(DecoderMemoTest, FullMemoFallsBackToTheMemoLessPath)
+{
+    // More distinct n' than a memo holds: the first
+    // kDecoderMemoCapacity are memoized, the rest build on every miss,
+    // and every answer equals the memo-less one.
+    constexpr std::uint64_t kExtra = 4;
+    constexpr std::uint64_t kDistinct =
+        QueryEngine::kDecoderMemoCapacity + kExtra;
+    QueryEngine &reference = memoLessEngine();
+    QueryEngine engine;
+    for (WorkloadClass workload : kDecoderClasses) {
+        SCOPED_TRACE(static_cast<int>(workload));
+        std::vector<DesignQuery> queries;
+        for (std::uint64_t n = 1; n <= kDistinct; ++n) {
+            DesignQuery query =
+                makeQuery(workload, static_cast<int>(1 + n % 8), n);
+            query.partitioned = n % 3 == 0;
+            queries.push_back(query);
+        }
+        const std::uint64_t builds0 = engine.decoderBuildsTotal();
+        std::vector<std::uint64_t> first;
+        for (const DesignQuery &query : queries)
+            first.push_back(resultDigest(evaluateMiss(engine, query)));
+        EXPECT_EQ(engine.decoderBuildsTotal() - builds0, kDistinct);
+
+        // Counters are process-wide: the reference answers outside
+        // the window that counts this engine's builds.
+        const std::uint64_t builds1 = engine.decoderBuildsTotal();
+        std::vector<std::uint64_t> again(queries.size());
+        for (std::size_t i = queries.size(); i-- > 0;)
+            again[i] = resultDigest(evaluateMiss(engine, queries[i]));
+        // Only the n' past capacity were built again.
+        EXPECT_EQ(engine.decoderBuildsTotal() - builds1, kExtra);
+
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            EXPECT_EQ(again[i], first[i]) << "n' " << queries[i].channels;
+            EXPECT_EQ(first[i],
+                      resultDigest(evaluateMiss(reference, queries[i])))
+                << "n' " << queries[i].channels;
+        }
+    }
+}
+
+TEST(DecoderMemoTest, BuildsEachDistinctDecoderOnce)
+{
+    // 3 classes x 6 n' = 18 decoders, asked for across 8 SoCs, both
+    // nodes, partitioned and not, both comm strategies and twice over.
+    QueryEngine engine;
+    const std::uint64_t builds0 = engine.decoderBuildsTotal();
+    for (const DesignQuery &query : sharedDecoderQueries())
+        evaluateMiss(engine, query);
+    engine.evaluateBatch(sharedDecoderQueries());
+    EXPECT_EQ(engine.decoderBuildsTotal() - builds0,
+              std::size(kDecoderClasses) * std::size(kSharedChannels));
+
+    // A new engine starts cold.
+    QueryEngine fresh;
+    const std::uint64_t builds1 = fresh.decoderBuildsTotal();
+    fresh.evaluate(makeQuery(WorkloadClass::DnnMlp, 1, 1000));
+    EXPECT_EQ(fresh.decoderBuildsTotal() - builds1, 1u);
+}
+
+TEST(DecoderMemoTest, ThreadedMissesMatchOneThread)
+{
+    // Distinct decoder misses only, so every shard fills or reads a
+    // memo under its lock while the others do the same.
+    std::vector<DesignQuery> batch;
+    for (std::uint64_t i = 0; i < 96; ++i) {
+        DesignQuery query = makeQuery(kDecoderClasses[i % 3],
+                                      static_cast<int>(1 + i % 8),
+                                      64 * (1 + i / 6));
+        query.partitioned = (i / 3) % 2 == 1;
+        query.node = (i / 2) % 2 ? ProcessNode::Node12nm
+                                 : ProcessNode::Node45nm;
+        batch.push_back(query);
+    }
+    const unsigned initial = exec::ThreadPool::globalThreadCount();
+    exec::ThreadPool::setGlobalThreadCount(1);
+    QueryEngine serial;
+    const std::vector<QueryResult> expected = serial.evaluateBatch(batch);
+    exec::ThreadPool::setGlobalThreadCount(4);
+    QueryEngine threaded;
+    const std::vector<QueryResult> got = threaded.evaluateBatch(batch);
+    exec::ThreadPool::setGlobalThreadCount(initial);
+
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(resultDigest(got[i]), resultDigest(expected[i]))
+            << "batch index " << i;
 }
 
 } // namespace
