@@ -34,6 +34,12 @@ cpuCanRun(SimdIsa isa)
 #else
         return false;
 #endif
+    case SimdIsa::Avx512:
+#if defined(__x86_64__) || defined(_M_X64)
+        return __builtin_cpu_supports("avx512f") != 0;
+#else
+        return false;
+#endif
     case SimdIsa::Neon:
 #if defined(__aarch64__) && defined(__linux__)
         return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
@@ -58,7 +64,7 @@ resolveActive()
         SimdIsa requested;
         if (!parseSimdIsaName(env, requested))
             MINDFUL_FATAL("MINDFUL_SIMD=", env,
-                          " is not one of scalar|avx2|neon");
+                          " is not one of scalar|avx2|avx512|neon");
         if (!simdIsaSupported(requested))
             MINDFUL_FATAL("MINDFUL_SIMD=", env, " requested, but ",
                           simdIsaName(requested),
@@ -79,6 +85,8 @@ simdIsaName(SimdIsa isa)
         return "scalar";
     case SimdIsa::Avx2:
         return "avx2";
+    case SimdIsa::Avx512:
+        return "avx512";
     case SimdIsa::Neon:
         return "neon";
     }
@@ -96,6 +104,10 @@ parseSimdIsaName(const std::string &text, SimdIsa &out)
         out = SimdIsa::Avx2;
         return true;
     }
+    if (text == "avx512") {
+        out = SimdIsa::Avx512;
+        return true;
+    }
     if (text == "neon") {
         out = SimdIsa::Neon;
         return true;
@@ -111,6 +123,12 @@ simdIsaCompiled(SimdIsa isa)
         return true;
     case SimdIsa::Avx2:
 #if defined(MINDFUL_HAVE_AVX2)
+        return true;
+#else
+        return false;
+#endif
+    case SimdIsa::Avx512:
+#if defined(MINDFUL_HAVE_AVX512)
         return true;
 #else
         return false;
@@ -134,6 +152,8 @@ simdIsaSupported(SimdIsa isa)
 SimdIsa
 detectSimdIsa()
 {
+    if (simdIsaSupported(SimdIsa::Avx512))
+        return SimdIsa::Avx512;
     if (simdIsaSupported(SimdIsa::Avx2))
         return SimdIsa::Avx2;
     if (simdIsaSupported(SimdIsa::Neon))

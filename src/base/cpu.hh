@@ -7,15 +7,16 @@
  * the hardware can run. Detection uses CPUID (via
  * `__builtin_cpu_supports`) on x86-64 and AT_HWCAP (`getauxval`) on
  * AArch64 Linux. The `MINDFUL_SIMD` environment variable
- * (`scalar|avx2|neon`) overrides detection for testing — forcing an
+ * (`scalar|avx2|avx512|neon`) overrides detection for testing — forcing an
  * ISA the host cannot run (or that was not compiled in) is fatal, so
  * a forced run never silently falls back to a different kernel than
  * the one under test.
  *
  * Which ISAs are *compiled in* is a build-time fact: the per-ISA
- * translation units (src/dnn/gemm_avx2.cc, gemm_neon.cc) are only
- * added on matching architectures (src/dnn/CMakeLists.txt), and the
- * same `MINDFUL_HAVE_AVX2` / `MINDFUL_HAVE_NEON` definitions gate the
+ * translation units (src/dnn/gemm_avx2.cc, gemm_avx512.cc,
+ * gemm_neon.cc) are only added on matching architectures
+ * (src/dnn/CMakeLists.txt), and the same `MINDFUL_HAVE_AVX2` /
+ * `MINDFUL_HAVE_AVX512` / `MINDFUL_HAVE_NEON` definitions gate the
  * dispatch table here.
  */
 
@@ -31,6 +32,7 @@ namespace mindful {
 enum class SimdIsa : std::uint8_t {
     Scalar, //!< portable scalar kernels, every platform
     Avx2,   //!< x86-64 AVX2 (8-lane fp32), no FMA (bit-exactness)
+    Avx512, //!< x86-64 AVX-512F (16-lane fp32), no FMA
     Neon    //!< AArch64 Advanced SIMD (4-lane fp32)
 };
 
@@ -39,7 +41,8 @@ const char *simdIsaName(SimdIsa isa);
 
 /**
  * Parse a `MINDFUL_SIMD` value. Returns true and sets @p out for
- * "scalar", "avx2" or "neon" (exact, lower-case); false otherwise.
+ * "scalar", "avx2", "avx512" or "neon" (exact, lower-case); false
+ * otherwise.
  */
 bool parseSimdIsaName(const std::string &text, SimdIsa &out);
 
@@ -51,7 +54,7 @@ bool simdIsaSupported(SimdIsa isa);
 
 /**
  * Best supported ISA for this host (ignores the env override):
- * Avx2 > Neon > Scalar among the supported set.
+ * Avx512 > Avx2 > Neon > Scalar among the supported set.
  */
 SimdIsa detectSimdIsa();
 

@@ -9,36 +9,6 @@
 #include "dnn/gemm.hh"
 
 namespace mindful::dnn {
-namespace {
-
-/** Views of the calling thread's conv scratch. */
-struct ConvScratch
-{
-    float *floats;         //!< im2col patch matrix
-    std::uint32_t *masks;  //!< im2col column masks
-};
-
-/**
- * Per-thread scratch for the conv forward paths: grown to the largest
- * request this thread has made and never shrunk, so a steady-state
- * forward allocates and zero-fills nothing. Per thread because a const
- * layer may run on several threads at once; one thread never has two
- * conv forwards in flight (biasGemm runs on the calling thread), so
- * one set per thread suffices.
- */
-ConvScratch
-convScratch(std::size_t floats, std::size_t mask_words)
-{
-    thread_local std::vector<float> buffer;
-    thread_local std::vector<std::uint32_t> masks;
-    if (buffer.size() < floats)
-        buffer.resize(floats);
-    if (masks.size() < mask_words)
-        masks.resize(mask_words);
-    return {buffer.data(), masks.data()};
-}
-
-} // namespace
 
 Conv2dLayer::Conv2dLayer(std::size_t in_channels, std::size_t out_channels,
                          std::size_t kernel_h, std::size_t kernel_w,
@@ -118,32 +88,20 @@ Conv2dLayer::forwardInto(const Tensor &input, float *out,
                    "call initializeWeights() before forward()");
     MINDFUL_ASSERT(out != nullptr, "conv output view is null");
     Shape out_shape = outputShape(input.shape());
-    const std::size_t in_h = input.dim(1);
-    const std::size_t in_w = input.dim(2);
-    const std::size_t out_h = out_shape[1];
-    const std::size_t out_w = out_shape[2];
-    const std::size_t n = out_h * out_w;
-    const auto epilogue =
-        fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None;
-
-    // 1x1 stride-1 convolutions (pointwise channel mixing) already
-    // have the patch-matrix layout: B is just the input planes, and no
-    // scratch is needed. Otherwise im2col fills the thread's scratch.
-    const std::size_t k = gemm::im2colRows(_inChannels, _kernelH, _kernelW);
-    const bool pointwise = _kernelH == 1 && _kernelW == 1 && _stride == 1;
-    const float *b_matrix = input.data();
-    if (!pointwise) {
-        const ConvScratch scratch = convScratch(
-            k * n, gemm::im2colMaskWords(_kernelW, out_h, out_w));
-        gemm::im2col(input.data(), _inChannels, in_h, in_w, _kernelH,
-                     _kernelW, _stride,
-                     static_cast<std::size_t>(padBefore(_kernelH)),
-                     static_cast<std::size_t>(padBefore(_kernelW)), out_h,
-                     out_w, scratch.floats, scratch.masks);
-        b_matrix = scratch.floats;
-    }
-    gemm::biasGemm(_outChannels, n, k, _weights.data(), b_matrix,
-                   _biases.data(), out, epilogue);
+    const gemm::ConvGeometry geometry{
+        _inChannels,
+        input.dim(1),
+        input.dim(2),
+        _kernelH,
+        _kernelW,
+        _stride,
+        static_cast<std::size_t>(padBefore(_kernelH)),
+        static_cast<std::size_t>(padBefore(_kernelW)),
+        out_shape[1],
+        out_shape[2]};
+    gemm::convGemm(_outChannels, geometry, _weights.data(), input.data(),
+                   _biases.data(), out,
+                   fuse_relu ? gemm::Epilogue::Relu : gemm::Epilogue::None);
 }
 
 Tensor

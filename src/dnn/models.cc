@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "base/logging.hh"
 #include "dnn/activation.hh"
@@ -52,9 +52,7 @@ buildSpeechMlp(std::uint64_t channels, const MlpSpec &spec)
     const std::size_t trunk_depth =
         std::max<std::size_t>(1, spec.baseTrunkDepth + extraDepth(alpha));
 
-    std::ostringstream name;
-    name << "speech-mlp n=" << channels;
-    Network net(name.str(), Shape{input});
+    Network net("speech-mlp n=" + std::to_string(channels), Shape{input});
 
     net.emplace<DenseLayer>(input, wide);
     net.emplace<ReluLayer>();
@@ -82,9 +80,7 @@ buildSpeechDnCnn(std::uint64_t channels, const DnCnnSpec &spec)
     const std::size_t stages =
         std::max<std::size_t>(1, spec.baseStagesPerBlock + extraDepth(alpha));
 
-    std::ostringstream name;
-    name << "speech-dn-cnn n=" << channels;
-    Network net(name.str(),
+    Network net("speech-dn-cnn n=" + std::to_string(channels),
                 Shape{1, static_cast<std::size_t>(channels),
                       spec.windowSamples});
 

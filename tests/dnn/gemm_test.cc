@@ -179,7 +179,7 @@ makeBorderedInput(const Shape &shape)
 }
 
 /**
- * Pack one input through gemm::im2col (masked shifted taps wherever
+ * Pack one input through gemm::detail::im2col (masked shifted taps wherever
  * stride == 1 and out_w == in_w) and through the per-row packer, and
  * require the two patch matrices to be byte-identical. The buffers
  * start from different fill values and the mask scratch from garbage,
@@ -191,23 +191,25 @@ expectIm2colPathsAgree(std::size_t channels, std::size_t in_h,
                        Padding padding)
 {
     const bool same = padding == Padding::Same;
-    const std::size_t pad_h = same ? (kh - 1) / 2 : 0;
-    const std::size_t pad_w = same ? (kw - 1) / 2 : 0;
-    const std::size_t out_h = same ? in_h : in_h - kh + 1;
-    const std::size_t out_w = same ? in_w : in_w - kw + 1;
+    const gemm::ConvGeometry geometry{channels,
+                                      in_h,
+                                      in_w,
+                                      kh,
+                                      kw,
+                                      1,
+                                      same ? (kh - 1) / 2 : 0,
+                                      same ? (kw - 1) / 2 : 0,
+                                      same ? in_h : in_h - kh + 1,
+                                      same ? in_w : in_w - kw + 1};
     const Tensor x = makeBorderedInput({channels, in_h, in_w});
-    const std::size_t count =
-        gemm::im2colRows(channels, kh, kw) * out_h * out_w;
+    const std::size_t count = geometry.patchRows() * geometry.positions();
 
     std::vector<float> single(count, 7.0f);
     std::vector<float> per_row(count, -3.0f);
-    std::vector<std::uint32_t> masks(gemm::im2colMaskWords(kw, out_h, out_w),
+    std::vector<std::uint32_t> masks(gemm::detail::im2colMaskWords(geometry),
                                      0x5a5a5a5au);
-    gemm::im2col(x.data(), channels, in_h, in_w, kh, kw, 1, pad_h, pad_w,
-                 out_h, out_w, single.data(), masks.data());
-    gemm::detail::im2colPerRow(x.data(), channels, in_h, in_w, kh, kw, 1,
-                               pad_h, pad_w, out_h, out_w,
-                               per_row.data());
+    gemm::detail::im2col(geometry, x.data(), single.data(), masks.data());
+    gemm::detail::im2colPerRow(geometry, x.data(), per_row.data());
     ASSERT_EQ(std::memcmp(single.data(), per_row.data(),
                           count * sizeof(float)),
               0)

@@ -15,6 +15,7 @@
 
 #include "core/scaling.hh"
 #include "exec/thread_pool.hh"
+#include "obs/metrics.hh"
 #include "serve/query_engine.hh"
 
 namespace mindful::serve {
@@ -314,6 +315,42 @@ TEST(QueryEngineTest, EquivalentSpellingsHitTheSameEntry)
     EXPECT_EQ(hit.status, QueryStatus::Ok);
 }
 
+TEST(QueryEngineTest, TwoLiveEnginesCountDisjointly)
+{
+    // Each engine reports only its own traffic, interleaved with the
+    // other's; the registry counters export the sum of both.
+    auto &registry = obs::MetricRegistry::global();
+    const obs::CounterHandle queries = registry.counter("serve.queries");
+    const obs::CounterHandle builds =
+        registry.counter("serve.decoder.builds");
+    const std::uint64_t queries0 = queries.total();
+    const std::uint64_t builds0 = builds.total();
+
+    QueryEngine streaming;
+    QueryEngine decoding;
+    const DesignQuery raw = makeQuery(WorkloadClass::RawStreaming);
+    const DesignQuery mlp = makeQuery(WorkloadClass::DnnMlp);
+    streaming.evaluate(raw);
+    decoding.evaluate(mlp);
+    streaming.evaluate(raw);
+    decoding.evaluate(makeQuery(WorkloadClass::DnnMlp, 2, 4096));
+    streaming.evaluate(raw);
+
+    EXPECT_EQ(streaming.queriesTotal(), 3u);
+    EXPECT_EQ(streaming.cacheMissesTotal(), 1u);
+    EXPECT_EQ(streaming.cacheHitsTotal(), 2u);
+    EXPECT_EQ(streaming.cacheDropsTotal(), 0u);
+    EXPECT_EQ(streaming.decoderBuildsTotal(), 0u);
+    EXPECT_EQ(decoding.queriesTotal(), 2u);
+    EXPECT_EQ(decoding.cacheMissesTotal(), 2u);
+    EXPECT_EQ(decoding.cacheHitsTotal(), 0u);
+    EXPECT_EQ(decoding.decoderBuildsTotal(), 2u);
+    if (obs::MetricRegistry::enabled()) {
+        EXPECT_EQ(queries.total() - queries0, 5u);
+        EXPECT_EQ(builds.total() - builds0, 2u);
+    }
+}
+
 // --- Batch determinism -------------------------------------------------
 
 TEST(QueryEngineTest, BatchMatchesSingleQueryEvaluation)
@@ -481,25 +518,21 @@ TEST(DecoderMemoTest, FullMemoFallsBackToTheMemoLessPath)
         }
         const std::uint64_t builds0 = engine.decoderBuildsTotal();
         std::vector<std::uint64_t> first;
-        for (const DesignQuery &query : queries)
+        for (const DesignQuery &query : queries) {
             first.push_back(resultDigest(evaluateMiss(engine, query)));
+            EXPECT_EQ(first.back(),
+                      resultDigest(evaluateMiss(reference, query)))
+                << "n' " << query.channels;
+        }
         EXPECT_EQ(engine.decoderBuildsTotal() - builds0, kDistinct);
 
-        // Counters are process-wide: the reference answers outside
-        // the window that counts this engine's builds.
-        const std::uint64_t builds1 = engine.decoderBuildsTotal();
-        std::vector<std::uint64_t> again(queries.size());
         for (std::size_t i = queries.size(); i-- > 0;)
-            again[i] = resultDigest(evaluateMiss(engine, queries[i]));
-        // Only the n' past capacity were built again.
-        EXPECT_EQ(engine.decoderBuildsTotal() - builds1, kExtra);
-
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(again[i], first[i]) << "n' " << queries[i].channels;
-            EXPECT_EQ(first[i],
-                      resultDigest(evaluateMiss(reference, queries[i])))
+            EXPECT_EQ(resultDigest(evaluateMiss(engine, queries[i])),
+                      first[i])
                 << "n' " << queries[i].channels;
-        }
+        // Only the n' past capacity were built again.
+        EXPECT_EQ(engine.decoderBuildsTotal() - builds0,
+                  kDistinct + kExtra);
     }
 }
 
