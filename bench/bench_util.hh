@@ -2,12 +2,12 @@
  * @file
  * Shared helpers for the bench binaries.
  *
- * Most binaries under bench/ regenerate one table or figure of the
- * paper (DESIGN.md Sec. 4) and print it in both human-readable and
- * CSV form. Pass --csv to print CSV only (for external plotting).
- * The timing harness (kernel_regression) runs on an interleaved-rounds
- * loop, timeRounds(), sized by --rounds and --batch-ms
- * (roundOptions()).
+ * export_figures prints and writes every table of the paper and its
+ * extensions (DESIGN.md Sec. 4). The harnesses that print tables
+ * (qam_ber_sweep, kernel_regression, obs_overhead) print them
+ * human-readable, or as CSV only with --csv (emit()). The timing
+ * harness (kernel_regression) runs on an interleaved-rounds loop,
+ * timeRounds(), sized by --rounds and --batch-ms (roundOptions()).
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
@@ -83,44 +83,15 @@ struct ObsOptions
 };
 
 /**
- * Start streaming spans: into the --trace-out file when one was given,
- * else into a count-only sink. The calling thread is registered by
- * the collector; pool workers register their rings on startup.
- */
-inline void
-startTrace(ObsOptions &options)
-{
-    if (!options.traceOut.empty()) {
-        options.traceStream =
-            std::make_shared<std::ofstream>(options.traceOut);
-        if (!*options.traceStream)
-            MINDFUL_FATAL("cannot open trace output ", options.traceOut);
-    }
-    obs::TraceCollector::global().start(options.traceStream.get());
-}
-
-/** Stop the stream startTrace() opened and report its totals. */
-inline obs::CollectorTotals
-stopTrace(const ObsOptions &options)
-{
-    obs::CollectorTotals totals = obs::TraceCollector::global().stop();
-    if (!options.traceOut.empty()) {
-        MINDFUL_INFORM("streamed ", totals.emitted, " trace events (",
-                       totals.dropped, " dropped at full rings) to ",
-                       options.traceOut);
-    }
-    return totals;
-}
-
-/**
  * Extract --trace-out FILE / --metrics-out FILE / --threads N (also
  * the --flag=VALUE spelling) and *remove them from argv* so
- * downstream flag scans never see them. Sizes
- * the process-wide thread pool when --threads is present (0 =
- * hardware concurrency). Does not start tracing; see parseObsOptions.
+ * downstream flag scans never see them. Sizes the process-wide thread
+ * pool when --threads is present (0 = hardware concurrency), and
+ * streams the whole run into --trace-out when it is present (the
+ * collector drains the calling thread's and the pool workers' rings).
  */
 inline ObsOptions
-parseObsFlags(int &argc, char **argv)
+parseObsOptions(int &argc, char **argv)
 {
     // Hash the line as invoked — including the obs flags about to be
     // stripped — so the manifest pins the exact reproduction command.
@@ -167,19 +138,14 @@ parseObsFlags(int &argc, char **argv)
 
     if (options.any())
         obs::setManifestThreadCount(exec::ThreadPool::globalThreadCount());
-    return options;
-}
 
-/**
- * parseObsFlags(), then stream the whole run into --trace-out when it
- * is present.
- */
-inline ObsOptions
-parseObsOptions(int &argc, char **argv)
-{
-    ObsOptions options = parseObsFlags(argc, argv);
-    if (!options.traceOut.empty())
-        startTrace(options);
+    if (!options.traceOut.empty()) {
+        options.traceStream =
+            std::make_shared<std::ofstream>(options.traceOut);
+        if (!*options.traceStream)
+            MINDFUL_FATAL("cannot open trace output ", options.traceOut);
+        obs::TraceCollector::global().start(options.traceStream.get());
+    }
     return options;
 }
 
@@ -187,8 +153,13 @@ parseObsOptions(int &argc, char **argv)
 inline void
 finalizeObs(const ObsOptions &options)
 {
-    if (obs::TraceCollector::global().streaming())
-        stopTrace(options);
+    if (obs::TraceCollector::global().streaming()) {
+        const obs::CollectorTotals totals =
+            obs::TraceCollector::global().stop();
+        MINDFUL_INFORM("streamed ", totals.emitted, " trace events (",
+                       totals.dropped, " dropped at full rings) to ",
+                       options.traceOut);
+    }
     if (!options.metricsOut.empty()) {
         std::ofstream os(options.metricsOut);
         if (!os)

@@ -1,27 +1,18 @@
 /**
  * @file
- * Observability harness: drives the executable substrates (Monte-Carlo
+ * Observability smoke: drives the executable substrates (Monte-Carlo
  * QAM channel, accelerator simulator, DNN forward, closed-loop study,
- * experiment runners) with span tracing and metric recording, and
- * quantifies the instrumentation's own cost with an A/B measurement.
+ * experiment runners) once with span tracing and metric recording.
  *
  *   profile_substrates --trace-out trace.json --metrics-out metrics.csv
  *
  * produces a Chrome-trace-loadable JSON (open in Perfetto or
  * chrome://tracing) with nested spans from the comm, accel, dnn, and
- * core subsystems, and a CSV snapshot of every registered metric.
- *
- * The A/B phases run the identical workload twice: first with the
- * trace collector idle — one relaxed atomic load per would-be span,
- * no name resolved — then with every span streamed (into --trace-out,
- * else a count-only sink). The trace file therefore holds the
- * instrumented phase. The reported overhead percentage is the
- * harness's own regression gate: instrumented hot loops must stay
- * within a few percent of the idle baseline, which they do because
- * all recording happens at call granularity, never per sample.
+ * core subsystems, and a CSV snapshot of every registered metric,
+ * which it also prints. The telemetry's own cost is measured by
+ * obs_overhead and by perfbench's trace_overhead.
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "accel/simulator.hh"
@@ -40,14 +31,6 @@
 namespace {
 
 using namespace mindful;
-
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /** Monte-Carlo QAM + OOK sweep: the comm hot loop. */
 void
@@ -97,59 +80,15 @@ runCoreWorkload()
     core::experiments::fig9Rows();
 }
 
-double
-timedWorkload()
-{
-    double start = nowSeconds();
-    runCommWorkload();
-    runAccelWorkload();
-    runCoreWorkload();
-    return nowSeconds() - start;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool csv = bench::csvOnly(argc, argv);
-    auto obs = bench::parseObsFlags(argc, argv);
-
-    // --- Phase A: baseline, collector idle. ---------------------------
-    timedWorkload(); // warm caches so A and B see the same machine
-    double baseline = timedWorkload();
-
-    // --- Phase B: instrumented, spans streamed. ----------------------
-    bench::startTrace(obs);
-    double instrumented = timedWorkload();
-    const obs::CollectorTotals totals = bench::stopTrace(obs);
-
-    double overhead_pct =
-        baseline > 0.0 ? (instrumented - baseline) / baseline * 100.0
-                       : 0.0;
-    MINDFUL_METRIC_GAUGE("bench.profile.baseline_s", baseline);
-    MINDFUL_METRIC_GAUGE("bench.profile.instrumented_s", instrumented);
-    MINDFUL_METRIC_GAUGE("bench.profile.overhead_pct", overhead_pct);
-
-    Table ab("Instrumentation A/B: runtime-disabled (the "
-             "MINDFUL_OBS_DISABLED fast path) vs tracing enabled");
-    ab.setHeader({"phase", "wall time (ms)", "trace events"});
-    ab.addRow({"disabled", Table::formatNumber(baseline * 1e3, 2), "0"});
-    ab.addRow({"enabled", Table::formatNumber(instrumented * 1e3, 2),
-               std::to_string(totals.emitted + totals.dropped)});
-    bench::emit(ab, csv);
-
-    Table verdict("Overhead");
-    verdict.setHeader({"overhead (%)", "within 5% gate"});
-    verdict.addRow({Table::formatNumber(overhead_pct, 2),
-                    overhead_pct < 5.0 ? "yes" : "NO"});
-    bench::emit(verdict, csv);
-
-    if (!csv) {
-        obs::MetricRegistry::global().snapshotTable().print(std::cout);
-        std::cout << '\n';
-    }
-
-    bench::finalizeObs(obs);
+    bench::ObsGuard _obs(argc, argv);
+    runCommWorkload();
+    runAccelWorkload();
+    runCoreWorkload();
+    obs::MetricRegistry::global().snapshotTable().print(std::cout);
     return 0;
 }

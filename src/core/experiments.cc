@@ -261,6 +261,20 @@ fig7Table()
     return table;
 }
 
+Table
+fig7SummaryTable()
+{
+    Table table("Fig. 7: average supported channels vs QAM efficiency");
+    table.setHeader({"efficiency", "avg max channels", "gain vs 1024"});
+    for (double eta : {0.13, 0.15, 0.20, 0.50, 1.0}) {
+        const QamSummary summary = qamSummary(eta);
+        table.addRow({Table::formatNumber(eta * 100.0, 0) + "%",
+                      Table::formatNumber(summary.averageMaxChannels, 0),
+                      Table::formatNumber(summary.averageGain, 2) + "x"});
+    }
+    return table;
+}
+
 std::vector<Fig9Row>
 fig9Rows()
 {

@@ -1,10 +1,11 @@
 /**
  * @file
- * Experiment runners: one per table / figure of the paper.
+ * Experiment runners: one per table / figure of the paper, plus the
+ * extension tables beyond it.
  *
  * Each runner returns structured results (consumed by the tests) and
- * can render them as a Table (consumed by the bench binaries, which
- * regenerate the paper's rows/series). The experiment-to-module map
+ * can render them as a Table. bench/export_figures prints every table
+ * and writes it as one CSV under data/; the experiment-to-module map
  * lives in DESIGN.md Sec. 4.
  */
 
@@ -93,6 +94,9 @@ QamSummary qamSummary(double efficiency, QamStudyConfig config = {});
 
 Table fig7Table();
 
+/** qamSummary() at 13, 15, 20, 50 and 100% efficiency. */
+Table fig7SummaryTable();
+
 // --- Fig. 9: accelerator synthesis study -----------------------------
 
 struct Fig9Row
@@ -172,6 +176,102 @@ std::vector<OptimizationSeries>
 optimizationSweep(int soc_id, SpeechModel model = SpeechModel::Mlp);
 
 Table fig12Table(int soc_id);
+
+// --- Extensions beyond the paper --------------------------------------
+
+/** Decoder cost at one channel count (MACs per inference/iteration). */
+struct WorkloadCostRow
+{
+    std::uint64_t channels = 0;
+    std::uint64_t mlpMacs = 0;
+    std::uint64_t dnCnnMacs = 0;
+    std::uint64_t kalmanMacs = 0;
+};
+
+/** MLP, DN-CNN and Kalman cost at n = 1024, 2048, 4096, 8192. */
+std::vector<WorkloadCostRow> workloadCostRows();
+Table workloadCostTable();
+
+/**
+ * Dense MAC lower bound vs event-driven SNN power for an MLP-like
+ * topology at the 2 kHz deadline (paper Sec. 7 future work).
+ */
+Table snnPowerTable();
+
+/** Max feasible channels per SoC for the MLP, DN-CNN and Kalman. */
+Table workloadFrontierTable();
+
+/**
+ * Which ceiling binds under high-margin scaling: the thermal budget
+ * (B), the SAR-limited wireless power link (W), or neither (-).
+ */
+Table powerCeilingTable();
+
+/** Spike-event vs raw streaming for one SoC. */
+struct EventStreamingRow
+{
+    int socId = 0;
+    std::string name;
+    DataRate eventUplink; //!< at 4096 channels
+    DataRate rawUplink;   //!< at 4096 channels
+
+    /** Largest safe channel counts, searched up to 65536. */
+    std::uint64_t eventMaxChannels = 0;
+    std::uint64_t rawMaxChannels = 0;
+};
+
+std::vector<EventStreamingRow> eventStreamingRows();
+Table eventStreamingTable();
+
+/**
+ * Fewest implants (SCALO-style partitioning) that stream 8192 and
+ * 16384 channels under high-margin scaling, and their cost.
+ */
+Table multiImplantTable();
+
+/** Closed-loop vs open-loop MLP frontier for one SoC. */
+struct ClosedLoopRow
+{
+    int socId = 0;
+    std::string name;
+    std::uint64_t openLoopMaxChannels = 0;
+    std::uint64_t closedLoopMaxChannels = 0;
+    Time loopLatency; //!< at 1024 channels
+
+    /** Reaction deadline / loop latency at 1024 channels. */
+    double deadlineMargin = 0.0;
+
+    /** What fails first 64 channels past the closed-loop frontier:
+     *  "power budget", "reaction deadline", "RT sizing", or "-". */
+    std::string binding;
+};
+
+std::vector<ClosedLoopRow> closedLoopRows();
+Table closedLoopTable();
+
+/** The three headline results re-derived under one perturbation. */
+struct SensitivityRow
+{
+    std::string scenario;
+
+    /** H1: high-margin OOK exceeds the budget on every wireless SoC. */
+    bool h1AlwaysCrosses = false;
+
+    /** H2: average QAM reach / 1024 at 20% and 100% efficiency. */
+    double h2GainAt20 = 0.0;
+    double h2GainAt100 = 0.0;
+
+    /** H3: MLP feasibility at 1024 channels, SoC 1..8 ('F' or '.'). */
+    std::string h3Pattern;
+};
+
+/**
+ * The baseline and five perturbations of the calibrated constants
+ * (DESIGN.md Sec. 3 item 3): sensing power share +-20%, sensing area
+ * share +20%, comm share of non-sensing 0.6, receiver NF +3 dB.
+ */
+std::vector<SensitivityRow> sensitivityRows();
+Table sensitivityTable();
 
 } // namespace mindful::core::experiments
 

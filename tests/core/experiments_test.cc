@@ -1,7 +1,8 @@
 /**
  * @file
  * Experiment-runner tests: every table/figure generator produces
- * complete, well-formed output (the bench binaries print these).
+ * complete, well-formed output (bench/export_figures prints and writes
+ * these), and the claims EXPERIMENTS.md makes of them hold.
  */
 
 #include <gtest/gtest.h>
@@ -286,6 +287,97 @@ TEST(ExperimentsTest, Fig12Soc3ClaimsHold)
                 EXPECT_NEAR(got.modelSizeFraction, want[i], 0.0005)
                     << entry.channels << " bar " << i;
             }
+        }
+    }
+}
+
+// EXPERIMENTS.md extensions, decoder workloads: per channel doubling
+// from 1024 to 8192 the Kalman iteration's MACs grow 7.8-8.0x (its
+// O(n^3) covariance update) against 4.0-4.2x for the MLP.
+TEST(ExperimentsTest, KalmanMacsOutgrowTheMlp)
+{
+    const auto rows = workloadCostRows();
+    ASSERT_EQ(rows.size(), 4u);
+    EXPECT_EQ(rows.front().channels, 1024u);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].channels, 2 * rows[i - 1].channels);
+        const double kalman = static_cast<double>(rows[i].kalmanMacs) /
+                              static_cast<double>(rows[i - 1].kalmanMacs);
+        const double mlp = static_cast<double>(rows[i].mlpMacs) /
+                           static_cast<double>(rows[i - 1].mlpMacs);
+        EXPECT_GE(kalman, 7.8) << rows[i].channels;
+        EXPECT_LE(kalman, 8.0) << rows[i].channels;
+        EXPECT_GE(mlp, 4.0) << rows[i].channels;
+        EXPECT_LE(mlp, 4.2) << rows[i].channels;
+    }
+}
+
+// EXPERIMENTS.md extensions, power delivery: at 4096 channels the
+// spike-event uplink is 15.48 Mbps on every SoC against a raw uplink
+// of 41-1228.8 Mbps, and event streaming pushes all SoCs but
+// Neuralink past the 65536-channel search limit.
+TEST(ExperimentsTest, EventStreamingClaimsHold)
+{
+    const auto rows = eventStreamingRows();
+    ASSERT_EQ(rows.size(), 8u);
+    double raw_min = rows.front().rawUplink.inMegabitsPerSecond();
+    double raw_max = raw_min;
+    for (const auto &row : rows) {
+        EXPECT_NEAR(row.eventUplink.inMegabitsPerSecond(), 15.48, 0.005)
+            << row.name;
+        raw_min = std::min(raw_min, row.rawUplink.inMegabitsPerSecond());
+        raw_max = std::max(raw_max, row.rawUplink.inMegabitsPerSecond());
+        EXPECT_GT(row.eventMaxChannels, row.rawMaxChannels) << row.name;
+        EXPECT_EQ(row.eventMaxChannels >= 65536, row.name != "Neuralink")
+            << row.name;
+    }
+    EXPECT_NEAR(raw_min, 41.0, 0.05);
+    EXPECT_NEAR(raw_max, 1228.8, 0.05);
+}
+
+// EXPERIMENTS.md extensions, closed loop: the loop closes with a 21x
+// margin against the reaction deadline and the power budget binds on
+// every SoC; the stimulator lowers the open-loop frontier by at most
+// ~21% (Shen: 608 -> 480).
+TEST(ExperimentsTest, ClosedLoopClaimsHold)
+{
+    const auto rows = closedLoopRows();
+    ASSERT_EQ(rows.size(), 8u);
+    for (const auto &row : rows) {
+        EXPECT_NEAR(row.deadlineMargin, 21.0, 0.5) << row.name;
+        EXPECT_EQ(row.binding, "power budget") << row.name;
+        EXPECT_LE(row.closedLoopMaxChannels, row.openLoopMaxChannels)
+            << row.name;
+        EXPECT_GE(static_cast<double>(row.closedLoopMaxChannels),
+                  0.78 * static_cast<double>(row.openLoopMaxChannels))
+            << row.name;
+        if (row.name == "Shen") {
+            EXPECT_EQ(row.openLoopMaxChannels, 608u);
+            EXPECT_EQ(row.closedLoopMaxChannels, 480u);
+        }
+    }
+}
+
+// EXPERIMENTS.md extensions, sensitivity: H1 fails only under +20%
+// sensing area, H3 reads FF...FFF everywhere, and the H2 QAM gains
+// stay >= 1.6x / >= 3.6x except under receiver NF +3 dB (1.03x /
+// 2.79x).
+TEST(ExperimentsTest, SensitivityClaimsHold)
+{
+    const auto rows = sensitivityRows();
+    ASSERT_EQ(rows.size(), 6u);
+    EXPECT_EQ(rows.front().scenario, "baseline");
+    for (const auto &row : rows) {
+        EXPECT_EQ(row.h1AlwaysCrosses,
+                  row.scenario != "sensing area share +20%")
+            << row.scenario;
+        EXPECT_EQ(row.h3Pattern, "FF...FFF") << row.scenario;
+        if (row.scenario == "receiver NF +3 dB") {
+            EXPECT_NEAR(row.h2GainAt20, 1.03, 0.005);
+            EXPECT_NEAR(row.h2GainAt100, 2.79, 0.005);
+        } else {
+            EXPECT_GE(row.h2GainAt20, 1.6) << row.scenario;
+            EXPECT_GE(row.h2GainAt100, 3.6) << row.scenario;
         }
     }
 }
