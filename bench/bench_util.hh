@@ -189,23 +189,56 @@ class ObsGuard
 };
 
 /**
- * Value of `--flag N` on the command line, or @p fallback when the
- * flag is absent. Fatal unless N is a positive integer.
+ * A value, such as a parsed flag, or the message saying why there is
+ * none. A harness that gets an error prints it and returns 1 from
+ * main, so its ObsGuard still closes a --trace-out file as valid JSON
+ * (MINDFUL_FATAL would exit past the guard).
  */
-inline std::uint64_t
+template <class T>
+struct Result
+{
+    T value{};
+    std::string error; //!< empty when value is valid
+
+    bool ok() const { return error.empty(); }
+};
+
+/**
+ * Value of `--flag N` or `--flag=N` on the command line (the first
+ * one given), or @p fallback when the flag is absent; an error unless
+ * N is a positive integer.
+ */
+inline Result<std::uint64_t>
 flagValue(int argc, char **argv, const std::string &flag,
           std::uint64_t fallback)
 {
+    const std::string prefix = flag + "=";
     for (int i = 1; i < argc; ++i) {
-        if (argv[i] != flag)
+        const std::string arg = argv[i];
+        std::optional<std::string> text;
+        if (arg == flag && i + 1 < argc)
+            text = argv[i + 1];
+        else if (arg.rfind(prefix, 0) == 0)
+            text = arg.substr(prefix.size());
+        else if (arg != flag)
             continue;
-        const auto value =
-            i + 1 < argc ? parseUnsigned(argv[i + 1]) : std::nullopt;
+        if (!text)
+            return {0, flag + " requires a positive integer"};
+        const auto value = parseUnsigned(*text);
         if (!value || *value == 0)
-            MINDFUL_FATAL(flag, " requires a positive integer");
-        return *value;
+            return {0, flag + " requires a positive integer, got '" +
+                           *text + "'"};
+        return {*value, ""};
     }
-    return fallback;
+    return {fallback, ""};
+}
+
+/** Print "@p program: @p message" to stderr; returns main's status 1. */
+inline int
+failed(const std::string &program, const std::string &message)
+{
+    std::cerr << program << ": " << message << '\n';
+    return 1;
 }
 
 /** Round count and batch length of a timing harness. */
@@ -216,11 +249,18 @@ struct RoundOptions
 };
 
 /** `--rounds N` (default 5) and `--batch-ms T` (default 4). */
-inline RoundOptions
+inline Result<RoundOptions>
 roundOptions(int argc, char **argv)
 {
-    return {flagValue(argc, argv, "--rounds", 5),
-            static_cast<double>(flagValue(argc, argv, "--batch-ms", 4))};
+    const Result<std::uint64_t> rounds =
+        flagValue(argc, argv, "--rounds", 5);
+    if (!rounds.ok())
+        return {{}, rounds.error};
+    const Result<std::uint64_t> batch =
+        flagValue(argc, argv, "--batch-ms", 4);
+    if (!batch.ok())
+        return {{}, batch.error};
+    return {{rounds.value, static_cast<double>(batch.value)}, ""};
 }
 
 /** Process CPU time in seconds: all threads, not stolen VM time. */

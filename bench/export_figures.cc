@@ -83,14 +83,6 @@ writeCsv(const fs::path &path, const Table &table)
     return !file.fail();
 }
 
-/** Print @p message to stderr; the exit status of a failed export. */
-int
-failed(const std::string &message)
-{
-    std::cerr << "export_figures: " << message << '\n';
-    return 1;
-}
-
 } // namespace
 
 int
@@ -104,15 +96,17 @@ main(int argc, char **argv)
     std::error_code error;
     fs::create_directories(dir, error);
     if (error)
-        return failed("cannot create " + dir.string() + ": " +
-                      error.message());
+        return bench::failed("export_figures", "cannot create " +
+                                                    dir.string() + ": " +
+                                                    error.message());
 
     for (const Export &entry : exports()) {
         const Table table = entry.build();
         table.print(std::cout);
         const fs::path path = dir / (entry.stem + ".csv");
         if (!writeCsv(path, table))
-            return failed("cannot write " + path.string());
+            return bench::failed("export_figures",
+                                 "cannot write " + path.string());
         std::cout << "wrote " << path.string() << "\n\n";
     }
     return 0;

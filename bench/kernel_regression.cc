@@ -36,16 +36,6 @@ makeInput(const dnn::Shape &shape)
     return x;
 }
 
-void
-requireIdentical(const std::string &name, const dnn::Tensor &fast,
-                 const dnn::Tensor &golden)
-{
-    for (std::size_t i = 0; i < fast.size(); ++i)
-        if (fast[i] != golden[i])
-            MINDFUL_FATAL(name, ": output diverges from the naive "
-                          "reference at element ", i);
-}
-
 /** "median [q1, q3]" with @p precision decimals. */
 std::string
 formatQuartiles(const std::vector<double> &samples, int precision)
@@ -56,18 +46,29 @@ formatQuartiles(const std::vector<double> &samples, int precision)
            Table::formatNumber(q.q3, precision) + "]";
 }
 
-/** Fig. 10 MLP trunk at n = 512 (latent 1024 -> trunk 768). */
-bench::RoundSamples
+/**
+ * Fig. 10 MLP trunk at n = 512 (latent 1024 -> trunk 768), or an
+ * error naming the first element where the fast path diverges from
+ * the naive reference.
+ */
+bench::Result<bench::RoundSamples>
 benchDense(const std::string &name, const bench::RoundOptions &options)
 {
     dnn::DenseLayer layer(1024, 768);
     Rng rng(37);
     layer.initializeWeights(rng);
     const dnn::Tensor x = makeInput({1024});
-    requireIdentical(name, layer.forward(x), layer.forwardNaive(x));
-    return bench::timeRounds({[&] { layer.forward(x); },
-                              [&] { layer.forwardNaive(x); }},
-                             options);
+    const dnn::Tensor fast = layer.forward(x);
+    const dnn::Tensor golden = layer.forwardNaive(x);
+    for (std::size_t i = 0; i < fast.size(); ++i)
+        if (fast[i] != golden[i])
+            return {{}, name + ": output diverges from the naive "
+                               "reference at element " +
+                            std::to_string(i)};
+    return {bench::timeRounds({[&] { layer.forward(x); },
+                               [&] { layer.forwardNaive(x); }},
+                              options),
+            ""};
 }
 
 } // namespace
@@ -77,10 +78,18 @@ main(int argc, char **argv)
 {
     bench::ObsGuard _obs(argc, argv);
     const bool csv = bench::csvOnly(argc, argv);
-    const bench::RoundOptions options = bench::roundOptions(argc, argv);
+    const bench::Result<bench::RoundOptions> parsed =
+        bench::roundOptions(argc, argv);
+    if (!parsed.ok())
+        return bench::failed("kernel_regression", parsed.error);
+    const bench::RoundOptions &options = parsed.value;
 
     const std::string name = "dense_mlp_trunk";
-    const bench::RoundSamples s = benchDense(name, options);
+    const bench::Result<bench::RoundSamples> timed =
+        benchDense(name, options);
+    if (!timed.ok())
+        return bench::failed("kernel_regression", timed.error);
+    const bench::RoundSamples &s = timed.value;
 
     Table table("Fast path vs retained reference: CPU us per call, "
                 "median [q1, q3] over " +

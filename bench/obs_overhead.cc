@@ -154,14 +154,15 @@ measureOverflow(std::uint64_t events)
     return result;
 }
 
-void
+/** Write the JSON artifact; false when @p path cannot be written. */
+bool
 writeJson(const std::string &path, bool compiled_out,
           const std::vector<Row> &rows, const OverflowResult &overflow,
           bool accounting_ok)
 {
     std::ofstream os(path);
     if (!os)
-        MINDFUL_FATAL("cannot open JSON output ", path);
+        return false;
     os << "{\n  \"manifest\": ";
     obs::RunManifest::current().writeJsonObject(os);
     os << ",\n  \"compiled_out\": " << (compiled_out ? "true" : "false");
@@ -184,6 +185,8 @@ writeJson(const std::string &path, bool compiled_out,
     std::snprintf(buf, sizeof(buf), "%.4f", overflow.dropRate());
     os << buf << ", \"exact\": " << (accounting_ok ? "true" : "false")
        << "}\n}\n";
+    os.close();
+    return !os.fail();
 }
 
 } // namespace
@@ -200,7 +203,8 @@ main(int argc, char **argv)
             quick = true;
         } else if (arg == "--json") {
             if (i + 1 >= argc)
-                MINDFUL_FATAL("--json requires an argument");
+                return bench::failed("obs_overhead",
+                                     "--json requires an argument");
             json_path = argv[++i];
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path = arg.substr(7);
@@ -269,14 +273,20 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        writeJson(json_path, compiled_out, rows, overflow, accounting_ok);
+        if (!writeJson(json_path, compiled_out, rows, overflow,
+                       accounting_ok))
+            return bench::failed("obs_overhead",
+                                 "cannot write JSON output " + json_path);
         MINDFUL_INFORM("wrote ", json_path);
     }
 
     // Conservation is a hard failure, not report-only.
     if (!accounting_ok)
-        MINDFUL_FATAL("overflow accounting mismatch: ",
-                      overflow.emitted, " + ", overflow.dropped,
-                      " != ", overflow.events);
+        return bench::failed(
+            "obs_overhead",
+            "overflow accounting mismatch: " +
+                std::to_string(overflow.emitted) + " + " +
+                std::to_string(overflow.dropped) +
+                " != " + std::to_string(overflow.events));
     return 0;
 }

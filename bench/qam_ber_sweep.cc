@@ -10,7 +10,7 @@
  * Usage: qam_ber_sweep [--csv] [--threads N] [--symbols N]
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 
 #include "base/decibel.hh"
@@ -25,21 +25,11 @@ main(int argc, char **argv)
     using namespace mindful;
 
     bool csv = bench::csvOnly(argc, argv);
-    std::uint64_t symbols = 200000;
-    auto parse_symbols = [](const std::string &text) {
-        std::optional<std::uint64_t> value = parseUnsigned(text);
-        if (!value || *value == 0)
-            MINDFUL_FATAL("--symbols requires a positive integer, "
-                          "got '", text, "'");
-        return *value;
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--symbols" && i + 1 < argc)
-            symbols = parse_symbols(argv[++i]);
-        else if (arg.rfind("--symbols=", 0) == 0)
-            symbols = parse_symbols(arg.substr(10));
-    }
+    const bench::Result<std::uint64_t> parsed =
+        bench::flagValue(argc, argv, "--symbols", 200000);
+    if (!parsed.ok())
+        return bench::failed("qam_ber_sweep", parsed.error);
+    const std::uint64_t symbols = parsed.value;
 
     Table table("Monte-Carlo BER vs Eb/N0 (" + std::to_string(symbols) +
                 " symbols per point)");

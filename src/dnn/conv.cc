@@ -132,31 +132,37 @@ Conv2dLayer::forwardNaiveInto(const Tensor &input, float *out) const
     for (std::size_t oc = 0; oc < _outChannels; ++oc) {
         for (std::size_t oy = 0; oy < out_h; ++oy) {
             for (std::size_t ox = 0; ox < out_w; ++ox) {
+                // Padding is literal zeros: a padding tap adds
+                // w * +0.0f like any other tap, which keeps a -0.0
+                // running sum exactly where the GEMM routes keep it.
                 float acc = _biases[oc];
                 for (std::size_t ic = 0; ic < _inChannels; ++ic) {
                     for (std::size_t ky = 0; ky < _kernelH; ++ky) {
                         std::ptrdiff_t iy =
                             static_cast<std::ptrdiff_t>(oy * _stride + ky) -
                             pad_h;
-                        if (iy < 0 ||
-                            iy >= static_cast<std::ptrdiff_t>(in_h))
-                            continue;
+                        const bool row_in =
+                            iy >= 0 &&
+                            iy < static_cast<std::ptrdiff_t>(in_h);
                         for (std::size_t kx = 0; kx < _kernelW; ++kx) {
                             std::ptrdiff_t ix =
                                 static_cast<std::ptrdiff_t>(ox * _stride +
                                                             kx) -
                                 pad_w;
-                            if (ix < 0 ||
-                                ix >= static_cast<std::ptrdiff_t>(in_w))
-                                continue;
+                            const bool in = row_in && ix >= 0 &&
+                                            ix < static_cast<std::ptrdiff_t>(
+                                                     in_w);
                             float w = _weights[((oc * _inChannels + ic) *
                                                     _kernelH +
                                                 ky) *
                                                    _kernelW +
                                                kx];
-                            acc += w * input.at(ic,
-                                                static_cast<std::size_t>(iy),
-                                                static_cast<std::size_t>(ix));
+                            float v =
+                                in ? input.at(ic,
+                                              static_cast<std::size_t>(iy),
+                                              static_cast<std::size_t>(ix))
+                                   : 0.0f;
+                            acc += w * v;
                         }
                     }
                 }

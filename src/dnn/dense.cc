@@ -19,7 +19,7 @@ void
 DenseLayer::materialize()
 {
     if (!materialized()) {
-        _weights.assign(_in * _out, 0.0f);
+        _weights.assign(gemm::packedSize(_out, _in), 0.0f);
         _biases.assign(_out, 0.0f);
     }
 }
@@ -49,13 +49,11 @@ DenseLayer::forward(const Tensor &input) const
                    input.size());
     MINDFUL_ASSERT(materialized(), "dense layer weights not materialized; "
                    "call initializeWeights() before forward()");
-    // y = W x + b is the n = 1 case of the shared GEMM kernel: the
-    // weight matrix is A [out x in], the input is B [in x 1]. Each
-    // row accumulates in ascending k order, so the result is
-    // bit-identical to forwardNaive().
+    // Each row accumulates in ascending k order, so the packed GEMV
+    // is bit-identical to forwardNaive().
     Tensor out(Shape{_out});
-    gemm::biasGemm(_out, 1, _in, _weights.data(), input.data(),
-                   _biases.data(), out.data());
+    gemm::packedGemv(_out, _in, _weights.data(), input.data(),
+                     _biases.data(), out.data());
     return out;
 }
 
@@ -70,13 +68,32 @@ DenseLayer::forwardNaive(const Tensor &input) const
     Tensor out(Shape{_out});
     const float *x = input.data();
     for (std::size_t r = 0; r < _out; ++r) {
-        const float *row = _weights.data() + r * _in;
         float acc = _biases[r];
         for (std::size_t c = 0; c < _in; ++c)
-            acc += row[c] * x[c];
+            acc += _weights[gemm::packedIndex(r, c, _in)] * x[c];
         out[r] = acc;
     }
     return out;
+}
+
+float
+DenseLayer::weight(std::size_t row, std::size_t col) const
+{
+    MINDFUL_ASSERT(materialized() && row < _out && col < _in,
+                   "dense weight (", row, ", ", col, ") out of range or "
+                   "not materialized");
+    return _weights[gemm::packedIndex(row, col, _in)];
+}
+
+void
+DenseLayer::setWeights(const std::vector<float> &row_major)
+{
+    MINDFUL_ASSERT(row_major.size() == _in * _out, "dense layer expects ",
+                   _in * _out, " weights, got ", row_major.size());
+    materialize();
+    for (std::size_t r = 0; r < _out; ++r)
+        for (std::size_t c = 0; c < _in; ++c)
+            _weights[gemm::packedIndex(r, c, _in)] = row_major[r * _in + c];
 }
 
 MacCensus
@@ -101,9 +118,12 @@ DenseLayer::initializeWeights(Rng &rng)
 {
     materialize();
     // Xavier-uniform: keeps activations in range through deep stacks.
+    // Drawn in row-major order, each straight into its packed slot.
     double limit = std::sqrt(6.0 / static_cast<double>(_in + _out));
-    for (auto &w : _weights)
-        w = static_cast<float>(rng.uniform(-limit, limit));
+    for (std::size_t r = 0; r < _out; ++r)
+        for (std::size_t c = 0; c < _in; ++c)
+            _weights[gemm::packedIndex(r, c, _in)] =
+                static_cast<float>(rng.uniform(-limit, limit));
     for (auto &b : _biases)
         b = 0.0f;
 }

@@ -25,6 +25,11 @@ namespace mindful::dnn {
  * with billions of parameters purely to take their census, which must
  * not allocate. Call initializeWeights() (or materialize()) before
  * forward().
+ *
+ * W is stored once, in the panel layout gemm::packedGemv streams
+ * (gemm::packedIndex): rows in panels of gemm::kPanelRows, each panel
+ * ordered by column, the last panel padded with zero rows. Read and
+ * write it through weight() and setWeights().
  */
 class DenseLayer : public Layer
 {
@@ -44,14 +49,15 @@ class DenseLayer : public Layer
     Shape outputShape(const Shape &input) const override;
 
     /**
-     * Execute via the shared GEMM kernel (src/dnn/gemm.hh).
+     * Execute via the packed GEMV (gemm::packedGemv).
      * Bit-identical to forwardNaive() and across thread counts.
      */
     Tensor forward(const Tensor &input) const override;
 
     /**
-     * Retained golden reference: the original scalar row loop, for
-     * the equivalence tests and the kernel_regression GEMV ratio.
+     * Retained golden reference: the original scalar row loop (one
+     * row's weights read at their packed slots), for the equivalence
+     * tests and the kernel_regression GEMV ratio.
      */
     Tensor forwardNaive(const Tensor &input) const;
 
@@ -59,16 +65,22 @@ class DenseLayer : public Layer
     std::uint64_t weightCount() const override;
     void initializeWeights(Rng &rng) override;
 
-    /** Row-major weights [out x in] (mutable for tests / loading). */
-    std::vector<float> &weights() { return _weights; }
-    const std::vector<float> &weights() const { return _weights; }
+    /** W[row][col]; the layer must be materialized. */
+    float weight(std::size_t row, std::size_t col) const;
+
+    /**
+     * Replace W with @p row_major ([out x in], row by row),
+     * materializing the layer first if needed.
+     */
+    void setWeights(const std::vector<float> &row_major);
+
     std::vector<float> &biases() { return _biases; }
     const std::vector<float> &biases() const { return _biases; }
 
   private:
     std::size_t _in;
     std::size_t _out;
-    std::vector<float> _weights;
+    std::vector<float> _weights; //!< packed panels (gemm::packedIndex)
     std::vector<float> _biases;
 };
 

@@ -1,12 +1,12 @@
 /**
  * @file
  * NEON (AArch64 Advanced SIMD) row-range kernel of the GEMM dispatch
- * tier. Compiled with `-ffp-contract=off` on AArch64 only
- * (src/dnn/CMakeLists.txt). Same bit-exactness discipline as the
- * AVX2 kernel (gemm_kernels.hh): lanes are distinct output elements,
- * ascending-k single-chain accumulation, and explicit
- * `vaddq_f32(acc, vmulq_f32(..))` — never `vmlaq_f32`, which
- * compilers lower to fused FMLA on AArch64.
+ * tier; dense layers' GEMVs run the portable panel kernel (gemm.cc).
+ * Compiled on AArch64 only (src/dnn/CMakeLists.txt). Same
+ * bit-exactness discipline as the AVX2 kernel (gemm_kernels.hh):
+ * lanes are distinct output elements, ascending-k single-chain
+ * accumulation, and explicit `vaddq_f32(acc, vmulq_f32(..))` — never
+ * `vmlaq_f32`, which compilers lower to fused FMLA on AArch64.
  */
 
 #include "dnn/gemm_kernels.hh"
@@ -17,63 +17,6 @@
 
 namespace mindful::dnn::gemm::detail {
 namespace {
-
-/**
- * GEMV (n == 1): 4-row panels, one accumulator lane per row. Each
- * 4-wide k step loads 4 contiguous weights from each row, transposes
- * the 4x4 block in registers, and adds the 4 k terms in ascending
- * order against x broadcasts — the naive chain per lane.
- */
-void
-gemvNeon(std::size_t k, const float *a, const float *x,
-         const float *bias, float *c, std::size_t row_begin,
-         std::size_t row_end, bool relu)
-{
-    std::size_t row = row_begin;
-    for (; row + 4 <= row_end; row += 4) {
-        const float *panel = a + row * k;
-        float32x4_t acc = bias != nullptr ? vld1q_f32(bias + row)
-                                          : vdupq_n_f32(0.0f);
-        std::size_t kk = 0;
-        for (; kk + 4 <= k; kk += 4) {
-            float32x4_t r0 = vld1q_f32(panel + 0 * k + kk);
-            float32x4_t r1 = vld1q_f32(panel + 1 * k + kk);
-            float32x4_t r2 = vld1q_f32(panel + 2 * k + kk);
-            float32x4_t r3 = vld1q_f32(panel + 3 * k + kk);
-            // 4x4 transpose: columns j across the 4 rows.
-            float32x4x2_t p01 = vtrnq_f32(r0, r1);
-            float32x4x2_t p23 = vtrnq_f32(r2, r3);
-            float32x4_t c0 = vcombine_f32(vget_low_f32(p01.val[0]),
-                                          vget_low_f32(p23.val[0]));
-            float32x4_t c1 = vcombine_f32(vget_low_f32(p01.val[1]),
-                                          vget_low_f32(p23.val[1]));
-            float32x4_t c2 = vcombine_f32(vget_high_f32(p01.val[0]),
-                                          vget_high_f32(p23.val[0]));
-            float32x4_t c3 = vcombine_f32(vget_high_f32(p01.val[1]),
-                                          vget_high_f32(p23.val[1]));
-            acc = vaddq_f32(acc, vmulq_f32(c0, vdupq_n_f32(x[kk + 0])));
-            acc = vaddq_f32(acc, vmulq_f32(c1, vdupq_n_f32(x[kk + 1])));
-            acc = vaddq_f32(acc, vmulq_f32(c2, vdupq_n_f32(x[kk + 2])));
-            acc = vaddq_f32(acc, vmulq_f32(c3, vdupq_n_f32(x[kk + 3])));
-        }
-        float lanes[4];
-        vst1q_f32(lanes, acc);
-        for (std::size_t l = 0; l < 4; ++l) {
-            float s = lanes[l];
-            const float *arow = panel + l * k;
-            for (std::size_t kt = kk; kt < k; ++kt)
-                s += arow[kt] * x[kt];
-            c[row + l] = relu ? std::max(s, 0.0f) : s;
-        }
-    }
-    for (; row < row_end; ++row) {
-        const float *arow = a + row * k;
-        float s = bias != nullptr ? bias[row] : 0.0f;
-        for (std::size_t kt = 0; kt < k; ++kt)
-            s += arow[kt] * x[kt];
-        c[row] = relu ? std::max(s, 0.0f) : s;
-    }
-}
 
 /**
  * ReLU store matching std::max(acc, 0.0f) bit-for-bit: vmaxq picks
@@ -97,11 +40,6 @@ gemmRowRangeNeon(std::size_t n, std::size_t k, const float *a,
                  const float *b, const float *bias, float *c,
                  std::size_t row_begin, std::size_t row_end, bool relu)
 {
-    if (n == 1) {
-        gemvNeon(k, a, b, bias, c, row_begin, row_end, relu);
-        return;
-    }
-
     for (std::size_t row = row_begin; row < row_end; ++row) {
         const float *arow = a + row * k;
         float *crow = c + row * n;

@@ -26,8 +26,7 @@ namespace {
 TEST(DenseLayerTest, ForwardComputesAffineMap)
 {
     DenseLayer layer(3, 2);
-    layer.materialize();
-    layer.weights() = {1.0f, 2.0f, 3.0f, /* row 1 */ 0.5f, -1.0f, 0.0f};
+    layer.setWeights({1.0f, 2.0f, 3.0f, /* row 1 */ 0.5f, -1.0f, 0.0f});
     layer.biases() = {10.0f, -1.0f};
     Tensor x(Shape{3}, {1.0f, 2.0f, 3.0f});
     Tensor y = layer.forward(x);
@@ -59,9 +58,42 @@ TEST(DenseLayerTest, InitializeWeightsMaterializesAndBounds)
     layer.initializeWeights(rng);
     EXPECT_TRUE(layer.materialized());
     double limit = std::sqrt(6.0 / 150.0);
-    for (float w : layer.weights()) {
-        EXPECT_LE(std::abs(w), limit);
-    }
+    for (std::size_t r = 0; r < 50; ++r)
+        for (std::size_t c = 0; c < 100; ++c)
+            EXPECT_LE(std::abs(layer.weight(r, c)), limit);
+}
+
+TEST(DenseLayerTest, SeededWeightsAreARowMajorDraw)
+{
+    // The packed store changes where a weight lives, not which draw it
+    // gets: weight (r, c) is the (r * in + c)-th draw of the Rng.
+    const std::size_t in = 13, out = 11; // a ragged last panel
+    DenseLayer layer(in, out);
+    Rng rng(41);
+    layer.initializeWeights(rng);
+    Rng reference(41);
+    const double limit = std::sqrt(6.0 / static_cast<double>(in + out));
+    for (std::size_t r = 0; r < out; ++r)
+        for (std::size_t c = 0; c < in; ++c)
+            ASSERT_EQ(layer.weight(r, c),
+                      static_cast<float>(reference.uniform(-limit, limit)))
+                << "weight (" << r << ", " << c << ")";
+}
+
+TEST(DenseLayerTest, SetWeightsRoundTripsThroughWeight)
+{
+    const std::size_t in = 5, out = 9;
+    std::vector<float> row_major(in * out);
+    for (std::size_t i = 0; i < row_major.size(); ++i)
+        row_major[i] = 0.25f * static_cast<float>(i) - 3.0f;
+    DenseLayer layer(in, out);
+    EXPECT_FALSE(layer.materialized());
+    layer.setWeights(row_major);
+    EXPECT_TRUE(layer.materialized());
+    for (std::size_t r = 0; r < out; ++r)
+        for (std::size_t c = 0; c < in; ++c)
+            EXPECT_EQ(layer.weight(r, c), row_major[r * in + c])
+                << "weight (" << r << ", " << c << ")";
 }
 
 TEST(DenseLayerDeathTest, ForwardWithoutWeightsPanics)
