@@ -8,11 +8,17 @@ namespace mindful::comm {
 
 namespace {
 
-/** Byte-at-a-time lookup table of CRC-16/CCITT-FALSE (poly 0x1021). */
-constexpr std::array<std::uint16_t, 256>
-makeCrcTable()
+using CrcTables = std::array<std::array<std::uint16_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables of CRC-16/CCITT-FALSE (poly 0x1021, MSB first):
+ * tables[j][b] is the zero-init CRC of byte b followed by j zero
+ * bytes, so tables[0] is the classic byte-at-a-time table.
+ */
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint16_t, 256> table{};
+    CrcTables tables{};
     for (unsigned byte = 0; byte < 256; ++byte) {
         auto crc = static_cast<std::uint16_t>(byte << 8);
         for (int bit = 0; bit < 8; ++bit) {
@@ -21,22 +27,41 @@ makeCrcTable()
             else
                 crc = static_cast<std::uint16_t>(crc << 1);
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
     }
-    return table;
+    for (std::size_t j = 1; j < tables.size(); ++j)
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            const std::uint16_t prev = tables[j - 1][byte];
+            tables[j][byte] = static_cast<std::uint16_t>(
+                (prev << 8) ^ tables[0][prev >> 8]);
+        }
+    return tables;
 }
 
-constexpr std::array<std::uint16_t, 256> kCrcTable = makeCrcTable();
+constexpr CrcTables kCrcTables = makeCrcTables();
 
 } // namespace
 
 std::uint16_t
 crc16(const std::uint8_t *data, std::size_t size)
 {
+    // The register meets only the first two bytes of each 8-byte block;
+    // by linearity the block's CRC is the XOR of each byte's table
+    // entry for the number of bytes that follow it.
     std::uint16_t crc = 0xFFFF;
-    for (std::size_t i = 0; i < size; ++i)
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        const std::uint8_t *d = data + i;
         crc = static_cast<std::uint16_t>(
-            (crc << 8) ^ kCrcTable[(crc >> 8) ^ data[i]]);
+            kCrcTables[7][d[0] ^ (crc >> 8)] ^
+            kCrcTables[6][d[1] ^ (crc & 0xFF)] ^ kCrcTables[5][d[2]] ^
+            kCrcTables[4][d[3]] ^ kCrcTables[3][d[4]] ^
+            kCrcTables[2][d[5]] ^ kCrcTables[1][d[6]] ^
+            kCrcTables[0][d[7]]);
+    }
+    for (; i < size; ++i)
+        crc = static_cast<std::uint16_t>(
+            (crc << 8) ^ kCrcTables[0][(crc >> 8) ^ data[i]]);
     return crc;
 }
 
@@ -52,19 +77,25 @@ Packetizer::pack(std::uint16_t sequence,
 {
     MINDFUL_ASSERT(samples.size() <= 0xFFFF,
                    "at most 65535 samples per frame");
+    // One OR over the payload finds any bit above the width; only then
+    // does a second walk name the first sample out of range.
     const std::uint32_t cap = (1u << _config.sampleBits) - 1;
+    std::uint32_t any = 0;
     for (std::uint32_t s : samples)
-        MINDFUL_ASSERT(s <= cap, "sample ", s, " exceeds ",
-                       _config.sampleBits, "-bit range");
+        any |= s;
+    if (any > cap)
+        for (std::uint32_t s : samples)
+            MINDFUL_ASSERT(s <= cap, "sample ", s, " exceeds ",
+                           _config.sampleBits, "-bit range");
 
-    std::vector<std::uint8_t> frame;
-    frame.reserve(frameBits(samples.size()) / 8);
-    frame.push_back(syncByte);
-    frame.push_back(static_cast<std::uint8_t>(sequence >> 8));
-    frame.push_back(static_cast<std::uint8_t>(sequence & 0xFF));
-    frame.push_back(static_cast<std::uint8_t>(_config.sampleBits));
-    frame.push_back(static_cast<std::uint8_t>(samples.size() >> 8));
-    frame.push_back(static_cast<std::uint8_t>(samples.size() & 0xFF));
+    std::vector<std::uint8_t> frame(frameBits(samples.size()) / 8);
+    std::uint8_t *out = frame.data();
+    *out++ = syncByte;
+    *out++ = static_cast<std::uint8_t>(sequence >> 8);
+    *out++ = static_cast<std::uint8_t>(sequence & 0xFF);
+    *out++ = static_cast<std::uint8_t>(_config.sampleBits);
+    *out++ = static_cast<std::uint8_t>(samples.size() >> 8);
+    *out++ = static_cast<std::uint8_t>(samples.size() & 0xFF);
 
     // MSB-first through an accumulator: each sample lands below the
     // `pending` bits not yet stored, and whole bytes leave from the
@@ -77,15 +108,16 @@ Packetizer::pack(std::uint16_t sequence,
         pending += bits;
         while (pending >= 8) {
             pending -= 8;
-            frame.push_back(static_cast<std::uint8_t>(acc >> pending));
+            *out++ = static_cast<std::uint8_t>(acc >> pending);
         }
     }
     if (pending > 0)
-        frame.push_back(static_cast<std::uint8_t>(acc << (8 - pending)));
+        *out++ = static_cast<std::uint8_t>(acc << (8 - pending));
 
-    std::uint16_t checksum = crc16(frame.data(), frame.size());
-    frame.push_back(static_cast<std::uint8_t>(checksum >> 8));
-    frame.push_back(static_cast<std::uint8_t>(checksum & 0xFF));
+    const std::size_t body = frame.size() - crcBytes;
+    const std::uint16_t checksum = crc16(frame.data(), body);
+    frame[body] = static_cast<std::uint8_t>(checksum >> 8);
+    frame[body + 1] = static_cast<std::uint8_t>(checksum & 0xFF);
     return frame;
 }
 

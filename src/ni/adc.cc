@@ -27,16 +27,18 @@ AdcModel::lsbMicrovolts() const
 std::uint32_t
 AdcModel::quantize(double microvolts) const
 {
-    // std::clamp passes NaN through, and casting floor(NaN) to an
-    // integer is undefined; a NaN sample reads as zero input.
+    // std::clamp passes NaN through, and casting NaN to an integer is
+    // undefined; a NaN sample reads as zero input.
     if (std::isnan(microvolts))
         return midCode();
+    // After the clamp, (clamped + FS) / 2FS lies in [0, 1], so the
+    // scaled value is finite and non-negative: truncation is floor,
+    // without the libm call.
     double clamped = std::clamp(microvolts, -_fullScale, _fullScale);
     double normalized = (clamped + _fullScale) / (2.0 * _fullScale);
-    auto code = static_cast<std::int64_t>(
-        std::floor(normalized * static_cast<double>(1u << _bits)));
-    return static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(code, 0, maxCode()));
+    auto code = static_cast<std::uint32_t>(
+        normalized * static_cast<double>(1u << _bits));
+    return std::min(code, maxCode());
 }
 
 double
@@ -49,10 +51,9 @@ AdcModel::dequantize(std::uint32_t code) const
 std::vector<std::uint32_t>
 AdcModel::quantize(const std::vector<double> &microvolts) const
 {
-    std::vector<std::uint32_t> codes;
-    codes.reserve(microvolts.size());
-    for (double v : microvolts)
-        codes.push_back(quantize(v));
+    std::vector<std::uint32_t> codes(microvolts.size());
+    for (std::size_t i = 0; i < codes.size(); ++i)
+        codes[i] = quantize(microvolts[i]);
     return codes;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -11,14 +12,48 @@ double
 madNoiseEstimate(const std::vector<double> &trace)
 {
     MINDFUL_ASSERT(!trace.empty(), "noise estimate needs samples");
-    std::vector<double> magnitudes;
-    magnitudes.reserve(trace.size());
-    for (double v : trace)
-        magnitudes.push_back(std::abs(v));
-    auto mid = magnitudes.begin() +
-               static_cast<std::ptrdiff_t>(magnitudes.size() / 2);
-    std::nth_element(magnitudes.begin(), mid, magnitudes.end());
-    return *mid / 0.6745;
+    // Quickselect of rank n/2 over |trace|. Each pass scatters its
+    // range three ways around a median-of-3 pivot p: magnitudes below p
+    // fill the front, those above p the back, and the ones equal to p
+    // leave the gap between them, whose value is p. Every element is
+    // written to both ends and only the matching cursor moves, so the
+    // pass has no data-dependent branch. The pivot's own group is never
+    // kept, so each pass shrinks the range, ties and NaNs included.
+    // The first pass reads the trace itself; |.| is idempotent, so the
+    // later passes over the two halves of `buffer` may take it again.
+    const std::size_t n = trace.size();
+    const std::size_t rank = n / 2;
+    std::vector<double> buffer(2 * n);
+    const double *src = trace.data();
+    double *dst = buffer.data();
+    double *spare = dst + n;
+    std::size_t lo = 0;
+    std::size_t hi = n;
+    for (;;) {
+        const double a = std::abs(src[lo]);
+        const double b = std::abs(src[lo + (hi - lo) / 2]);
+        const double c = std::abs(src[hi - 1]);
+        const double p =
+            std::max(std::min(a, b), std::min(std::max(a, b), c));
+        // Invariant: hi - i <= gt - lt, so both stores stay in [lt, gt).
+        std::size_t lt = lo;
+        std::size_t gt = hi;
+        for (std::size_t i = lo; i < hi; ++i) {
+            const double v = std::abs(src[i]);
+            dst[lt] = v;
+            dst[gt - 1] = v;
+            lt += static_cast<std::size_t>(v < p);
+            gt -= static_cast<std::size_t>(v > p);
+        }
+        if (rank < lt)
+            hi = lt;
+        else if (rank >= gt)
+            lo = gt;
+        else
+            return p / 0.6745;
+        src = dst;
+        std::swap(dst, spare);
+    }
 }
 
 namespace {

@@ -286,13 +286,20 @@ TEST(PacketizerGolden, PackMatchesBitSerialReferenceForEveryWidth)
 
 TEST(PacketizerGolden, Crc16MatchesBitwiseReference)
 {
+    // Every size up to 600 bytes at every start offset 0-7 into one
+    // buffer, so the 8-byte slices and the byte-wise tail are checked
+    // at each alignment.
     Rng rng(1502);
-    for (std::size_t size = 0; size <= 600; ++size) {
-        std::vector<std::uint8_t> data(size);
-        for (auto &byte : data)
-            byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
-        ASSERT_EQ(crc16(data.data(), data.size()), referenceCrc16(data))
-            << "size=" << size;
+    std::vector<std::uint8_t> buffer(600 + 7);
+    for (auto &byte : buffer)
+        byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t size = 0; size <= 600; ++size) {
+            const std::uint8_t *data = buffer.data() + offset;
+            const std::vector<std::uint8_t> copy(data, data + size);
+            ASSERT_EQ(crc16(data, size), referenceCrc16(copy))
+                << "offset=" << offset << " size=" << size;
+        }
     }
 }
 

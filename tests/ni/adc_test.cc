@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -86,6 +89,55 @@ TEST(AdcTest, NonFiniteInputsMapToDocumentedCodes)
                                               0u, adc.midCode(),
                                               adc.midCode()}))
             << "bits=" << bits;
+    }
+}
+
+/** The quantizer as written with std::floor, for comparison. */
+std::uint32_t
+referenceQuantize(const AdcModel &adc, double microvolts)
+{
+    if (std::isnan(microvolts))
+        return adc.midCode();
+    const double fs = adc.fullScaleMicrovolts();
+    const double clamped = std::clamp(microvolts, -fs, fs);
+    const double normalized = (clamped + fs) / (2.0 * fs);
+    const auto code = static_cast<std::int64_t>(std::floor(
+        normalized * static_cast<double>(1u << adc.bits())));
+    return static_cast<std::uint32_t>(
+        std::clamp<std::int64_t>(code, 0, adc.maxCode()));
+}
+
+TEST(AdcTest, FloorFreeFormulaMatchesFloorReference)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double min_normal = std::numeric_limits<double>::min();
+    for (unsigned bits = 1; bits <= kMaxAdcBits; ++bits) {
+        const AdcModel adc = makeAdc(bits);
+        const double fs = adc.fullScaleMicrovolts();
+        // Rails, signed zeros, subnormals and the non-finite values.
+        std::vector<double> inputs{fs,   -fs,  0.0,
+                                   -0.0, tiny, -tiny,
+                                   min_normal / 2, -min_normal / 2,
+                                   nan,  -nan, inf, -inf};
+        // Every bin edge k * LSB - FS and its neighbour on each side.
+        for (std::uint32_t k = 0; k <= adc.maxCode() + 1; ++k) {
+            const double edge =
+                static_cast<double>(k) * adc.lsbMicrovolts() - fs;
+            inputs.push_back(std::nextafter(edge, -inf));
+            inputs.push_back(edge);
+            inputs.push_back(std::nextafter(edge, inf));
+        }
+        const std::vector<std::uint32_t> codes = adc.quantize(inputs);
+        ASSERT_EQ(codes.size(), inputs.size());
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const std::uint32_t scalar = adc.quantize(inputs[i]);
+            ASSERT_EQ(codes[i], scalar)
+                << "bits=" << bits << " input=" << inputs[i];
+            ASSERT_EQ(scalar, referenceQuantize(adc, inputs[i]))
+                << "bits=" << bits << " input=" << inputs[i];
+        }
     }
 }
 

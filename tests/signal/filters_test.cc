@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "signal/filters.hh"
 
@@ -112,16 +116,71 @@ TEST(BiquadCascadeTest, LfpBandDoesTheOpposite)
     EXPECT_LT(spike_gain, 0.02);
 }
 
+/** The first @p count of the spike band's sections and a 60 Hz notch. */
+BiquadCascade
+mixedCascade(std::size_t count)
+{
+    std::vector<Biquad> pool{
+        Biquad::highPass(Frequency::hertz(300.0), kFs, 0.5412),
+        Biquad::highPass(Frequency::hertz(300.0), kFs, 1.3066),
+        Biquad::lowPass(Frequency::kilohertz(3.0), kFs, 0.5412),
+        Biquad::lowPass(Frequency::kilohertz(3.0), kFs, 1.3066),
+        Biquad::notch(Frequency::hertz(60.0), kFs, 5.0)};
+    return BiquadCascade(
+        std::vector<Biquad>(pool.begin(),
+                            pool.begin() + static_cast<std::ptrdiff_t>(count)));
+}
+
+/** Deterministic broadband input: a chirp plus a few outliers. */
+std::vector<double>
+testSignal(std::size_t length, double phase)
+{
+    std::vector<double> input(length);
+    for (std::size_t i = 0; i < length; ++i) {
+        const double t = static_cast<double>(i);
+        input[i] = 40.0 * std::sin(phase + 0.3 * t + 1e-3 * t * t) +
+                   (i % 37 == 5 ? -250.0 : 0.0);
+    }
+    return input;
+}
+
+/**
+ * apply() must equal a step() loop bit for bit: same sections run in
+ * the same order with the same expression, only the state lives in
+ * locals. Covers the empty cascade and every fused-block remainder
+ * (1-5 sections), state carried over two calls, and lengths around
+ * one 150-sample hop.
+ */
 TEST(BiquadCascadeTest, ApplyMatchesStepping)
 {
-    auto a = BiquadCascade::spikeBand(kFs);
-    auto b = BiquadCascade::spikeBand(kFs);
-    std::vector<double> input(100);
-    for (std::size_t i = 0; i < input.size(); ++i)
-        input[i] = std::sin(0.3 * static_cast<double>(i));
-    auto block = a.apply(input);
-    for (std::size_t i = 0; i < input.size(); ++i)
-        EXPECT_DOUBLE_EQ(block[i], b.step(input[i]));
+    std::vector<std::pair<std::string, BiquadCascade>> cascades{
+        {"spikeBand", BiquadCascade::spikeBand(kFs)},
+        {"lfpBand", BiquadCascade::lfpBand(kFs)}};
+    for (std::size_t count = 0; count <= 5; ++count)
+        cascades.emplace_back("sections=" + std::to_string(count),
+                              mixedCascade(count));
+    for (const auto &[name, fresh] : cascades) {
+        for (const std::size_t length : {0u, 1u, 149u, 150u, 151u}) {
+            BiquadCascade applied = fresh;
+            BiquadCascade stepped = fresh;
+            for (int call = 0; call < 2; ++call) {
+                const auto input = testSignal(length, call);
+                const auto block = applied.apply(input);
+                std::vector<double> reference;
+                for (double x : input)
+                    reference.push_back(stepped.step(x));
+                ASSERT_EQ(block.size(), reference.size());
+                // memcmp must not see the null data() of empty vectors.
+                EXPECT_TRUE(block.empty() ||
+                            std::memcmp(block.data(), reference.data(),
+                                        block.size() * sizeof(double)) == 0)
+                    << name << " length=" << length << " call=" << call;
+            }
+            // Both must leave the same state behind.
+            EXPECT_EQ(applied.step(1.0), stepped.step(1.0))
+                << name << " length=" << length;
+        }
+    }
 }
 
 TEST(FirFilterTest, LowPassDcGainIsUnity)

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "base/random.hh"
 #include "ni/synthetic_cortex.hh"
@@ -49,6 +53,144 @@ TEST(MadNoiseTest, RobustToSpikeOutliers)
     auto spiky = makeTrace({100, 500, 900, 4000, 9000, 15000}, 5.0, 120.0,
                            20000);
     EXPECT_NEAR(madNoiseEstimate(spiky), madNoiseEstimate(clean), 0.5);
+}
+
+/** madNoiseEstimate as std::nth_element computes it. */
+double
+referenceMad(const std::vector<double> &trace)
+{
+    std::vector<double> magnitudes;
+    for (double v : trace)
+        magnitudes.push_back(std::abs(v));
+    auto mid = magnitudes.begin() +
+               static_cast<std::ptrdiff_t>(magnitudes.size() / 2);
+    std::nth_element(magnitudes.begin(), mid, magnitudes.end());
+    return *mid / 0.6745;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(MadNoiseTest, MatchesNthElementBitwise)
+{
+    Rng rng(29);
+    for (std::size_t n = 1; n <= 301; ++n) {
+        std::vector<double> distinct(n);
+        for (auto &v : distinct)
+            v = rng.gaussian(0.0, 8.0);
+        // Few distinct magnitudes: heavy ties on both signs.
+        std::vector<double> ties(n);
+        for (auto &v : ties)
+            v = static_cast<double>(rng.uniformInt(-3, 3));
+        const std::vector<double> equal(n, -2.5);
+        // Signed zeros among a few non-zero values.
+        std::vector<double> zeros(n);
+        for (std::size_t i = 0; i < n; ++i)
+            zeros[i] = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : 1.0;
+        const std::vector<double> negative_zeros(n, -0.0);
+        const std::vector<double> *traces[] = {&distinct, &ties, &equal,
+                                               &zeros, &negative_zeros};
+        for (const auto *trace : traces) {
+            const double got = madNoiseEstimate(*trace);
+            const double want = referenceMad(*trace);
+            ASSERT_TRUE(sameBits(got, want))
+                << "n=" << n << " got " << got << " want " << want;
+        }
+    }
+}
+
+TEST(MadNoiseTest, NanTraceTerminatesInBounds)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng rng(31);
+    for (const std::size_t n : {1u, 2u, 3u, 150u, 151u}) {
+        const std::size_t stride = std::max<std::size_t>(1, n / 7);
+        for (std::size_t at = 0; at < n; at += stride) {
+            std::vector<double> trace(n);
+            for (auto &v : trace)
+                v = rng.gaussian(0.0, 8.0);
+            trace[at] = nan;
+            madNoiseEstimate(trace); // any value; it must return
+            ThresholdDetector detector;
+            for (const auto &event : detector.detect(trace))
+                EXPECT_LT(event.sampleIndex, n);
+        }
+        madNoiseEstimate(std::vector<double>(n, nan));
+    }
+}
+
+/** ThresholdDetector::detect with nth_element and the peak walk. */
+std::vector<SpikeEvent>
+referenceDetect(const std::vector<double> &trace,
+                const SpikeDetectorConfig &config)
+{
+    if (trace.empty())
+        return {};
+    const double sigma = referenceMad(trace);
+    if (sigma <= 0.0)
+        return {};
+    const double threshold = config.thresholdSigmas * sigma;
+    auto crossed = [&](double v) {
+        return config.negativeGoing ? v <= -threshold : v >= threshold;
+    };
+    auto better = [&](double v, double peak) {
+        return config.negativeGoing ? v < peak : v > peak;
+    };
+    std::vector<SpikeEvent> events;
+    std::size_t i = 0;
+    while (i < trace.size()) {
+        if (!crossed(trace[i])) {
+            ++i;
+            continue;
+        }
+        std::size_t peak = i;
+        std::size_t j = i;
+        for (; j < trace.size() && crossed(trace[j]); ++j)
+            if (better(trace[j], trace[peak]))
+                peak = j;
+        events.push_back({peak, trace[peak]});
+        i = std::max(j, peak + config.refractorySamples);
+    }
+    return events;
+}
+
+TEST(ThresholdDetectorTest, MatchesReferenceOnFilteredCortexHops)
+{
+    // The streamed loop's shape: 256 channels, 150-sample hops, one
+    // stateful spike-band cascade per channel.
+    constexpr std::size_t kChannels = 256;
+    constexpr std::size_t kHop = 150;
+    constexpr std::size_t kHops = 4;
+    ni::SyntheticCortexConfig config;
+    config.channels = kChannels;
+    config.samplingFrequency = Frequency::kilohertz(30.0);
+    config.seed = 1016;
+    ni::SyntheticCortex cortex(config);
+    const auto rec = cortex.generate(kHop * kHops);
+
+    ThresholdDetector detector;
+    std::size_t total = 0;
+    for (std::uint64_t ch = 0; ch < kChannels; ++ch) {
+        auto cascade = BiquadCascade::spikeBand(rec.samplingFrequency);
+        for (std::size_t hop = 0; hop < kHops; ++hop) {
+            const double *x = &rec.samples[ch * rec.steps + hop * kHop];
+            const auto filtered =
+                cascade.apply(std::vector<double>(x, x + kHop));
+            const auto got = detector.detect(filtered);
+            const auto want = referenceDetect(filtered, detector.config());
+            ASSERT_EQ(got.size(), want.size())
+                << "ch=" << ch << " hop=" << hop;
+            for (std::size_t e = 0; e < got.size(); ++e) {
+                EXPECT_EQ(got[e].sampleIndex, want[e].sampleIndex);
+                EXPECT_TRUE(sameBits(got[e].amplitude, want[e].amplitude));
+            }
+            total += got.size();
+        }
+    }
+    EXPECT_GT(total, 0u) << "no spikes: the comparison saw no events";
 }
 
 TEST(ThresholdDetectorTest, FindsInjectedSpikes)
