@@ -4,10 +4,9 @@
  *
  * export_figures prints and writes every table of the paper and its
  * extensions (DESIGN.md Sec. 4). The harnesses that print tables
- * (qam_ber_sweep, kernel_regression, obs_overhead) print them
- * human-readable, or as CSV only with --csv (emit()). The timing
- * harness (kernel_regression) runs on an interleaved-rounds loop,
- * timeRounds(), sized by --rounds and --batch-ms (roundOptions()).
+ * (qam_ber_sweep, obs_overhead) print them human-readable, or as CSV
+ * only with --csv (emit()). A bad flag value comes back as a Result
+ * (flagValue()) and main returns 1 through failed().
  *
  * All binaries also accept the observability flags:
  *   --trace-out FILE    stream Chrome trace JSON while running (the
@@ -27,17 +26,12 @@
 #ifndef MINDFUL_BENCH_BENCH_UTIL_HH
 #define MINDFUL_BENCH_BENCH_UTIL_HH
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <ctime>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/parse.hh"
@@ -239,104 +233,6 @@ failed(const std::string &program, const std::string &message)
 {
     std::cerr << program << ": " << message << '\n';
     return 1;
-}
-
-/** Round count and batch length of a timing harness. */
-struct RoundOptions
-{
-    std::size_t rounds;
-    double batchMs;
-};
-
-/** `--rounds N` (default 5) and `--batch-ms T` (default 4). */
-inline Result<RoundOptions>
-roundOptions(int argc, char **argv)
-{
-    const Result<std::uint64_t> rounds =
-        flagValue(argc, argv, "--rounds", 5);
-    if (!rounds.ok())
-        return {{}, rounds.error};
-    const Result<std::uint64_t> batch =
-        flagValue(argc, argv, "--batch-ms", 4);
-    if (!batch.ok())
-        return {{}, batch.error};
-    return {{rounds.value, static_cast<double>(batch.value)}, ""};
-}
-
-/** Process CPU time in seconds: all threads, not stolen VM time. */
-inline double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-inline double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Median and first and third quartile of a sample. */
-struct Quartiles
-{
-    double q1 = 0.0;
-    double median = 0.0;
-    double q3 = 0.0;
-};
-
-inline Quartiles
-quartiles(std::vector<double> values)
-{
-    std::sort(values.begin(), values.end());
-    const std::size_t n = values.size();
-    return {values[n / 4], values[n / 2], values[n - 1 - n / 4]};
-}
-
-/** Per-call CPU µs of each timed variant, one sample per round. */
-struct RoundSamples
-{
-    std::vector<std::vector<double>> cpuUs;
-};
-
-/**
- * Time @p variants in interleaved rounds. Each round runs every
- * variant once as a batch of calls, sized from a warm call to take
- * about options.batchMs; the order rotates per round so no variant
- * always runs first, and drift hits them all alike. Samples are
- * process CPU time per call.
- */
-inline RoundSamples
-timeRounds(const std::vector<std::function<void()>> &variants,
-           const RoundOptions &options)
-{
-    const std::size_t count = variants.size();
-    std::vector<std::size_t> reps(count);
-    for (std::size_t j = 0; j < count; ++j) {
-        variants[j]();
-        const double start = wallSeconds();
-        variants[j]();
-        const double once_ms = 1e3 * (wallSeconds() - start);
-        reps[j] = static_cast<std::size_t>(
-            std::max(1.0, options.batchMs / std::max(once_ms, 1e-3)));
-    }
-
-    RoundSamples samples{std::vector<std::vector<double>>(count)};
-    for (std::size_t round = 0; round < options.rounds; ++round) {
-        for (std::size_t j = 0; j < count; ++j) {
-            const std::size_t at = (j + round) % count;
-            const double cpu0 = cpuSeconds();
-            for (std::size_t r = 0; r < reps[at]; ++r)
-                variants[at]();
-            samples.cpuUs[at].push_back((cpuSeconds() - cpu0) * 1e6 /
-                                        static_cast<double>(reps[at]));
-        }
-    }
-    return samples;
 }
 
 } // namespace mindful::bench

@@ -5,17 +5,16 @@
  *
  * Measures ns/event for the three record primitives and the two
  * by-name wrappers most call sites use —
- *   span_record       MINDFUL_HOT_SPAN construct + destruct + ring push
- *   counter_add       MINDFUL_HOT_COUNT through a pre-resolved handle
- *   histogram_record  MINDFUL_HOT_RECORD (log-bucket index + atomics)
+ *   span_record       obs::HotSpan construct + destruct + ring push
+ *   counter_add       CounterHandle::bump through a pre-resolved handle
+ *   histogram_record  HistogramHandle::observe (log-bucket index +
+ *                     atomics)
  *   metric_count      MINDFUL_METRIC_COUNT, constant name
  *   trace_scope       MINDFUL_TRACE_SCOPE, constant name
- * in two runtime states:
- *   enabled           collector streaming (count-only sink), registry on
- *   disabled          collector stopped, registry runtime-disabled
- * The twin target obs_overhead_disabled compiles this same file with
- * MINDFUL_OBS_DISABLED, so its rows (mode "compiled_out") measure the
- * macros' vanished form.
+ * in two collector states:
+ *   enabled           collector streaming (count-only sink): all five
+ *   idle              collector stopped: the two span rows only, since
+ *                     metrics record the same either way
  *
  * Also runs a deliberate ring-overflow scenario (tiny ring, paused
  * drain) and reports the drop rate plus the conservation check
@@ -84,41 +83,44 @@ nsPerOp(std::uint64_t iters, Fn &&fn)
            static_cast<double>(iters);
 }
 
-/** The record primitives and wrappers, timed in the current state. */
+/**
+ * The record primitives and wrappers, timed in the current collector
+ * state; the metric rows only when @p metrics is set.
+ */
 void
-measureOps(const std::string &mode, std::uint64_t iters,
+measureOps(const std::string &mode, std::uint64_t iters, bool metrics,
            std::vector<Row> &rows)
 {
     // Resolve site and handles once, outside the loops.
-    // ([[maybe_unused]]: the compiled-out twin erases every use.)
-    auto &collector = obs::TraceCollector::global();
     auto &registry = obs::MetricRegistry::global();
-    [[maybe_unused]] const obs::TraceSite site =
-        collector.site("bench", "obs.span");
-    [[maybe_unused]] const obs::CounterHandle counter =
+    const obs::TraceSite site =
+        obs::TraceCollector::global().site("bench", "obs.span");
+    const obs::CounterHandle counter =
         registry.counter("bench.obs.counter");
-    [[maybe_unused]] const obs::HistogramHandle histogram =
+    const obs::HistogramHandle histogram =
         registry.histogram("bench.obs.histogram");
 
     rows.push_back({"span_record", mode,
-                    nsPerOp(iters, [&]([[maybe_unused]] std::uint64_t i) {
-                        MINDFUL_HOT_SPAN(span, site);
+                    nsPerOp(iters, [&](std::uint64_t i) {
+                        obs::HotSpan span(site);
                         span.setArg(i);
                     })});
-    rows.push_back({"counter_add", mode,
-                    nsPerOp(iters, [&](std::uint64_t) {
-                        MINDFUL_HOT_COUNT(counter, 1);
-                    })});
-    rows.push_back({"histogram_record", mode,
-                    nsPerOp(iters, [&]([[maybe_unused]] std::uint64_t i) {
-                        MINDFUL_HOT_RECORD(
-                            histogram,
-                            0.1 + 0.5 * static_cast<double>(i & 1023));
-                    })});
-    rows.push_back({"metric_count", mode,
-                    nsPerOp(iters, [&](std::uint64_t) {
-                        MINDFUL_METRIC_COUNT("bench.obs.by_name", 1);
-                    })});
+    if (metrics) {
+        rows.push_back({"counter_add", mode,
+                        nsPerOp(iters, [&](std::uint64_t) {
+                            counter.bump(1);
+                        })});
+        rows.push_back(
+            {"histogram_record", mode,
+             nsPerOp(iters, [&](std::uint64_t i) {
+                 histogram.observe(0.1 +
+                                   0.5 * static_cast<double>(i & 1023));
+             })});
+        rows.push_back({"metric_count", mode,
+                        nsPerOp(iters, [&](std::uint64_t) {
+                            MINDFUL_METRIC_COUNT("bench.obs.by_name", 1);
+                        })});
+    }
     rows.push_back({"trace_scope", mode,
                     nsPerOp(iters, [&](std::uint64_t) {
                         MINDFUL_TRACE_SCOPE("bench", "obs.scope");
@@ -130,15 +132,14 @@ OverflowResult
 measureOverflow(std::uint64_t events)
 {
     auto &collector = obs::TraceCollector::global();
-    [[maybe_unused]] const obs::TraceSite site =
-        collector.site("bench", "obs.overflow");
+    const obs::TraceSite site = collector.site("bench", "obs.overflow");
     collector.setRingCapacity(64);
     collector.start(nullptr);
     collector.setDrainPaused(true);
     std::thread producer([&] {
         collector.registerCurrentThread();
         for (std::uint64_t i = 0; i < events; ++i) {
-            MINDFUL_HOT_SPAN(span, site);
+            obs::HotSpan span(site);
             span.setArg(i);
         }
     });
@@ -156,16 +157,14 @@ measureOverflow(std::uint64_t events)
 
 /** Write the JSON artifact; false when @p path cannot be written. */
 bool
-writeJson(const std::string &path, bool compiled_out,
-          const std::vector<Row> &rows, const OverflowResult &overflow,
-          bool accounting_ok)
+writeJson(const std::string &path, const std::vector<Row> &rows,
+          const OverflowResult &overflow)
 {
     std::ofstream os(path);
     if (!os)
         return false;
     os << "{\n  \"manifest\": ";
     obs::RunManifest::current().writeJsonObject(os);
-    os << ",\n  \"compiled_out\": " << (compiled_out ? "true" : "false");
     os << ",\n  \"watermark_ns\": " << kWatermarkNs;
     os << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -183,7 +182,7 @@ writeJson(const std::string &path, bool compiled_out,
        << ", \"dropped\": " << overflow.dropped << ", \"drop_rate\": ";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4f", overflow.dropRate());
-    os << buf << ", \"exact\": " << (accounting_ok ? "true" : "false")
+    os << buf << ", \"exact\": " << (overflow.exact() ? "true" : "false")
        << "}\n}\n";
     os.close();
     return !os.fail();
@@ -211,45 +210,24 @@ main(int argc, char **argv)
         }
     }
 
-#ifdef MINDFUL_OBS_DISABLED
-    const bool compiled_out = true;
-    const char *enabled_mode = "compiled_out";
-    const char *disabled_mode = "compiled_out_gated";
-#else
-    const bool compiled_out = false;
-    const char *enabled_mode = "enabled";
-    const char *disabled_mode = "disabled";
-#endif
     const std::uint64_t iters = quick ? 200'000 : 2'000'000;
 
     auto &collector = obs::TraceCollector::global();
-    auto &registry = obs::MetricRegistry::global();
 
     std::vector<Row> rows;
 
-    // Enabled state: registry on, collector streaming into a
-    // count-only sink (no formatting cost in the producer, which is
-    // exactly the hot-path contract being measured).
-    registry.setEnabled(true);
+    // Enabled state: collector streaming into a count-only sink (no
+    // formatting cost in the producer, which is exactly the hot-path
+    // contract being measured).
     collector.start(nullptr);
-    measureOps(enabled_mode, iters, rows);
+    measureOps("enabled", iters, true, rows);
     collector.stop();
 
-    // Disabled state: the record sites stay compiled in; each should
-    // cost one or two relaxed loads.
-    registry.setEnabled(false);
-    measureOps(disabled_mode, iters, rows);
-    registry.setEnabled(true);
+    // Idle state: the collector is stopped, so each span costs one
+    // relaxed load. Metrics record the same in either state.
+    measureOps("idle", iters, false, rows);
 
     OverflowResult overflow = measureOverflow(quick ? 10'000 : 100'000);
-#ifdef MINDFUL_OBS_DISABLED
-    // Compiled out, the producer loop records nothing at all: the
-    // correct accounting is zero emitted AND zero dropped.
-    const bool accounting_ok =
-        overflow.emitted == 0 && overflow.dropped == 0;
-#else
-    const bool accounting_ok = overflow.exact();
-#endif
 
     Table table("obs_overhead");
     table.setHeader({"op", "mode", "ns_per_event"});
@@ -262,7 +240,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(overflow.events),
                 static_cast<unsigned long long>(overflow.emitted),
                 static_cast<unsigned long long>(overflow.dropped),
-                overflow.dropRate(), accounting_ok ? "yes" : "no");
+                overflow.dropRate(), overflow.exact() ? "yes" : "no");
     for (const auto &row : rows) {
         if (row.mode == std::string("enabled") &&
             row.nsPerEvent > kWatermarkNs) {
@@ -273,15 +251,14 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        if (!writeJson(json_path, compiled_out, rows, overflow,
-                       accounting_ok))
+        if (!writeJson(json_path, rows, overflow))
             return bench::failed("obs_overhead",
                                  "cannot write JSON output " + json_path);
         MINDFUL_INFORM("wrote ", json_path);
     }
 
     // Conservation is a hard failure, not report-only.
-    if (!accounting_ok)
+    if (!overflow.exact())
         return bench::failed(
             "obs_overhead",
             "overflow accounting mismatch: " +

@@ -14,12 +14,4 @@ scaled12nm()
     return {"12nm", Time::nanoseconds(1.0), Power::milliwatts(0.026)};
 }
 
-MacUnitParams
-tsmc130()
-{
-    // One MAC step per 100 MHz cycle; dynamic power typical of an
-    // 8-bit MAC at 130 nm (used only by the Fig. 9 trend model).
-    return {"tsmc130", Time::nanoseconds(10.0), Power::microwatts(110.0)};
-}
-
 } // namespace mindful::accel

@@ -8,8 +8,9 @@
  *   - NanGate 45 nm @ 100 MHz: t_MAC = 2 ns, P_MAC = 0.05 mW
  *   - 12 nm (technology-scaling optimization): t_MAC = 1 ns,
  *     P_MAC = 0.026 mW
- *   - TSMC 130 nm @ 100 MHz: the node used for the Fig. 9
- *     accelerator synthesis study (coefficients in SynthesisModel).
+ *
+ * The Fig. 9 accelerator synthesis study (TSMC 130 nm) has its own
+ * per-component coefficients in SynthesisModel, not a MacUnitParams.
  */
 
 #ifndef MINDFUL_ACCEL_MAC_UNIT_HH
@@ -45,9 +46,6 @@ MacUnitParams nangate45();
 
 /** The paper's 12 nm numbers (technology-scaling optimization). */
 MacUnitParams scaled12nm();
-
-/** 130 nm TSMC node used for the Fig. 9 synthesis study. */
-MacUnitParams tsmc130();
 
 } // namespace mindful::accel
 

@@ -118,8 +118,8 @@
  * through resolvable calls, cross-TU) must stay non-blocking: no
  * Mutex/ConditionVariable, no file or stream construction, no
  * sleep/this_thread calls, no unbounded `while (true)` without a
- * break/return, and no by-name trace span or metric lookups (the
- * pre-resolved MINDFUL_HOT_* handles stay legal).
+ * break/return, and no by-name trace span or metric lookups (a
+ * pre-resolved TraceSite or metric handle stays legal).
  * Escapes use `analyze: rt-ok` comments with a parenthesized reason,
  * policed like every other suppression.
  *

@@ -15,7 +15,6 @@
 
 namespace mindful::comm {
 
-#ifndef MINDFUL_OBS_DISABLED
 namespace {
 
 /** "10.0" for 10 dB — used in per-Eb/N0 metric names. */
@@ -28,7 +27,6 @@ formatDb(double eb_n0_linear)
 }
 
 } // namespace
-#endif
 
 QamConstellation::QamConstellation(unsigned bits_per_symbol)
     : _bits(bits_per_symbol), _iBits((bits_per_symbol + 1) / 2),
@@ -181,17 +179,12 @@ AwgnChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t symbols)
     MINDFUL_METRIC_COUNT("comm.qam.bit_errors", measurement.bitErrors);
     // 1 uniformInt + 2 gaussians per symbol.
     MINDFUL_METRIC_COUNT("comm.qam.rng_draws", 3 * symbols);
-#ifndef MINDFUL_OBS_DISABLED
-    // The per-Eb/N0 metric names are formatted strings; skip the
-    // allocation entirely while the registry is runtime-disabled.
-    if (obs::MetricRegistry::global().enabled()) {
-        const std::string db = formatDb(eb_n0_linear);
-        MINDFUL_METRIC_COUNT("comm.qam.ebn0_" + db + "db.bits_sent",
-                             measurement.bitsSent);
-        MINDFUL_METRIC_COUNT("comm.qam.ebn0_" + db + "db.bit_errors",
-                             measurement.bitErrors);
-    }
-#endif
+    // The per-Eb/N0 metric names are formatted once per call.
+    const std::string db = formatDb(eb_n0_linear);
+    MINDFUL_METRIC_COUNT("comm.qam.ebn0_" + db + "db.bits_sent",
+                         measurement.bitsSent);
+    MINDFUL_METRIC_COUNT("comm.qam.ebn0_" + db + "db.bit_errors",
+                         measurement.bitErrors);
     span.arg("bit_errors", measurement.bitErrors);
     return measurement;
 }
@@ -254,14 +247,9 @@ OokChannelSimulator::measureBer(double eb_n0_linear, std::uint64_t bits)
     MINDFUL_METRIC_COUNT("comm.ook.bit_errors", measurement.bitErrors);
     // 1 bernoulli + 1 gaussian per bit.
     MINDFUL_METRIC_COUNT("comm.ook.rng_draws", 2 * bits);
-#ifndef MINDFUL_OBS_DISABLED
-    // Guarded like the QAM path: no name formatting while disabled.
-    if (obs::MetricRegistry::global().enabled()) {
-        const std::string db = formatDb(eb_n0_linear);
-        MINDFUL_METRIC_COUNT("comm.ook.ebn0_" + db + "db.bit_errors",
-                             measurement.bitErrors);
-    }
-#endif
+    MINDFUL_METRIC_COUNT("comm.ook.ebn0_" + formatDb(eb_n0_linear) +
+                             "db.bit_errors",
+                         measurement.bitErrors);
     span.arg("bit_errors", measurement.bitErrors);
     return measurement;
 }

@@ -1,5 +1,7 @@
 #include "core/report.hh"
 
+#include <array>
+#include <cstdint>
 #include <sstream>
 
 #include "base/table.hh"
@@ -13,6 +15,9 @@
 namespace mindful::core {
 
 namespace {
+
+/** Channel counts examined by the per-scale sections. */
+constexpr std::array<std::uint64_t, 3> kChannelCounts{2048, 4096, 8192};
 
 std::string
 num(double value, int precision = 2)
@@ -65,8 +70,7 @@ overviewSection(std::ostringstream &os, const SocDesign &design,
 }
 
 void
-commSection(std::ostringstream &os, const ImplantModel &implant,
-            const ReportOptions &options)
+commSection(std::ostringstream &os, const ImplantModel &implant)
 {
     os << "## Raw-data streaming (communication-centric)\n\n";
 
@@ -80,7 +84,7 @@ commSection(std::ostringstream &os, const ImplantModel &implant,
 
     QamStudy qam(implant);
     os << "| channels | bits/symbol | min QAM efficiency |\n|---|---|---|\n";
-    for (std::uint64_t n : options.channelCounts) {
+    for (std::uint64_t n : kChannelCounts) {
         auto point = qam.evaluate(n);
         os << "| " << n << " | " << point.bitsPerSymbol << " | "
            << (point.minimumEfficiency > 10.0
@@ -94,8 +98,7 @@ commSection(std::ostringstream &os, const ImplantModel &implant,
 }
 
 void
-compSection(std::ostringstream &os, const ImplantModel &implant,
-            const ReportOptions &options)
+compSection(std::ostringstream &os, const ImplantModel &implant)
 {
     os << "## On-implant decoding (computation-centric)\n\n";
     os << "| model | feasible @1024 | max channels | with partitioning "
@@ -112,41 +115,37 @@ compSection(std::ostringstream &os, const ImplantModel &implant,
            << " |\n";
     }
 
-    if (options.includeOptimizations) {
-        os << "\n### Optimization ladder (MLP model size, % of "
-              "unoptimized)\n\n";
-        OptimizationStudy study(implant,
-                                experiments::speechModelBuilder(
-                                    experiments::SpeechModel::Mlp));
-        os << "| n | ChDr | La+ChDr | La+ChDr+Tech | +Dense "
-              "|\n|---|---|---|---|---|\n";
-        for (std::uint64_t n : options.channelCounts) {
-            os << "| " << n << " |";
-            for (const auto &steps :
-                 {OptimizationSteps::chDr(), OptimizationSteps::laChDr(),
-                  OptimizationSteps::laChDrTech(),
-                  OptimizationSteps::laChDrTechDense()}) {
-                auto outcome = study.evaluate(n, steps);
-                os << ' '
-                   << (outcome.feasible ? pct(outcome.modelSizeFraction)
-                                        : std::string("infeasible"))
-                   << " |";
-            }
-            os << '\n';
+    os << "\n### Optimization ladder (MLP model size, % of "
+          "unoptimized)\n\n";
+    OptimizationStudy study(implant, experiments::speechModelBuilder(
+                                         experiments::SpeechModel::Mlp));
+    os << "| n | ChDr | La+ChDr | La+ChDr+Tech | +Dense "
+          "|\n|---|---|---|---|---|\n";
+    for (std::uint64_t n : kChannelCounts) {
+        os << "| " << n << " |";
+        for (const auto &steps :
+             {OptimizationSteps::chDr(), OptimizationSteps::laChDr(),
+              OptimizationSteps::laChDrTech(),
+              OptimizationSteps::laChDrTechDense()}) {
+            auto outcome = study.evaluate(n, steps);
+            os << ' '
+               << (outcome.feasible ? pct(outcome.modelSizeFraction)
+                                    : std::string("infeasible"))
+               << " |";
         }
+        os << '\n';
     }
     os << '\n';
 }
 
 void
-multiImplantSection(std::ostringstream &os, const ImplantModel &implant,
-                    const ReportOptions &options)
+multiImplantSection(std::ostringstream &os, const ImplantModel &implant)
 {
     os << "## Multi-implant option\n\n";
     MultiImplantStudy study(implant);
     os << "| total channels | min implants | best count | total power "
           "|\n|---|---|---|---|\n";
-    for (std::uint64_t n : options.channelCounts) {
+    for (std::uint64_t n : kChannelCounts) {
         auto minimum = study.minimumImplants(n);
         auto best = study.bestImplantCount(n);
         os << "| " << n << " | "
@@ -167,18 +166,15 @@ multiImplantSection(std::ostringstream &os, const ImplantModel &implant,
 } // namespace
 
 std::string
-designReport(const SocDesign &design, const ReportOptions &options)
+designReport(const SocDesign &design)
 {
     ImplantModel implant(design);
     std::ostringstream os;
 
     overviewSection(os, design, implant);
-    if (options.includeCommCentric)
-        commSection(os, implant, options);
-    if (options.includeCompCentric)
-        compSection(os, implant, options);
-    if (options.includeMultiImplant)
-        multiImplantSection(os, implant, options);
+    commSection(os, implant);
+    compSection(os, implant);
+    multiImplantSection(os, implant);
 
     os << "---\nGenerated by MINDFUL-cpp.\n";
     return os.str();

@@ -11,27 +11,19 @@
 #define MINDFUL_CORE_REPORT_HH
 
 #include <string>
-#include <vector>
 
 #include "core/soc_design.hh"
 
 namespace mindful::core {
 
-/** Report contents toggles. */
-struct ReportOptions
-{
-    bool includeCommCentric = true;  //!< Secs. 5.1-5.2 studies
-    bool includeCompCentric = true;  //!< Secs. 5.3 + 6.1 studies
-    bool includeOptimizations = true; //!< Sec. 6.2 ladder
-    bool includeMultiImplant = true; //!< multi-implant extension
-
-    /** Channel counts examined by the per-scale sections. */
-    std::vector<std::uint64_t> channelCounts{2048, 4096, 8192};
-};
-
-/** Render the full design report for @p design. */
-std::string designReport(const SocDesign &design,
-                         const ReportOptions &options = {});
+/**
+ * Render the full design report for @p design: the overview, the
+ * communication-centric studies (Secs. 5.1-5.2), the
+ * computation-centric studies with the Sec. 6.2 optimization ladder
+ * (Secs. 5.3 + 6.1) and the multi-implant extension, each per-scale
+ * table at 2048, 4096 and 8192 channels.
+ */
+std::string designReport(const SocDesign &design);
 
 } // namespace mindful::core
 

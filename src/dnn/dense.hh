@@ -57,7 +57,7 @@ class DenseLayer : public Layer
     /**
      * Retained golden reference: the original scalar row loop (one
      * row's weights read at their packed slots), for the equivalence
-     * tests and the kernel_regression GEMV ratio.
+     * tests.
      */
     Tensor forwardNaive(const Tensor &input) const;
 

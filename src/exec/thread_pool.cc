@@ -28,10 +28,8 @@ struct GlobalPool
 {
     GlobalPool()
     {
-#ifndef MINDFUL_OBS_DISABLED
         obs::MetricRegistry::global();
         obs::TraceCollector::global();
-#endif
     }
 
     Mutex mutex;
@@ -121,11 +119,9 @@ ThreadPool::ThreadPool(unsigned threads) : _threadCount(threads)
     MINDFUL_ASSERT(threads >= 1, "a pool needs at least one thread");
     MINDFUL_METRIC_GAUGE("exec.pool.threads",
                          static_cast<double>(threads));
-#ifndef MINDFUL_OBS_DISABLED
     // Pool width is a run-manifest fact (obs/manifest.hh); obs cannot
     // link against exec, so exec publishes it.
     obs::setManifestThreadCount(threads);
-#endif
     _workers.reserve(threads - 1);
     for (unsigned i = 1; i < threads; ++i)
         _workers.emplace_back([this] { workerLoop(); });
@@ -194,11 +190,9 @@ void
 ThreadPool::workerLoop()
 {
     t_on_worker = true;
-#ifndef MINDFUL_OBS_DISABLED
     // One-time, up-front allocation of this worker's trace ring, so
     // hot-path spans inside shard bodies never allocate.
     obs::TraceCollector::global().registerCurrentThread();
-#endif
     std::uint64_t seen = 0;
     for (;;) {
         Job *job = nullptr;

@@ -14,6 +14,11 @@ AdcModel::AdcModel(unsigned bits, double full_scale_uv, Frequency sampling)
                    "ADC bitwidth must be in [1, ", kMaxAdcBits, "], got ",
                    bits);
     MINDFUL_ASSERT(full_scale_uv > 0.0, "ADC full scale must be positive");
+    // The span [-FS, +FS] scales every code; past DBL_MAX / 2 it is
+    // inf, and 0 uV would no longer read the mid code.
+    MINDFUL_ASSERT(std::isfinite(2.0 * full_scale_uv),
+                   "ADC full-scale span must be finite, got FS = ",
+                   full_scale_uv, " uV");
     MINDFUL_ASSERT(sampling.inHertz() > 0.0,
                    "ADC sampling frequency must be positive");
 }

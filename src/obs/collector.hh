@@ -26,7 +26,7 @@
  * resolve the name to a TraceSite (once per site for a string
  * literal, on every call for a name built at run time) and record a
  * HotSpan. Resolving takes a lock, so shard bodies and realtime loops
- * use a pre-resolved TraceSite with MINDFUL_HOT_SPAN instead.
+ * construct a HotSpan over a pre-resolved TraceSite instead.
  *
  * Contracts: the sink stream must outlive stop(); totals are exact
  * once producers have quiesced (joined, or parallelFor returned)
@@ -295,40 +295,7 @@ class HotSpan
     PodEvent _event;
 };
 
-/** No-op stand-in the span macros degrade to under MINDFUL_OBS_DISABLED. */
-class NullSpan
-{
-  public:
-    bool active() const { return false; }
-
-    template <typename T>
-    NullSpan &
-    arg(const char *, T)
-    {
-        static_assert(std::is_arithmetic_v<T>,
-                      "span arguments are numbers");
-        return *this;
-    }
-
-    template <typename V>
-    NullSpan &
-    setArg(const V &)
-    {
-        return *this;
-    }
-};
-
 } // namespace mindful::obs
-
-#ifndef MINDFUL_OBS_DISABLED
-
-/**
- * Open a span over a pre-resolved TraceSite (shard bodies, realtime
- * loops):
- *   MINDFUL_HOT_SPAN(shard_span, site);
- *   shard_span.setArg(rows);
- */
-#define MINDFUL_HOT_SPAN(var, site) ::mindful::obs::HotSpan var((site))
 
 /**
  * Open a named span variable by name:
@@ -347,17 +314,5 @@ class NullSpan
 #define MINDFUL_TRACE_SCOPE(category, name) \
     MINDFUL_TRACE_SPAN(MINDFUL_OBS_CONCAT(_mindful_span_, __LINE__), \
                        category, name)
-
-#else
-
-#define MINDFUL_HOT_SPAN(var, site) \
-    [[maybe_unused]] ::mindful::obs::NullSpan var
-#define MINDFUL_TRACE_SPAN(var, category, name) \
-    [[maybe_unused]] ::mindful::obs::NullSpan var
-#define MINDFUL_TRACE_SCOPE(category, name) \
-    do { \
-    } while (0)
-
-#endif // MINDFUL_OBS_DISABLED
 
 #endif // MINDFUL_OBS_COLLECTOR_HH

@@ -3,16 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "base/logging.hh"
-
 namespace mindful::obs {
-
-namespace detail {
-
-MINDFUL_ATOMIC_ROLE(once_flag)
-std::atomic<bool> g_metricsEnabled{true};
-
-} // namespace detail
 
 std::uint64_t
 CounterCells::total() const
@@ -23,24 +14,16 @@ CounterCells::total() const
     return sum;
 }
 
-HistogramCells::HistogramCells(HistogramOptions options)
-    : lo(options.lo), hi(options.hi), logLo(std::log(options.lo)),
-      bins(options.bins)
+HistogramCells::HistogramCells()
 {
-    MINDFUL_ASSERT(options.lo > 0.0 && options.hi > options.lo &&
-                       options.bins > 0,
-                   "histogram needs 0 < lo < hi and at least one bin");
-    invLogRatio = static_cast<double>(options.bins) /
-                  (std::log(options.hi) - std::log(options.lo));
-    counts = std::make_unique<std::atomic<std::uint64_t>[]>(options.bins);
     reset();
 }
 
 void
 HistogramCells::reset()
 {
-    for (std::size_t i = 0; i < bins; ++i)
-        counts[i].store(0, std::memory_order_relaxed);
+    for (auto &count : counts)
+        count.store(0, std::memory_order_relaxed);
     total.store(0, std::memory_order_relaxed);
     underflow.store(0, std::memory_order_relaxed);
     overflow.store(0, std::memory_order_relaxed);
@@ -73,15 +56,15 @@ HistogramCells::percentile(double p) const
     std::uint64_t cumulative = underflow.load(std::memory_order_relaxed);
     if (rank <= cumulative)
         return min_seen;
-    for (std::size_t i = 0; i < bins; ++i) {
+    for (std::size_t i = 0; i < kHistogramBins; ++i) {
         cumulative += counts[i].load(std::memory_order_relaxed);
         if (rank <= cumulative) {
-            const double ratio = hi / lo;
-            const double lower = lo * std::pow(
-                ratio, static_cast<double>(i) / static_cast<double>(bins));
-            const double upper =
-                lo * std::pow(ratio, static_cast<double>(i + 1) /
-                                         static_cast<double>(bins));
+            const double ratio = kHistogramHi / kHistogramLo;
+            const double bins = static_cast<double>(kHistogramBins);
+            const double lower = kHistogramLo *
+                std::pow(ratio, static_cast<double>(i) / bins);
+            const double upper = kHistogramLo *
+                std::pow(ratio, static_cast<double>(i + 1) / bins);
             return std::clamp(std::sqrt(lower * upper), min_seen,
                               max_seen);
         }

@@ -66,12 +66,12 @@ MetricRegistry::gauge(std::string_view name)
 }
 
 HistogramHandle
-MetricRegistry::histogram(std::string_view name, HistogramOptions options)
+MetricRegistry::histogram(std::string_view name)
 {
     LockGuard lock(_mutex);
     Entry &entry = resolveLocked(name, "histogram");
     if (!entry.histogram)
-        entry.histogram = std::make_unique<HistogramCells>(options);
+        entry.histogram = std::make_unique<HistogramCells>();
     return HistogramHandle(entry.histogram.get());
 }
 

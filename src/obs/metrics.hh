@@ -13,22 +13,17 @@
  *
  * The MINDFUL_METRIC_* macros are the by-name spelling of the same
  * record: a string-literal name resolves once per site and is reused,
- * a name built at run time resolves on every call, and neither is
- * evaluated while the registry is runtime-disabled.
+ * and a name built at run time resolves on every call.
  *
  * Metric names are dot-separated paths, lowercase with underscores,
  * `<subsystem>.<component>.<quantity>[_<unit>]` — e.g.
  * `comm.qam.bit_errors`, `accel.layer.energy_pj`,
  * `core.closed_loop.loop_latency_us`. See docs/observability.md.
- *
- * Define `MINDFUL_OBS_DISABLED` to compile the macros at the bottom of
- * this header to no-ops; the classes themselves remain available.
  */
 
 #ifndef MINDFUL_OBS_METRICS_HH
 #define MINDFUL_OBS_METRICS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -71,26 +66,9 @@ class MetricRegistry
     /** The process-wide registry the instrumented substrates use. */
     static MetricRegistry &global();
 
-    /**
-     * Process-wide recording gate, on by default. While disabled every
-     * handle records nothing and the MINDFUL_METRIC_* macros neither
-     * resolve nor evaluate their names; instrumented code must also
-     * skip any *preparation* of a recording (per-call aggregation,
-     * runtime name formatting) behind enabled(), so a disabled
-     * registry costs one relaxed atomic load per site.
-     */
-    static void
-    setEnabled(bool enabled)
-    {
-        detail::g_metricsEnabled.store(enabled, std::memory_order_relaxed);
-    }
-
-    static bool enabled() { return detail::metricsEnabled(); }
-
     CounterHandle counter(std::string_view name);
     Gauge &gauge(std::string_view name);
-    HistogramHandle histogram(std::string_view name,
-                              HistogramOptions options = {});
+    HistogramHandle histogram(std::string_view name);
 
     /** Whether @p name is a live row (see clear()). */
     bool contains(std::string_view name) const;
@@ -139,45 +117,23 @@ class MetricRegistry
 
 } // namespace mindful::obs
 
-#ifndef MINDFUL_OBS_DISABLED
-
 #define MINDFUL_METRIC_COUNT(name, n) \
     do { \
-        if (::mindful::obs::MetricRegistry::enabled()) \
-            MINDFUL_OBS_RESOLVE( \
-                name, \
-                ::mindful::obs::MetricRegistry::global().counter((name))) \
-                .bump((n)); \
+        MINDFUL_OBS_RESOLVE( \
+            name, ::mindful::obs::MetricRegistry::global().counter((name))) \
+            .bump((n)); \
     } while (0)
 #define MINDFUL_METRIC_GAUGE(name, v) \
     do { \
-        if (::mindful::obs::MetricRegistry::enabled()) \
-            MINDFUL_OBS_RESOLVE( \
-                name, \
-                ::mindful::obs::MetricRegistry::global().gauge((name))) \
-                .set((v)); \
+        MINDFUL_OBS_RESOLVE( \
+            name, ::mindful::obs::MetricRegistry::global().gauge((name))) \
+            .set((v)); \
     } while (0)
 #define MINDFUL_METRIC_RECORD(name, v) \
     do { \
-        if (::mindful::obs::MetricRegistry::enabled()) \
-            MINDFUL_OBS_RESOLVE( \
-                name, ::mindful::obs::MetricRegistry::global().histogram( \
-                          (name))) \
-                .observe((v)); \
+        MINDFUL_OBS_RESOLVE( \
+            name, ::mindful::obs::MetricRegistry::global().histogram((name))) \
+            .observe((v)); \
     } while (0)
-
-#else
-
-#define MINDFUL_METRIC_COUNT(name, n) \
-    do { \
-    } while (0)
-#define MINDFUL_METRIC_GAUGE(name, v) \
-    do { \
-    } while (0)
-#define MINDFUL_METRIC_RECORD(name, v) \
-    do { \
-    } while (0)
-
-#endif // MINDFUL_OBS_DISABLED
 
 #endif // MINDFUL_OBS_METRICS_HH

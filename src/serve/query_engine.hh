@@ -94,7 +94,7 @@ class QueryEngine
      * obs::CounterHandle's cells, so a bump is one relaxed add into the
      * calling thread's cache line and no atomic is shared across
      * threads. Each bump also feeds the registry counter that exports
-     * the process-wide total, which alone honours the registry's gate.
+     * the process-wide total.
      */
     class Tally
     {

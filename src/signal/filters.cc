@@ -69,22 +69,6 @@ Biquad::highPass(Frequency cutoff, Frequency sampling, double q)
                   1.0 - p.alpha);
 }
 
-Biquad
-Biquad::bandPass(Frequency centre, Frequency sampling, double q)
-{
-    auto p = rbj(centre, sampling, q);
-    return Biquad(p.alpha, 0.0, -p.alpha, 1.0 + p.alpha, -2.0 * p.cosw,
-                  1.0 - p.alpha);
-}
-
-Biquad
-Biquad::notch(Frequency centre, Frequency sampling, double q)
-{
-    auto p = rbj(centre, sampling, q);
-    return Biquad(1.0, -2.0 * p.cosw, 1.0, 1.0 + p.alpha, -2.0 * p.cosw,
-                  1.0 - p.alpha);
-}
-
 double
 Biquad::step(double x)
 {
@@ -199,109 +183,6 @@ BiquadCascade::spikeBand(Frequency sampling, Frequency low, Frequency high)
     cascade.append(Biquad::lowPass(high, sampling, 0.5412));
     cascade.append(Biquad::lowPass(high, sampling, 1.3066));
     return cascade;
-}
-
-BiquadCascade
-BiquadCascade::lfpBand(Frequency sampling, Frequency cutoff)
-{
-    BiquadCascade cascade;
-    cascade.append(Biquad::lowPass(cutoff, sampling, 0.5412));
-    cascade.append(Biquad::lowPass(cutoff, sampling, 1.3066));
-    return cascade;
-}
-
-FirFilter::FirFilter(std::vector<double> taps)
-    : _taps(std::move(taps)), _delay(_taps.size(), 0.0)
-{
-    MINDFUL_ASSERT(!_taps.empty(), "FIR filter needs at least one tap");
-}
-
-FirFilter
-FirFilter::designLowPass(Frequency cutoff, Frequency sampling,
-                         std::size_t taps)
-{
-    MINDFUL_ASSERT(taps >= 3, "FIR design needs at least 3 taps");
-    MINDFUL_ASSERT(cutoff.inHertz() > 0.0 &&
-                       cutoff.inHertz() < sampling.inHertz() / 2.0,
-                   "FIR cutoff must lie in (0, fs/2)");
-
-    double fc = cutoff.inHertz() / sampling.inHertz();
-    std::vector<double> h(taps);
-    double centre = (static_cast<double>(taps) - 1.0) / 2.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < taps; ++i) {
-        double m = static_cast<double>(i) - centre;
-        double sinc = m == 0.0
-                          ? 2.0 * fc
-                          : std::sin(2.0 * std::numbers::pi * fc * m) /
-                                (std::numbers::pi * m);
-        double window =
-            0.54 - 0.46 * std::cos(2.0 * std::numbers::pi *
-                                   static_cast<double>(i) /
-                                   (static_cast<double>(taps) - 1.0));
-        h[i] = sinc * window;
-        sum += h[i];
-    }
-    // Normalize DC gain to exactly 1.
-    for (auto &v : h)
-        v /= sum;
-    return FirFilter(std::move(h));
-}
-
-FirFilter
-FirFilter::designBandPass(Frequency low, Frequency high, Frequency sampling,
-                          std::size_t taps)
-{
-    MINDFUL_ASSERT(low.inHertz() < high.inHertz(),
-                   "band-pass edges out of order");
-    FirFilter lp_high = designLowPass(high, sampling, taps);
-    FirFilter lp_low = designLowPass(low, sampling, taps);
-    std::vector<double> h(taps);
-    for (std::size_t i = 0; i < taps; ++i)
-        h[i] = lp_high.taps()[i] - lp_low.taps()[i];
-    return FirFilter(std::move(h));
-}
-
-double
-FirFilter::step(double x)
-{
-    _delay[_head] = x;
-    double acc = 0.0;
-    std::size_t idx = _head;
-    for (double tap : _taps) {
-        acc += tap * _delay[idx];
-        idx = (idx == 0) ? _delay.size() - 1 : idx - 1;
-    }
-    _head = (_head + 1) % _delay.size();
-    return acc;
-}
-
-void
-FirFilter::reset()
-{
-    std::fill(_delay.begin(), _delay.end(), 0.0);
-    _head = 0;
-}
-
-std::vector<double>
-FirFilter::apply(const std::vector<double> &input)
-{
-    std::vector<double> out;
-    out.reserve(input.size());
-    for (double x : input)
-        out.push_back(step(x));
-    return out;
-}
-
-double
-FirFilter::magnitudeAt(Frequency freq, Frequency sampling) const
-{
-    using namespace std::complex_literals;
-    double w = 2.0 * std::numbers::pi * freq.inHertz() / sampling.inHertz();
-    std::complex<double> acc = 0.0;
-    for (std::size_t i = 0; i < _taps.size(); ++i)
-        acc += _taps[i] * std::exp(-1i * (w * static_cast<double>(i)));
-    return std::abs(acc);
 }
 
 } // namespace mindful::signal

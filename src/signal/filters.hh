@@ -4,10 +4,9 @@
  *
  * Implanted front-ends band-split the raw trace into a spike band
  * (~300 Hz - 3 kHz) and an LFP band (< ~300 Hz) before any feature
- * extraction. This module provides RBJ-cookbook biquad sections, a
- * cascade container, and windowed-sinc FIR design — enough to build
- * the standard neural preprocessing chains used by the examples and
- * the spike detector.
+ * extraction. This module provides RBJ-cookbook biquad sections and
+ * a cascade container — enough to build the standard neural
+ * preprocessing chains used by the examples and the spike detector.
  */
 
 #ifndef MINDFUL_SIGNAL_FILTERS_HH
@@ -37,8 +36,6 @@ class Biquad
                           double q = 0.7071);
     static Biquad highPass(Frequency cutoff, Frequency sampling,
                            double q = 0.7071);
-    static Biquad bandPass(Frequency centre, Frequency sampling, double q);
-    static Biquad notch(Frequency centre, Frequency sampling, double q);
 
     /** Process one sample, updating internal state. */
     double step(double x);
@@ -86,10 +83,6 @@ class BiquadCascade
                                    Frequency high =
                                        Frequency::kilohertz(3.0));
 
-    /** LFP chain: 4th-order low-pass below @p cutoff. */
-    static BiquadCascade lfpBand(Frequency sampling,
-                                 Frequency cutoff = Frequency::hertz(300));
-
   private:
     /**
      * Run the @p N sections from @p sections in series over @p data in
@@ -102,38 +95,6 @@ class BiquadCascade
     static void filterBlock(Biquad *sections, double *data, std::size_t n);
 
     std::vector<Biquad> _sections;
-};
-
-/**
- * Windowed-sinc (Hamming) linear-phase FIR filter.
- */
-class FirFilter
-{
-  public:
-    explicit FirFilter(std::vector<double> taps);
-
-    /** Low-pass design with @p taps coefficients (odd preferred). */
-    static FirFilter designLowPass(Frequency cutoff, Frequency sampling,
-                                   std::size_t taps);
-
-    /** Band-pass design via spectral subtraction of two low-passes. */
-    static FirFilter designBandPass(Frequency low, Frequency high,
-                                    Frequency sampling, std::size_t taps);
-
-    double step(double x);
-    void reset();
-
-    std::vector<double> apply(const std::vector<double> &input);
-
-    const std::vector<double> &taps() const { return _taps; }
-
-    /** Magnitude response at @p freq. */
-    double magnitudeAt(Frequency freq, Frequency sampling) const;
-
-  private:
-    std::vector<double> _taps;
-    std::vector<double> _delay;
-    std::size_t _head = 0;
 };
 
 } // namespace mindful::signal

@@ -164,8 +164,6 @@ void
 recordSolveMetrics(std::size_t sweeps, double residual)
 {
     auto &registry = obs::MetricRegistry::global();
-    if (!registry.enabled())
-        return;
     registry.counter("thermal.sor.solves").bump(1);
     registry.counter("thermal.sor.sweeps").bump(sweeps);
     registry.gauge("thermal.sor.residual").set(residual);

@@ -251,8 +251,9 @@ TEST(GemmDenseTest, MatchesNaiveExactly)
     // grid below covers a lone row, a short panel, one and two whole
     // panels, and the four-panel pass with and without leftovers, for
     // in from a single column to twice the MLP's widest input.
+    // {1024, 768} is the Fig. 10 MLP trunk at n = 512.
     std::vector<std::pair<std::size_t, std::size_t>> shapes = {
-        {37, 29}, {512, 512}, {8200, 1027}};
+        {37, 29}, {512, 512}, {1024, 768}, {8200, 1027}};
     for (const std::size_t out : {1u, 7u, 8u, 9u, 40u, 770u})
         for (const std::size_t in : {1u, 3u, 384u, 3072u})
             shapes.emplace_back(in, out);

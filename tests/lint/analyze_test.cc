@@ -198,21 +198,21 @@ TEST(AnalyzeHotPath, CleanKernelFixtureIsClean)
     EXPECT_TRUE(findings.empty()) << findings[0].message;
 }
 
-TEST(AnalyzeHotPath, HotRecordMacrosArePermittedInShardBodies)
+TEST(AnalyzeHotPath, HotRecordHandlesArePermittedInShardBodies)
 {
-    // The MINDFUL_HOT_* macros are the certified hot-tier record
-    // path (obs/handles.hh, obs/collector.hh): whitelisted by name,
-    // like MINDFUL_TRACE_SPAN.
+    // A HotSpan over a pre-resolved TraceSite and records through
+    // pre-resolved metric handles are the hot-tier record path
+    // (obs/handles.hh, obs/collector.hh), as src/ spells it.
     auto findings = analyze({{"dnn/fixture.cc", R"fix(
         void kernel(float *out, std::size_t n)
         {
             exec::parallelFor(4, [&](std::size_t shard) {
-                MINDFUL_HOT_SPAN(span, shard_site);
+                obs::HotSpan span(shard_site);
                 auto range = exec::shardRange(n, 4, shard);
                 for (std::size_t i = range.begin; i < range.end; ++i)
                     out[i] = static_cast<float>(i);
-                MINDFUL_HOT_COUNT(shard_rows, range.end - range.begin);
-                MINDFUL_HOT_RECORD(shard_us, 1.5);
+                shard_rows.bump(range.end - range.begin);
+                shard_us.observe(1.5);
             }, "fixture.kernel");
         }
     )fix"}});
@@ -1156,8 +1156,8 @@ TEST(AnalyzeRealtime, ColdTierTracingInStreamingLoop)
     EXPECT_TRUE(hasFinding(
         findings, "realtime-loop",
         "starts a by-name trace span via MINDFUL_TRACE_SPAN"));
-    EXPECT_TRUE(
-        hasFinding(findings, "realtime-loop", "MINDFUL_HOT_"));
+    EXPECT_TRUE(hasFinding(findings, "realtime-loop",
+                           "pre-resolve a TraceSite or metric handle"));
 }
 
 TEST(AnalyzeRealtime, HotTierHandlesAreStreamingLegal)
@@ -1168,7 +1168,7 @@ TEST(AnalyzeRealtime, HotTierHandlesAreStreamingLegal)
             Event event;
             MINDFUL_RT_LOOP("fixture.drain")
             while (ring->tryPop(event)) {
-                MINDFUL_HOT_COUNT(hits, 1);
+                hits.bump(1);
             }
         }
     )fix"}});

@@ -176,5 +176,15 @@ TEST(AdcDeathTest, RejectsInvalidBitwidth)
                  "bitwidth");
 }
 
+TEST(AdcDeathTest, RejectsFullScaleWithInfiniteSpan)
+{
+    // 2 * 1e308 overflows to inf: the span, and every code, is lost.
+    EXPECT_DEATH(AdcModel(10, 1e308, Frequency::kilohertz(8.0)),
+                 "span must be finite");
+    EXPECT_DEATH(AdcModel(10, std::numeric_limits<double>::infinity(),
+                          Frequency::kilohertz(8.0)),
+                 "span must be finite");
+}
+
 } // namespace
 } // namespace mindful::ni

@@ -3,8 +3,7 @@
  * Metric cell tests: cross-thread counter exactness, histogram parity
  * with base/stats.hh's LogHistogram + RunningStats (count/min/max/
  * percentiles exact; mean approximate — the cell accumulates a plain
- * sum while RunningStats uses Welford), the runtime registry gate,
- * kind-mismatch registration, reset via the global registry's clear,
+ * sum while RunningStats uses Welford), kind-mismatch registration, reset via the global registry's clear,
  * the snapshot surface, and CSV export stability.
  */
 
@@ -36,23 +35,13 @@ sampleNamed(const std::string &name)
     return {};
 }
 
-/** Clear the registry around each test; leave it enabled. */
+/** Clear the registry around each test. */
 class HandlesFixture : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        MetricRegistry::global().clear();
-        MetricRegistry::global().setEnabled(true);
-    }
+    void SetUp() override { MetricRegistry::global().clear(); }
 
-    void
-    TearDown() override
-    {
-        MetricRegistry::global().clear();
-        MetricRegistry::global().setEnabled(true);
-    }
+    void TearDown() override { MetricRegistry::global().clear(); }
 };
 
 using HandlesTest = HandlesFixture;
@@ -87,10 +76,9 @@ TEST_F(HandlesTest, ResolvingTwiceReturnsTheSameCells)
 
 TEST_F(HandlesTest, HistogramMatchesLogHistogramOnIdenticalSamples)
 {
-    const HistogramOptions options;
     HistogramHandle hot =
-        MetricRegistry::global().histogram("test.handles.parity", options);
-    LogHistogram reference(options.lo, options.hi, options.bins);
+        MetricRegistry::global().histogram("test.handles.parity");
+    LogHistogram reference(kHistogramLo, kHistogramHi, kHistogramBins);
     RunningStats stats;
     // Spread across decades, plus values below lo (1e-3) and above
     // hi (1e9) to exercise the under/overflow buckets, plus an exact
@@ -121,24 +109,6 @@ TEST_F(HandlesTest, HistogramMatchesLogHistogramOnIdenticalSamples)
         EXPECT_EQ(hot.percentile(p), reference.percentile(p));
     // Mean: plain sum vs Welford — equal to rounding, not bitwise.
     EXPECT_NEAR(sample.value, stats.mean(), 1e-9 * std::abs(stats.mean()));
-}
-
-TEST_F(HandlesTest, RegistryGateStopsHotRecords)
-{
-    CounterHandle counter =
-        MetricRegistry::global().counter("test.handles.gated");
-    HistogramHandle histogram =
-        MetricRegistry::global().histogram("test.handles.gated_hist");
-    MetricRegistry::global().setEnabled(false);
-    counter.bump(5);
-    histogram.observe(1.5);
-    MetricRegistry::global().setEnabled(true);
-    EXPECT_EQ(counter.total(), 0u);
-    EXPECT_EQ(histogram.count(), 0u);
-    counter.bump(5);
-    histogram.observe(1.5);
-    EXPECT_EQ(counter.total(), 5u);
-    EXPECT_EQ(histogram.count(), 1u);
 }
 
 TEST_F(HandlesTest, DefaultConstructedHandlesRecordNothing)

@@ -345,10 +345,8 @@ TEST(QueryEngineTest, TwoLiveEnginesCountDisjointly)
     EXPECT_EQ(decoding.cacheMissesTotal(), 2u);
     EXPECT_EQ(decoding.cacheHitsTotal(), 0u);
     EXPECT_EQ(decoding.decoderBuildsTotal(), 2u);
-    if (obs::MetricRegistry::enabled()) {
-        EXPECT_EQ(queries.total() - queries0, 5u);
-        EXPECT_EQ(builds.total() - builds0, 2u);
-    }
+    EXPECT_EQ(queries.total() - queries0, 5u);
+    EXPECT_EQ(builds.total() - builds0, 2u);
 }
 
 // --- Batch determinism -------------------------------------------------

@@ -90,11 +90,6 @@ notCalls()
         "parallelFor", "shardRange", "fork",
         "MINDFUL_ASSERT", "MINDFUL_DEBUG_ASSERT", "MINDFUL_TRACE_SPAN",
         "MINDFUL_TRACE_SCOPE",
-        // hot-tier record macros (obs/collector.hh, obs/handles.hh):
-        // they expand to HotSpan construction / CounterHandle::bump /
-        // HistogramHandle::observe, whose bodies the analyzer also
-        // sees and certifies lock- and allocation-free
-        "MINDFUL_HOT_SPAN", "MINDFUL_HOT_COUNT", "MINDFUL_HOT_RECORD",
     };
     return set;
 }
@@ -841,8 +836,8 @@ class Parser
         }
 
         // realtime blockers: by-name observability. The trace macros
-        // resolve their name under a lock; only the pre-resolved
-        // MINDFUL_HOT_* handles are streaming-legal.
+        // resolve their name under a lock; only a pre-resolved
+        // TraceSite or metric handle is streaming-legal.
         if (t == "MINDFUL_TRACE_SPAN" || t == "MINDFUL_TRACE_SCOPE") {
             fn.rtBlockers.push_back(
                 {"by-name", line, "starts a by-name trace span via " + t});
@@ -2201,7 +2196,7 @@ semanticFindings(const std::vector<FileFacts> &files)
                         kind == "by-name"
                             ? "; by-name observability resolves its "
                               "name under a lock — pre-resolve a "
-                              "MINDFUL_HOT_* handle at setup time "
+                              "TraceSite or metric handle at setup time "
                               "(docs/static_analysis.md)"
                             : "; nothing blocking may run on a "
                               "streaming stage path "

@@ -39,7 +39,7 @@
  *    from one may block — Mutex/ConditionVariable, file/stream
  *    construction, sleep/this_thread calls, unbounded `while (true)`
  *    without a break/return, or by-name trace spans / metric lookups
- *    (the pre-resolved MINDFUL_HOT_* handles stay legal).
+ *    (a pre-resolved TraceSite or metric handle stays legal).
  *  - view-invalidation: spans/string_views/rowData/raw data pointers
  *    borrowed from growable containers must not outlive a
  *    push_back/resize/reserve/move of their source — checked within
